@@ -29,7 +29,7 @@ from .games import (
     uniform_distribution,
 )
 from .protocol import InfeasibleSlackError, plan_protocol, threshold_gap, threshold_success
-from .simulator import AdversarialDevice, HonestDevice, attack_suite, estimate_output_bias, run_protocol
+from .simulator import AdversarialDevice, HonestDevice, attack_suite, run_protocol, summarize_output_bits
 from .sources import ExtremalSource, canonical_mermin_source, constant_sign
 from .strategies import (
     NoiseModel,
@@ -246,7 +246,7 @@ def cmd_simulate(
                 "aggregated": run.aggregated,
             }
         )
-    est = estimate_output_bias(params, device, runs, seed)
+    est = summarize_output_bits([row["output_bit"] for row in rows])
     summary = [
         f"n_rounds: {params.n_rounds}",
         f"p_threshold: {_fmt(params.p_threshold)}",

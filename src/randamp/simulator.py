@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
     "BiasEstimate",
     "run_protocol",
     "transcript_lines",
+    "summarize_output_bits",
     "estimate_output_bias",
     "attack_suite",
 ]
@@ -443,22 +444,16 @@ def _wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> t
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def estimate_output_bias(
-    params: ProtocolParams, device: DeviceModel, runs: int, seed
-) -> BiasEstimate:
-    """Run the protocol `runs` times and report the empirical bias of the
-    emitted bit with a Wilson confidence interval, plus the abort rate.
-    All runs aborting yields an explicit no-data estimate."""
+def summarize_output_bits(output_bits: Sequence[Optional[int]]) -> BiasEstimate:
+    """Empirical bias of the emitted bit with a Wilson confidence
+    interval, plus the abort rate, over the output bits of a batch of
+    runs (None for an aborted run).  All runs aborting yields an
+    explicit no-data estimate."""
+    runs = len(output_bits)
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
-    seeds = np.random.SeedSequence(seed).spawn(runs)
-    zeros = 0
-    emitted = 0
-    for s in seeds:
-        run = run_protocol(params, device, np.random.default_rng(s))
-        if not run.aborted:
-            emitted += 1
-            zeros += 1 if run.output_bit == 0 else 0
+    emitted = sum(1 for bit in output_bits if bit is not None)
+    zeros = sum(1 for bit in output_bits if bit == 0)
     abort_rate = (runs - emitted) / runs
     if emitted == 0:
         return BiasEstimate(runs, 0, abort_rate, None, None, None, None)
@@ -468,6 +463,19 @@ def estimate_output_bias(
     hi_b = max(abs(lo - 0.5), abs(hi - 0.5))
     lo_b = 0.0 if lo <= 0.5 <= hi else min(abs(lo - 0.5), abs(hi - 0.5))
     return BiasEstimate(runs, emitted, abort_rate, p_zero, (lo, hi), bias, (lo_b, hi_b))
+
+
+def estimate_output_bias(
+    params: ProtocolParams, device: DeviceModel, runs: int, seed
+) -> BiasEstimate:
+    """Run the protocol `runs` times, run i on the i-th child of
+    SeedSequence(seed), and summarize the emitted bits."""
+    if runs < 1:
+        raise ValueError(f"need at least one run, got {runs}")
+    seeds = np.random.SeedSequence(seed).spawn(runs)
+    return summarize_output_bits(
+        [run_protocol(params, device, np.random.default_rng(s)).output_bit for s in seeds]
+    )
 
 
 def attack_suite() -> dict[str, AdversaryModel]:

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from randamp.cli import UsageError, main, parse_grid
+from randamp.cli import UsageError, _fmt, main, parse_grid
+from randamp.protocol import plan_protocol
+from randamp.simulator import HonestDevice, estimate_output_bias
+from randamp.strategies import ghz_mermin_strategy
 
 CHSH_CRITICAL_EPS = 2.0**-0.5 - 0.5
 
@@ -200,6 +203,25 @@ def test_simulate_honest_end_to_end(tmp_path):
     assert "# abort_rate: 0" in comments
     assert "# p_zero:" in comments
     assert "# bias_ci:" in comments
+
+
+def test_simulate_summary_matches_estimate_output_bias(tmp_path):
+    """The CLI summarizes the runs it printed; the summary equals a
+    separate estimate over the same seed."""
+    code, text = run_cli(
+        ["simulate", "--epsilon", "0.3", "--eps-prime", "0.29", "--delta", "0.5",
+         "--runs", "8", "--seed", "5", "--tolerance", "1e-2"],
+        tmp_path,
+    )
+    assert code == 0
+    summary = dict(line[2:].split(": ", 1) for line in comment_lines(text))
+    params = plan_protocol(0.3, 0.29, 0.5, None, 1e-2)
+    est = estimate_output_bias(params, HonestDevice(ghz_mermin_strategy()), 8, 5)
+    assert est.emitted > 0
+    assert summary["abort_rate"] == _fmt(est.abort_rate)
+    assert summary["emitted"] == str(est.emitted)
+    assert summary["p_zero"] == _fmt(est.p_zero)
+    assert summary["bias"] == _fmt(est.bias)
 
 
 def test_simulate_steered_adversary_aborts(tmp_path):
