@@ -195,7 +195,7 @@ def cmd_figure3(eps_grid: list[float], delta: float, x: float, tolerance: float)
 def cmd_plan(
     epsilon: float, eps_prime: float, delta: float, x: Optional[float], tolerance: float
 ) -> dict:
-    params = plan_protocol(epsilon, eps_prime, delta, x, bisection_tol=tolerance)
+    params = plan_protocol(epsilon, eps_prime, delta, x, tolerance)
     return {
         "epsilon": params.epsilon,
         "eps_prime_target": params.eps_prime_target,
@@ -219,7 +219,7 @@ def cmd_simulate(
     seed: int,
     tolerance: float,
 ) -> tuple[list[dict], list[str]]:
-    params = plan_protocol(epsilon, eps_prime, delta, x, bisection_tol=tolerance)
+    params = plan_protocol(epsilon, eps_prime, delta, x, tolerance)
     if device_name == "honest":
         device = HonestDevice(ghz_mermin_strategy(), NoiseModel(visibility))
     else:

@@ -49,7 +49,7 @@ from .sdp import (
     solve,
 )
 from .sources import ExtremalSource, canonical_mermin_source
-from .strategies import DeterministicStrategy, biased_mermin_classical_value
+from .strategies import DeterministicStrategy
 from .games import input_distribution_from_source, mermin_game
 
 LEVEL_Q1 = "Q1"
@@ -82,7 +82,9 @@ class InfeasibleSuccessError(RuntimeError):
 
 
 class BracketingError(RuntimeError):
-    """Bisection endpoints do not bracket the requested threshold."""
+    """No critical success below 1 can be certified: the bias bound at
+    floor 1 misses the target, or the solver tolerance cannot separate
+    the critical success from 1."""
 
 
 @dataclass(frozen=True)
@@ -559,6 +561,14 @@ def max_success_probability(
     return float(solution.objective_value)
 
 
+def _targets(game: GameSpec) -> Iterable[tuple[int, int, int]]:
+    """Every (party, input, outcome) whose predictability the bounds cover."""
+    for party in range(game.n_parties):
+        for x in range(game.input_cardinalities[party]):
+            for outcome in range(game.output_cardinalities[party]):
+                yield party, x, outcome
+
+
 def p_max(
     game: GameSpec,
     dist: InputDistribution,
@@ -576,16 +586,14 @@ def p_max(
     if success_floor >= FULL_SUCCESS_FLOOR:
         face = SuccessFaceContext(structure, game, dist)
     best = -np.inf
-    for party in range(game.n_parties):
-        for x in range(game.input_cardinalities[party]):
-            for outcome in range(game.output_cardinalities[party]):
-                query = RandomnessBoundQuery(game, dist, success_floor, (party, x, outcome))
-                result = max_outcome_probability(query, level, settings, structure, face)
-                if result.status == STATUS_INFEASIBLE:
-                    raise InfeasibleSuccessError(
-                        f"success floor {success_floor} exceeds the quantum maximum"
-                    )
-                best = max(best, result.value)
+    for target in _targets(game):
+        query = RandomnessBoundQuery(game, dist, success_floor, target)
+        result = max_outcome_probability(query, level, settings, structure, face)
+        if result.status == STATUS_INFEASIBLE:
+            raise InfeasibleSuccessError(
+                f"success floor {success_floor} exceeds the quantum maximum"
+            )
+        best = max(best, result.value)
     return float(best)
 
 
@@ -611,57 +619,48 @@ def critical_success(
 ) -> float:
     """Smallest success floor whose output-bias bound is below target.
 
-    Bisection over [biased classical value, 1].  The lower endpoint
-    always fails (a deterministic strategy is fully predictable there);
-    if the upper endpoint does not satisfy the target the bracket is
-    invalid and BracketingError is raised.  Infeasible probes shrink the
-    bracket from above.  SDP tolerance runs one order tighter than the
-    bisection tolerance.  A tol coarser than the classical-to-1 gap
-    cannot certify any floor below 1 and raises BracketingError.
+    The relaxation is convex and eps_prime is monotone in the floor, so
+    the floors whose bias bound reaches the target form exactly
+    [.., p_crit] with
+
+        p_crit = max over targets t of max{ win(M) : P_t(M) >= 1/2 + eps' },
+
+    one SDP per target at solver tolerance tol.  Each solve contributes
+    the larger of its primal and dual objective, so inexact-solve error
+    lands on the larger, safe side.
+
+    Floor 1 is checked first on the face-reduced problem, which decides
+    win = 1 where an interior-point solve cannot: if the bias bound there
+    is not below the target, BracketingError is raised.  A p_crit within
+    tol of 1 cannot be separated from 1 and raises BracketingError too.
     """
     if not 0.0 < target_eps_prime <= 0.5:
         raise ValueError(f"target bias must lie in (0, 1/2], got {target_eps_prime}")
     if not 0.0 <= epsilon < 0.5:
         raise ValueError(f"epsilon must lie in [0, 1/2), got {epsilon}")
-    settings = SolverSettings(tolerance=tol / 10.0)
-
-    def bias_below_target(p_s: float) -> Optional[bool]:
-        try:
-            return eps_prime(epsilon, p_s, level, settings) < target_eps_prime
-        except InfeasibleSuccessError:
-            return None
-
-    lo = biased_mermin_classical_value(epsilon)
-    hi = 1.0
-    ok_hi = bias_below_target(hi)
-    if ok_hi is None:
-        # Quantum maximum below 1 would be a scenario bug for this game;
-        # shrink until feasible so the bracket is still usable.
-        while hi - lo > tol:
-            hi = (lo + hi) / 2.0
-            ok_hi = bias_below_target(hi)
-            if ok_hi is not None:
-                break
-    if ok_hi is False:
+    settings = SolverSettings(tolerance=tol)
+    if eps_prime(epsilon, 1.0, level, settings) >= target_eps_prime:
         raise BracketingError(
             f"output bias bound at success floor 1 is not below {target_eps_prime}"
         )
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        ok = bias_below_target(mid)
-        if ok is False:
-            lo = mid
-        else:
-            # ok True, or infeasible probe (threshold must be below mid)
-            hi = mid
-    if hi >= 1.0:
-        # the bracket closed without ever separating the answer from 1
-        # (tol is coarser than the classical-to-1 gap at this bias)
+    game = mermin_game()
+    dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
+    structure = structure_for(game, level)
+    success = success_functional(structure, game, dist)
+    best = -np.inf
+    for target in _targets(game):
+        floor = marginal_functional(structure, *target)
+        problem = compile_problem(structure, success, floor, 0.5 + target_eps_prime)
+        solution = solve(problem, settings)
+        if solution.status != STATUS_OPTIMAL:
+            raise SolverFailureError(f"solver returned {solution.status} for target {target}")
+        best = max(best, solution.objective_value, solution.objective_value + solution.duality_gap)
+    if 1.0 - best <= tol:
         raise BracketingError(
             f"tolerance {tol} cannot certify a critical success below 1 "
-            f"at epsilon {epsilon}; tighten tol below {1.0 - lo:.3g}"
+            f"at epsilon {epsilon}: the bound {best:.9g} lies within tol of 1; tighten tol"
         )
-    return float(hi)
+    return float(best)
 
 
 def moment_vector_of_deterministic(

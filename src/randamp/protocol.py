@@ -201,18 +201,21 @@ def plan_protocol(
     eps_prime_target: float,
     delta: float,
     x: float | None = None,
-    bisection_tol: float = 1e-4,
+    tol: float = 1e-4,
 ) -> ProtocolParams:
     """Derive a full parameter set from the triplet (eps, eps', delta).
 
-    The critical success probability comes from the moment-matrix bound;
-    the threshold and round count follow from the closed forms above.
+    The critical success probability is `critical_success` at solver
+    tolerance tol: one direct moment-matrix solve per target after a
+    face-reduced check at floor 1, raising BracketingError when tol
+    cannot separate it from 1.  The threshold and round count follow
+    from the closed forms above.
     When x is omitted, half the maximal feasible slack is used.  The
     estimate's deviation budget is 1 - delta, so both the estimate and
     the selection hold with probability delta each, giving the delta^2
     overall confidence.
     """
-    p_crit = critical_success(epsilon, eps_prime_target, bisection_tol)
+    p_crit = critical_success(epsilon, eps_prime_target, tol)
     x_max = max_feasible_slack(p_crit, epsilon, delta)
     if x is None:
         x = x_max / 2.0

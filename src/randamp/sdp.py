@@ -102,7 +102,6 @@ class SdpProblem:
 class SolverSettings:
     tolerance: float = 1e-8
     max_iterations: int = 200
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0:
@@ -263,12 +262,6 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         if merit < best_merit:
             best_merit = merit
             best_X, best_y = X.copy(), y.copy()
-
-        if settings.verbose:
-            print(
-                f"it {it:3d}  obj {obj:+.9e}  relgap {rel_gap:.2e}  "
-                f"pinf {pinf:.2e}  dinf {dinf:.2e}  |y| {np.linalg.norm(y):.2e}"
-            )
 
         if rel_gap <= settings.tolerance and pinf <= settings.tolerance and dinf <= settings.tolerance:
             status = STATUS_OPTIMAL

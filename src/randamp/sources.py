@@ -34,16 +34,6 @@ def check_epsilon(epsilon: float) -> float:
 
 
 @dataclass(frozen=True)
-class EpsilonFreeSpec:
-    """Declared bias level of a weak source."""
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        check_epsilon(self.epsilon)
-
-
-@dataclass(frozen=True)
 class SignPattern:
     """Total map from bit histories to the sign of the next bit's bias.
 

@@ -215,7 +215,7 @@ def test_simulate_summary_matches_estimate_output_bias(tmp_path):
     )
     assert code == 0
     summary = dict(line[2:].split(": ", 1) for line in comment_lines(text))
-    params = plan_protocol(0.3, 0.29, 0.5, None, 1e-2)
+    params = plan_protocol(0.3, 0.29, 0.5, tol=1e-2)
     est = estimate_output_bias(params, HonestDevice(ghz_mermin_strategy()), 8, 5)
     assert est.emitted > 0
     assert summary["abort_rate"] == _fmt(est.abort_rate)
@@ -269,8 +269,8 @@ def test_figure2_out_of_domain_grid_exits_2(tmp_path, capsys):
 
 
 def test_figure3_coarse_tolerance_marks_row_failed(tmp_path):
-    """At strong bias a coarse bisection cannot resolve the curve; the
-    cell is reported as failed instead of crashing the sweep."""
+    """At strong bias a coarse solver tolerance cannot resolve the curve;
+    the cell is reported as failed instead of crashing the sweep."""
     code, text = run_cli(
         ["figure3", "--grid", "0.3:0.45:2", "--delta", "0.99", "--x", "0",
          "--tolerance", "5e-3"],

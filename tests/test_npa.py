@@ -27,9 +27,11 @@ from randamp.npa import (
     UnsupportedScenarioError,
     build_basis,
     build_moment_structure,
+    compile_problem,
     critical_success,
     eps_prime,
     evaluate_functional,
+    marginal_functional,
     max_outcome_probability,
     max_success_probability,
     moment_matrix_of_deterministic,
@@ -41,7 +43,7 @@ from randamp.npa import (
     success_face_basis,
     success_functional,
 )
-from randamp.sdp import SolverSettings
+from randamp.sdp import STATUS_OPTIMAL, SolverSettings, solve
 from randamp.sources import canonical_mermin_source
 from randamp.strategies import (
     behavior_of_deterministic,
@@ -316,8 +318,28 @@ def test_critical_success_validation():
         critical_success(0.5, 0.2)
 
 
+@pytest.mark.parametrize("epsilon,target", [(0.3, 0.29), (0.1, 0.1), (0.45, 0.45)])
+def test_critical_success_is_the_threshold_floor(epsilon, target):
+    """p_crit is where the bias bound crosses the target: a floor 1e-3
+    above it certifies the target, one 1e-3 below does not.  It also
+    sits at or above every target's primal objective (the safe side)."""
+    p = critical_success(epsilon, target, tol=1e-6)
+    if p + 1e-3 < 1.0:
+        assert eps_prime(epsilon, p + 1e-3, settings=SWEEP_SETTINGS) < target
+    assert target <= eps_prime(epsilon, p - 1e-3, settings=SWEEP_SETTINGS)
+    game = mermin_game()
+    dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
+    structure = structure_for(game, LEVEL_Q1_ABC)
+    success = success_functional(structure, game, dist)
+    for party, x, outcome in itertools.product(range(3), range(2), range(2)):
+        floor = marginal_functional(structure, party, x, outcome)
+        solution = solve(compile_problem(structure, success, floor, 0.5 + target), SWEEP_SETTINGS)
+        assert solution.status == STATUS_OPTIMAL
+        assert p >= solution.objective_value
+
+
 def test_critical_success_rejects_unresolvable_tolerance():
-    """At eps=0.45 the classical value is 0.9975; a 5e-3 bisection step
-    can never separate the answer from 1."""
+    """At eps=0.45 the critical success sits within 5e-3 of 1, so a
+    solver tolerance of 5e-3 cannot separate the answer from 1."""
     with pytest.raises(BracketingError, match="tighten tol"):
         critical_success(0.45, 0.45, tol=5e-3)

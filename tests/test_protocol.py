@@ -197,24 +197,24 @@ def test_protocol_params_validation():
 
 
 def test_plan_protocol_delta_zero_degenerates():
-    params = plan_protocol(0.3, 0.29, 0.0, x=0.001, bisection_tol=5e-3)
+    params = plan_protocol(0.3, 0.29, 0.0, x=0.001, tol=5e-3)
     assert params.n_rounds == 1
     assert params.p_threshold == pytest.approx(params.p_crit + params.x, abs=1e-12)
 
 
 def test_plan_protocol_auto_slack_and_scaling():
-    params = plan_protocol(0.3, 0.29, 0.5, bisection_tol=5e-3)
+    params = plan_protocol(0.3, 0.29, 0.5, tol=5e-3)
     assert params.x == pytest.approx(max_feasible_slack(params.p_crit, 0.3, 0.5) / 2.0)
     assert params.p_threshold < 1.0
-    halved = plan_protocol(0.3, 0.29, 0.5, x=params.x / 2.0, bisection_tol=5e-3)
+    halved = plan_protocol(0.3, 0.29, 0.5, x=params.x / 2.0, tol=5e-3)
     assert np.isclose(halved.n_rounds / params.n_rounds, 4.0, rtol=1e-3)
 
 
 def test_plan_protocol_rejects_infeasible_slack():
-    coarse = plan_protocol(0.3, 0.29, 0.5, bisection_tol=5e-3)
+    coarse = plan_protocol(0.3, 0.29, 0.5, tol=5e-3)
     x_max = max_feasible_slack(coarse.p_crit, 0.3, 0.5)
     with pytest.raises(InfeasibleSlackError) as exc_info:
-        plan_protocol(0.3, 0.29, 0.5, x=2.0 * x_max, bisection_tol=5e-3)
+        plan_protocol(0.3, 0.29, 0.5, x=2.0 * x_max, tol=5e-3)
     assert exc_info.value.x_max == pytest.approx(x_max, rel=0.2)
     with pytest.raises(ValueError):
-        plan_protocol(0.3, 0.29, 0.5, x=-0.1, bisection_tol=5e-3)
+        plan_protocol(0.3, 0.29, 0.5, x=-0.1, tol=5e-3)

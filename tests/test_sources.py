@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from randamp.sources import (
     ConvexSourceMixture,
-    EpsilonFreeSpec,
     ExtremalSource,
     canonical_mermin_source,
     check_epsilon,
@@ -38,8 +37,6 @@ def test_check_epsilon_rejects_out_of_range():
     for bad in (-0.1, 0.51, 1.0):
         with pytest.raises(ValueError):
             check_epsilon(bad)
-    with pytest.raises(ValueError):
-        EpsilonFreeSpec(0.6)
 
 
 def test_sign_patterns_output_unit_signs():
