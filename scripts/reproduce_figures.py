@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the three amplification curves as CSV files.
 
-Every grid cell is a semidefinite solve (the critical curve bisects over
-them), so the full grids take a few minutes.  --fast coarsens everything
-for a quick smoke run; the CSV schemas are identical either way.
+Every grid cell costs a few semidefinite solves, one per target orbit
+(a critical-curve cell adds a face-reduced check at success floor 1), so
+the full grids take a few minutes.  --fast coarsens the grids for a
+quick smoke run; the CSV schemas are identical either way.
 """
 
 import argparse
@@ -26,22 +27,20 @@ def run(argv: list[str]) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out", help="directory for the CSV files")
-    parser.add_argument("--fast", action="store_true", help="coarse grids, loose tolerance")
+    parser.add_argument("--fast", action="store_true", help="coarse grids")
     args = parser.parse_args()
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    bias_tol = "1e-6"
+    curve_tol = "1e-4"
     if args.fast:
         eps_grid = "0.1:0.45:3"
         ps_grid = "0.92:1.0:3"
-        bias_tol = "1e-6"
-        curve_tol = "5e-3"
     else:
         eps_grid = "0.05:0.45:9"
         ps_grid = "0.9:1.0:11"
-        bias_tol = "1e-6"
-        curve_tol = "1e-4"
 
     run([
         "figure1", "--grid", eps_grid, "--ps", ps_grid,

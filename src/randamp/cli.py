@@ -219,6 +219,8 @@ def cmd_simulate(
     seed: int,
     tolerance: float,
 ) -> tuple[list[dict], list[str]]:
+    if runs < 1:
+        raise UsageError(f"--runs must be at least 1, got {runs}")
     params = plan_protocol(epsilon, eps_prime, delta, x, tolerance)
     if device_name == "honest":
         device = HonestDevice(ghz_mermin_strategy(), NoiseModel(visibility))

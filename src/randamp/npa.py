@@ -37,7 +37,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .games import GameSpec, InputDistribution
+from .games import DIST_TOL, GameSpec, InputDistribution
 from .sdp import (
     Constraint,
     SdpProblem,
@@ -352,6 +352,18 @@ def _cell_matrix(m: int, i: int, j: int) -> np.ndarray:
     return M
 
 
+def _normalization_constraints(structure: MomentMatrixStructure) -> list[Constraint]:
+    """Unit normalization plus one tie equality per extra cell of each moment."""
+    m = structure.dimension
+    i0, j0 = structure.id_cells[structure.unit_id][0]
+    constraints = [Constraint(_cell_matrix(m, i0, j0), 1.0, "eq")]
+    for cells in structure.id_cells:
+        rep = _cell_matrix(m, *cells[0])
+        for (i, j) in cells[1:]:
+            constraints.append(Constraint(rep - _cell_matrix(m, i, j), 0.0, "eq"))
+    return constraints
+
+
 def compile_problem(
     structure: MomentMatrixStructure,
     objective: Functional,
@@ -361,15 +373,7 @@ def compile_problem(
     """Assemble the moment SDP: maximize `objective` over PSD moment
     matrices with tied equal cells, unit normalization, and optionally a
     success-probability floor."""
-    m = structure.dimension
-    constraints: list[Constraint] = []
-    i0, j0 = structure.id_cells[structure.unit_id][0]
-    constraints.append(Constraint(_cell_matrix(m, i0, j0), 1.0, "eq"))
-    for cells in structure.id_cells:
-        ri, rj = cells[0]
-        rep = _cell_matrix(m, ri, rj)
-        for (i, j) in cells[1:]:
-            constraints.append(Constraint(rep - _cell_matrix(m, i, j), 0.0, "eq"))
+    constraints = _normalization_constraints(structure)
     if success is not None:
         constraints.append(
             Constraint(_functional_matrix(structure, success), float(success_floor), "geq")
@@ -408,6 +412,11 @@ def outcome_operator_vector(
     return vec
 
 
+def _numerical_rank(s: np.ndarray) -> int:
+    """Number of singular values above the relative cut-off, largest first."""
+    return int(np.sum(s > max(1.0, s[0]) * 1e-10))
+
+
 def success_face_basis(
     structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution
 ) -> np.ndarray:
@@ -430,43 +439,24 @@ def success_face_basis(
         return np.eye(structure.dimension)
     N = np.vstack(rows)
     _, s, vt = np.linalg.svd(N)
-    rank = int(np.sum(s > max(1.0, s[0]) * 1e-10))
-    return vt[rank:].T.copy()
+    return vt[_numerical_rank(s):].T.copy()
 
 
 def _independent_reduced_constraints(
     structure: MomentMatrixStructure, V: np.ndarray
 ) -> tuple[Constraint, ...]:
-    """Unit and tie constraints projected onto the face, with linearly
-    dependent rows dropped (dependence includes the right-hand side, so
-    a dropped row is automatically consistent)."""
+    """Unit and tie constraints projected onto the face, replaced by an
+    orthonormal basis of their row space from one SVD.  Each row carries
+    its right-hand side, so the basis rows define the same affine set,
+    and an inconsistent system keeps a 0 = c row."""
     d = V.shape[1]
-    pairs: list[tuple[np.ndarray, float]] = []
-    i0, j0 = structure.id_cells[structure.unit_id][0]
-    m = structure.dimension
-    pairs.append((_cell_matrix(m, i0, j0), 1.0))
-    for cells in structure.id_cells:
-        ri, rj = cells[0]
-        rep = _cell_matrix(m, ri, rj)
-        for (i, j) in cells[1:]:
-            pairs.append((rep - _cell_matrix(m, i, j), 0.0))
-
-    kept: list[Constraint] = []
-    ortho: list[np.ndarray] = []
-    for A, b in pairs:
-        Ar = V.T @ A @ V
-        Ar = (Ar + Ar.T) / 2.0
-        v = np.concatenate([Ar.ravel(), [b]])
-        r = v.copy()
-        for q in ortho:
-            r -= (q @ r) * q
-        for q in ortho:
-            # second Gram-Schmidt pass for numerical hygiene
-            r -= (q @ r) * q
-        norm = float(np.linalg.norm(r))
-        if norm > 1e-10 * max(1.0, float(np.linalg.norm(v))):
-            ortho.append(r / norm)
-            kept.append(Constraint(Ar, b, "eq"))
+    constraints = _normalization_constraints(structure)
+    rows = np.array([np.append(V.T @ c.A @ V, c.b) for c in constraints])
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    kept = []
+    for w in vt[: _numerical_rank(s)]:
+        Ar = w[:-1].reshape(d, d)
+        kept.append(Constraint((Ar + Ar.T) / 2.0, w[-1], "eq"))
     return tuple(kept)
 
 
@@ -569,6 +559,64 @@ def _targets(game: GameSpec) -> Iterable[tuple[int, int, int]]:
                 yield party, x, outcome
 
 
+def target_orbits(
+    game: GameSpec, dist: InputDistribution
+) -> list[tuple[tuple[int, int, int], ...]]:
+    """The targets grouped into orbits of the symmetries of (game, dist).
+
+    A candidate symmetry sends party p to perm[p], which must have the
+    same input and output cardinalities, and flips the binary output of
+    party p on input x when flip[p][x] is set.  It is kept when it maps
+    the promise onto itself, keeps dist.prob within DIST_TOL and keeps
+    game.win on every admissible (x, o).  Target (p, x, o) then maps to
+    (perm[p], x, o ^ flip[p][x]).  Each orbit lists its targets in
+    `_targets` order; the first is the orbit's representative.
+
+    Targets in one orbit have equal bounds at every level in LEVELS.  A
+    symmetry acts on the projectors by P[p, x] -> P[perm[p], x], or
+    1 - P[perm[p], x] when flipped, which is an automorphism of the
+    operator algebra: projectors stay projectors and parties still
+    commute, so algebraically equal moments stay equal.  It keeps the
+    span of every level's word set, because each level contains every
+    word obtained by dropping factors from one of its words (so the
+    expansion of 1 - P stays inside) and permuting parties of equal
+    cardinality permutes its words.  It therefore acts on the basis by an
+    invertible matrix T, and M -> T M T^T maps feasible moment matrices
+    to feasible ones (PSD, tied, normalized) with the same win
+    probability, sending the marginal of a target to that of its image.
+    """
+    n = game.n_parties
+    admissible = game.admissible_inputs()
+    wins = {(x, o): game.win(x, o) for x in admissible for o in game.all_outputs()}
+    slots = [(p, x) for p in range(n) for x in range(game.input_cardinalities[p])]
+    shape = [(game.input_cardinalities[p], game.output_cardinalities[p]) for p in range(n)]
+    orbit_of = {t: {t} for t in _targets(game)}
+    for perm in itertools.permutations(range(n)):
+        if any(shape[perm[p]] != shape[p] for p in range(n)):
+            continue
+        source = [perm.index(q) for q in range(n)]  # party whose role q takes
+        moved = {x: tuple(x[p] for p in source) for x in game.all_inputs()}
+        if any(game.promise(moved[x]) != game.promise(x) for x in moved):
+            continue
+        if any(abs(dist.prob(moved[x]) - dist.prob(x)) > DIST_TOL for x in admissible):
+            continue
+        for bits in itertools.product((0, 1), repeat=len(slots)):
+            flip = dict(zip(slots, bits))
+            if all(
+                wins[moved[x], tuple(o[p] ^ flip[p, x[p]] for p in source)] == won
+                for (x, o), won in wins.items()
+            ):
+                for (party, x, outcome), orbit in orbit_of.items():
+                    orbit.add((perm[party], x, outcome ^ flip[party, x]))
+    return sorted({tuple(sorted(orbit)) for orbit in orbit_of.values()})
+
+
+def _upper_value(solution: SdpSolution) -> float:
+    """The larger of primal and dual objective, so that an inexact solve
+    errs on the safe side of an upper bound."""
+    return max(solution.objective_value, solution.objective_value + solution.duality_gap)
+
+
 def p_max(
     game: GameSpec,
     dist: InputDistribution,
@@ -578,22 +626,23 @@ def p_max(
 ) -> float:
     """Worst-case single-outcome predictability at the given success floor.
 
-    Maximizes over every (party, input, outcome) target; all targets are
-    solved, symmetry is exploited only as a test-time cross-check.
+    Maximizes over every (party, input, outcome) target by solving one
+    representative per orbit of `target_orbits`; each contributes the
+    larger of its primal and dual objective.
     """
     structure = structure_for(game, level)
     face = None
     if success_floor >= FULL_SUCCESS_FLOOR:
         face = SuccessFaceContext(structure, game, dist)
     best = -np.inf
-    for target in _targets(game):
-        query = RandomnessBoundQuery(game, dist, success_floor, target)
+    for orbit in target_orbits(game, dist):
+        query = RandomnessBoundQuery(game, dist, success_floor, orbit[0])
         result = max_outcome_probability(query, level, settings, structure, face)
         if result.status == STATUS_INFEASIBLE:
             raise InfeasibleSuccessError(
                 f"success floor {success_floor} exceeds the quantum maximum"
             )
-        best = max(best, result.value)
+        best = max(best, _upper_value(result.solution))
     return float(best)
 
 
@@ -625,9 +674,9 @@ def critical_success(
 
         p_crit = max over targets t of max{ win(M) : P_t(M) >= 1/2 + eps' },
 
-    one SDP per target at solver tolerance tol.  Each solve contributes
-    the larger of its primal and dual objective, so inexact-solve error
-    lands on the larger, safe side.
+    one SDP per orbit representative of `target_orbits` at solver
+    tolerance tol.  Each solve contributes the larger of its primal and
+    dual objective, so inexact-solve error lands on the larger, safe side.
 
     Floor 1 is checked first on the face-reduced problem, which decides
     win = 1 where an interior-point solve cannot: if the bias bound there
@@ -648,13 +697,13 @@ def critical_success(
     structure = structure_for(game, level)
     success = success_functional(structure, game, dist)
     best = -np.inf
-    for target in _targets(game):
-        floor = marginal_functional(structure, *target)
+    for orbit in target_orbits(game, dist):
+        floor = marginal_functional(structure, *orbit[0])
         problem = compile_problem(structure, success, floor, 0.5 + target_eps_prime)
         solution = solve(problem, settings)
         if solution.status != STATUS_OPTIMAL:
-            raise SolverFailureError(f"solver returned {solution.status} for target {target}")
-        best = max(best, solution.objective_value, solution.objective_value + solution.duality_gap)
+            raise SolverFailureError(f"solver returned {solution.status} for target {orbit[0]}")
+        best = max(best, _upper_value(solution))
     if 1.0 - best <= tol:
         raise BracketingError(
             f"tolerance {tol} cannot certify a critical success below 1 "

@@ -250,6 +250,23 @@ def test_simulate_unknown_device_is_usage_error(tmp_path, capsys):
     assert "unknown device" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("runs", ["-1", "0"])
+def test_simulate_nonpositive_runs_is_usage_error(runs, tmp_path, capsys, monkeypatch):
+    """A run count below 1 is rejected before any plan is solved."""
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("plan_protocol called for an invalid --runs")
+
+    monkeypatch.setattr("randamp.cli.plan_protocol", no_plan)
+    code, _ = run_cli(
+        ["simulate", "--epsilon", "0.3", "--eps-prime", "0.29", "--delta", "0.5",
+         "--runs", runs],
+        tmp_path,
+    )
+    assert code == 1
+    assert "--runs must be at least 1" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_usage_error(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert main(["game-value", "tictactoe"]) == 1

@@ -42,6 +42,7 @@ from randamp.npa import (
     structure_for,
     success_face_basis,
     success_functional,
+    target_orbits,
 )
 from randamp.sdp import STATUS_OPTIMAL, SolverSettings, solve
 from randamp.sources import canonical_mermin_source
@@ -277,6 +278,60 @@ def test_symmetry_of_first_two_parties_under_source_distribution():
                 settings=SWEEP_SETTINGS, structure=structure,
             )
             assert abs(r0.value - r1.value) <= 2e-4
+
+
+def test_target_orbits_of_the_three_scenarios():
+    """The canonical source keeps 4 of the 12 Mermin targets distinct,
+    the uniform distributions 2; the orbits partition the targets."""
+    mermin, chsh = mermin_game(), chsh_game()
+    canonical = input_distribution_from_source(mermin, canonical_mermin_source(0.3))
+    cases = [
+        (mermin, canonical, [(0, 0, 0), (0, 1, 0), (2, 0, 0), (2, 1, 0)]),
+        (mermin, uniform_distribution(mermin), [(0, 0, 0), (0, 1, 0)]),
+        (chsh, uniform_distribution(chsh), [(0, 0, 0), (0, 1, 0)]),
+    ]
+    for game, dist, representatives in cases:
+        orbits = target_orbits(game, dist)
+        assert [orbit[0] for orbit in orbits] == representatives
+        members = [t for orbit in orbits for t in orbit]
+        assert sorted(members) == list(npa._targets(game))
+
+
+@pytest.mark.parametrize("epsilon,floor", [(0.2, 0.97), (0.3, 0.975), (0.05, 0.95), (0.3, 1.0)])
+def test_every_target_matches_its_orbit_representative(epsilon, floor):
+    """The relaxation shares the symmetry: all 12 target bounds equal
+    their representative's, full and face-reduced alike."""
+    game = mermin_game()
+    dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
+    structure = structure_for(game, LEVEL_Q1_ABC)
+    face = SuccessFaceContext(structure, game, dist) if floor == 1.0 else None
+    for orbit in target_orbits(game, dist):
+        values = [
+            max_outcome_probability(
+                RandomnessBoundQuery(game, dist, floor, target), structure=structure, face=face
+            ).value
+            for target in orbit
+        ]
+        assert max(abs(v - values[0]) for v in values) <= 1e-6, orbit
+
+
+def test_critical_success_form_matches_its_orbit_representative():
+    """max{ win(M) : P_t(M) >= 1/2 + eps' } agrees across each orbit
+    within the solver tolerance."""
+    tol, epsilon, target = 1e-4, 0.3, 0.29
+    game = mermin_game()
+    dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
+    structure = structure_for(game, LEVEL_Q1_ABC)
+    success = success_functional(structure, game, dist)
+    for orbit in target_orbits(game, dist):
+        values = []
+        for t in orbit:
+            floor = marginal_functional(structure, *t)
+            problem = compile_problem(structure, success, floor, 0.5 + target)
+            solution = solve(problem, SolverSettings(tolerance=tol))
+            assert solution.status == STATUS_OPTIMAL
+            values.append(solution.objective_value)
+        assert max(abs(v - values[0]) for v in values) <= tol, orbit
 
 
 def test_output_bias_bound_monotone_on_grid():
