@@ -7,11 +7,15 @@ identity minus it.  A word is a product of projectors, stored as one
 subword per party (parties commute, same-party factors do not).
 
 The moment matrix M[i,j] = <w_i^dagger w_j> is real symmetric positive
-semidefinite, with algebraically equal entries (idempotence,
-commutation, adjoint symmetry) tied together.  Maximizing a linear
-functional of the moments subject to a success-probability floor gives
-an upper bound on how predictable any single party's outcome can be,
-which is the quantity that drives all the amplification curves.
+semidefinite.  Algebraically equal entries (idempotence, commutation,
+adjoint symmetry) share one moment variable, so M(m) = sum_k m_k B_k is
+linear in the distinct moments m, with the unit moment fixed to 1.
+Maximizing a linear functional of the moments subject to a
+success-probability floor gives an upper bound on how predictable any
+single party's outcome can be, which is the quantity that drives all
+the amplification curves.  Each problem is solved over the moments
+themselves (the standard form of the NPA hierarchy): they are the dual
+variables of an `sdp.solve` problem, see `_moment_problem`.
 
 Levels: Q1 (identity + single projectors), Q1+AB (plus cross-party
 pairs), Q1+ABC (cross-party pairs plus one-projector-per-party
@@ -24,6 +28,9 @@ a PSD quadratic form of the moment matrix, so win probabilities stay in
 where every losing outcome has probability zero.  Queries at floor 1
 are solved on that face directly (facial reduction): the unreduced
 problem has no interior there and interior-point accuracy collapses.
+The moments whose matrix lies on the face form an affine set m0 + N z,
+solved for once per context; under the canonical source it is a single
+point, and the face solve only checks that its matrix is PSD.
 
 Q2 and Q2+ABC exceed the smallest useful level and exist for
 cross-checking that bounds tighten down the hierarchy.
@@ -32,7 +39,7 @@ cross-checking that bounds tighten down the hierarchy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -119,10 +126,6 @@ class MomentMatrixStructure:
     @property
     def dimension(self) -> int:
         return len(self.basis.words)
-
-    @property
-    def n_moments(self) -> int:
-        return len(self.id_cells)
 
 
 @dataclass(frozen=True)
@@ -325,43 +328,68 @@ def success_functional(
     return {idx: c for idx, c in total.items() if c != 0.0}
 
 
-def _functional_matrix(structure: MomentMatrixStructure, functional: Functional) -> np.ndarray:
-    """Symmetric matrix F with <F, M> = functional(moments of M).
-
-    Each id's coefficient sits on its first (representative) cell; ties
-    make the placement immaterial.
-    """
-    m = structure.dimension
-    F = np.zeros((m, m))
+def _functional_vector(structure: MomentMatrixStructure, functional: Functional) -> np.ndarray:
+    """Dense coefficient vector c with c.m = functional(m) over all moment ids."""
+    c = np.zeros(len(structure.id_cells))
     for idx, coeff in functional.items():
-        i, j = structure.id_cells[idx][0]
-        if i == j:
-            F[i, i] += coeff
-        else:
-            F[i, j] += coeff / 2.0
-            F[j, i] += coeff / 2.0
-    return F
+        c[idx] += coeff
+    return c
 
 
-def _cell_matrix(m: int, i: int, j: int) -> np.ndarray:
-    M = np.zeros((m, m))
-    if i == j:
-        M[i, i] = 1.0
-    else:
-        M[i, j] = M[j, i] = 0.5
-    return M
+def _cell_indicators(structure: MomentMatrixStructure) -> np.ndarray:
+    """B[k] has a 1 on each cell of moment k, so M(m) = sum_k m_k B[k]."""
+    ids = np.arange(len(structure.id_cells))
+    return (structure.cell_ids == ids[:, None, None]).astype(float)
 
 
-def _normalization_constraints(structure: MomentMatrixStructure) -> list[Constraint]:
-    """Unit normalization plus one tie equality per extra cell of each moment."""
-    m = structure.dimension
-    i0, j0 = structure.id_cells[structure.unit_id][0]
-    constraints = [Constraint(_cell_matrix(m, i0, j0), 1.0, "eq")]
-    for cells in structure.id_cells:
-        rep = _cell_matrix(m, *cells[0])
-        for (i, j) in cells[1:]:
-            constraints.append(Constraint(rep - _cell_matrix(m, i, j), 0.0, "eq"))
-    return constraints
+def _moment_problem(
+    structure: MomentMatrixStructure,
+    objective: Functional,
+    V: np.ndarray,
+    m0: np.ndarray,
+    N: np.ndarray,
+    success: Optional[Functional] = None,
+    success_floor: float = 0.0,
+) -> SdpProblem:
+    """The relaxation over moment variables, as an `sdp.solve` problem:
+
+        maximize c.m  over  m = m0 + N z
+        subject to  V^T M(m) V >= 0  and, with a success functional, s.m >= floor,
+
+    where M(m) = sum_k m_k B_k and B_k has a 1 on each cell of moment k.
+    It is stated as the dual of the returned problem, whose y are the
+    free coordinates z: with A_j = blockdiag(V^T M(N_j) V, s.N_j),
+    b_j = -c.N_j and C = -blockdiag(V^T M(m0) V, s.m0 - floor), the dual
+    slack sum_j z_j A_j - C is the constrained block and the floor's
+    slack.  The relaxation's maximum is c.m0 minus the dual optimum, so
+    c.m0 - objective_value bounds it from above (weak duality) and
+    c.m0 - (objective_value + duality_gap) is the objective at the
+    moments m0 + N y the solve reached.  An unbounded sdp form means no
+    moments are feasible.
+    """
+    coords = np.column_stack([m0, N])
+    blocks = np.einsum(
+        "ai,kab,bj->kij", V, np.tensordot(coords.T, _cell_indicators(structure), axes=1), V,
+        optimize=True,
+    )
+    rhs = -(_functional_vector(structure, objective) @ N)
+    if success is not None:
+        d = V.shape[1]
+        slack = _functional_vector(structure, success) @ coords
+        slack[0] -= success_floor
+        lmi = np.zeros((len(blocks), d + 1, d + 1))
+        lmi[:, :d, :d] = blocks
+        lmi[:, d, d] = slack
+        blocks = lmi
+    constraints = tuple(Constraint(A, b, "eq") for A, b in zip(blocks[1:], rhs))
+    return SdpProblem(-blocks[0], constraints)
+
+
+def _unit_moments(structure: MomentMatrixStructure) -> np.ndarray:
+    """The moments with unit 1 and every other moment 0."""
+    m0 = np.zeros(len(structure.id_cells))
+    m0[structure.unit_id] = 1.0
+    return m0
 
 
 def compile_problem(
@@ -371,14 +399,15 @@ def compile_problem(
     success_floor: float = 0.0,
 ) -> SdpProblem:
     """Assemble the moment SDP: maximize `objective` over PSD moment
-    matrices with tied equal cells, unit normalization, and optionally a
-    success-probability floor."""
-    constraints = _normalization_constraints(structure)
-    if success is not None:
-        constraints.append(
-            Constraint(_functional_matrix(structure, success), float(success_floor), "geq")
-        )
-    return SdpProblem(_functional_matrix(structure, objective), tuple(constraints))
+    matrices with unit normalization, and optionally a
+    success-probability floor.  Every non-unit moment is free (m0 is the
+    unit vector), so the relaxation's maximum is objective[unit] minus
+    the dual optimum; see `_moment_problem`."""
+    m0 = _unit_moments(structure)
+    N = np.eye(len(m0))[:, m0 == 0.0]
+    return _moment_problem(
+        structure, objective, np.eye(structure.dimension), m0, N, success, success_floor
+    )
 
 
 def structure_for(game: GameSpec, level: str) -> MomentMatrixStructure:
@@ -442,29 +471,35 @@ def success_face_basis(
     return vt[_numerical_rank(s):].T.copy()
 
 
-def _independent_reduced_constraints(
+def _face_moments(
     structure: MomentMatrixStructure, V: np.ndarray
-) -> tuple[Constraint, ...]:
-    """Unit and tie constraints projected onto the face, replaced by an
-    orthonormal basis of their row space from one SVD.  Each row carries
-    its right-hand side, so the basis rows define the same affine set,
-    and an inconsistent system keeps a 0 = c row."""
-    d = V.shape[1]
-    constraints = _normalization_constraints(structure)
-    rows = np.array([np.append(V.T @ c.A @ V, c.b) for c in constraints])
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    kept = []
-    for w in vt[: _numerical_rank(s)]:
-        Ar = w[:-1].reshape(d, d)
-        kept.append(Constraint((Ar + Ar.T) / 2.0, w[-1], "eq"))
-    return tuple(kept)
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Affine parameterization m = m0 + N z of the moments whose matrix
+    lives on the face: M(m) (I - V V^T) = 0 with unit normalization, a
+    linear system in m solved once by SVD.  N is an orthonormal basis of
+    its null space; None when the system is inconsistent (no moment
+    matrix lies on the face)."""
+    n, d = len(structure.id_cells), structure.dimension
+    P = np.eye(d) - V @ V.T
+    MP = _cell_indicators(structure) @ P
+    A = np.vstack([MP.reshape(n, d * d).T, np.eye(n)[structure.unit_id]])
+    rhs = np.zeros(len(A))
+    rhs[-1] = 1.0
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    rank = _numerical_rank(s)
+    if _numerical_rank(np.linalg.svd(np.column_stack([A, rhs]), compute_uv=False)) > rank:
+        return None
+    m0 = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
+    return m0, vt[rank:].T.copy()
 
 
 def _empty_face_solution() -> SdpSolution:
+    """Sdp-form solution of a face that holds no moment matrix: like any
+    moment problem without feasible moments, it reads as unbounded."""
     return SdpSolution(
         X=np.zeros((0, 0)),
         objective_value=float("nan"),
-        status=STATUS_INFEASIBLE,
+        status=STATUS_UNBOUNDED,
         duality_gap=float("nan"),
         min_eigenvalue=0.0,
         max_constraint_residual=0.0,
@@ -476,25 +511,21 @@ def _empty_face_solution() -> SdpSolution:
 
 
 class SuccessFaceContext:
-    """Reusable facial reduction data for success-floor-1 queries."""
+    """Reusable facial reduction data for success-floor-1 queries: the
+    face basis V and the moments m = m0 + N z whose matrix lies on it,
+    with m0 and N None when no moment matrix does."""
 
     def __init__(self, structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution):
         self.structure = structure
         self.V = success_face_basis(structure, game, dist)
-        self.constraints = (
-            _independent_reduced_constraints(structure, self.V) if self.V.shape[1] else ()
-        )
+        self.m0, self.N = _face_moments(structure, self.V) or (None, None)
 
     def bound(self, objective: Functional, settings: SolverSettings) -> SdpSolution:
-        if self.V.shape[1] == 0:
+        """Sdp-form solution of max objective over the face; the
+        relaxation's bound is objective(m0) minus its objective value."""
+        if self.m0 is None:
             return _empty_face_solution()
-        F = _functional_matrix(self.structure, objective)
-        C = self.V.T @ F @ self.V
-        return solve(SdpProblem((C + C.T) / 2.0, self.constraints), settings)
-
-    def lift(self, Y: np.ndarray) -> np.ndarray:
-        """Moment matrix corresponding to a reduced solution."""
-        return self.V @ Y @ self.V.T
+        return solve(_moment_problem(self.structure, objective, self.V, self.m0, self.N), settings)
 
 
 FULL_SUCCESS_FLOOR = 1.0 - 1e-12
@@ -522,14 +553,17 @@ def max_outcome_probability(
         if face is None:
             face = SuccessFaceContext(structure, query.game, query.dist)
         solution = face.bound(objective, settings)
+        m0 = face.m0
     else:
         success = success_functional(structure, query.game, query.dist)
         problem = compile_problem(structure, objective, success, query.success_floor)
         solution = solve(problem, settings)
+        m0 = _unit_moments(structure)
     if solution.status == STATUS_OPTIMAL:
-        return BoundResult(float(solution.objective_value), solution.status, solution)
-    if solution.status == STATUS_INFEASIBLE:
-        return BoundResult(None, solution.status, solution)
+        offset = float(_functional_vector(structure, objective) @ m0)
+        return BoundResult(_upper_value(solution, offset), solution.status, solution)
+    if solution.status == STATUS_UNBOUNDED:
+        return BoundResult(None, STATUS_INFEASIBLE, solution)
     raise SolverFailureError(
         f"solver returned {solution.status} for target {query.target} "
         f"at success floor {query.success_floor}"
@@ -544,11 +578,11 @@ def max_success_probability(
 ) -> float:
     """Upper bound on the quantum game value under `dist`."""
     structure = structure_for(game, level)
-    problem = compile_problem(structure, success_functional(structure, game, dist))
-    solution = solve(problem, settings)
+    success = success_functional(structure, game, dist)
+    solution = solve(compile_problem(structure, success), settings)
     if solution.status != STATUS_OPTIMAL:
         raise SolverFailureError(f"solver returned {solution.status} for game value")
-    return float(solution.objective_value)
+    return _upper_value(solution, success.get(structure.unit_id, 0.0))
 
 
 def _targets(game: GameSpec) -> Iterable[tuple[int, int, int]]:
@@ -611,10 +645,12 @@ def target_orbits(
     return sorted({tuple(sorted(orbit)) for orbit in orbit_of.values()})
 
 
-def _upper_value(solution: SdpSolution) -> float:
-    """The larger of primal and dual objective, so that an inexact solve
-    errs on the safe side of an upper bound."""
-    return max(solution.objective_value, solution.objective_value + solution.duality_gap)
+def _upper_value(solution: SdpSolution, offset: float) -> float:
+    """The larger of the relaxation values read from the sdp form's
+    primal and dual objective, `offset` minus each (offset is c.m0, see
+    `_moment_problem`), so that an inexact solve errs on the safe side of
+    an upper bound."""
+    return offset - min(solution.objective_value, solution.objective_value + solution.duality_gap)
 
 
 def p_max(
@@ -627,8 +663,8 @@ def p_max(
     """Worst-case single-outcome predictability at the given success floor.
 
     Maximizes over every (party, input, outcome) target by solving one
-    representative per orbit of `target_orbits`; each contributes the
-    larger of its primal and dual objective.
+    representative per orbit of `target_orbits`; each contributes its
+    safe-side value (`_upper_value`).
     """
     structure = structure_for(game, level)
     face = None
@@ -642,7 +678,7 @@ def p_max(
             raise InfeasibleSuccessError(
                 f"success floor {success_floor} exceeds the quantum maximum"
             )
-        best = max(best, _upper_value(result.solution))
+        best = max(best, result.value)
     return float(best)
 
 
@@ -675,8 +711,9 @@ def critical_success(
         p_crit = max over targets t of max{ win(M) : P_t(M) >= 1/2 + eps' },
 
     one SDP per orbit representative of `target_orbits` at solver
-    tolerance tol.  Each solve contributes the larger of its primal and
-    dual objective, so inexact-solve error lands on the larger, safe side.
+    tolerance tol.  Each solve contributes the larger of the values read
+    from its primal and dual objective, so inexact-solve error lands on
+    the larger, safe side.
 
     Floor 1 is checked first on the face-reduced problem, which decides
     win = 1 where an interior-point solve cannot: if the bias bound there
@@ -703,7 +740,7 @@ def critical_success(
         solution = solve(problem, settings)
         if solution.status != STATUS_OPTIMAL:
             raise SolverFailureError(f"solver returned {solution.status} for target {orbit[0]}")
-        best = max(best, _upper_value(solution))
+        best = max(best, _upper_value(solution, success.get(structure.unit_id, 0.0)))
     if 1.0 - best <= tol:
         raise BracketingError(
             f"tolerance {tol} cannot certify a critical success below 1 "
@@ -732,8 +769,8 @@ def moment_matrix_of_deterministic(
     structure: MomentMatrixStructure, strategy: DeterministicStrategy
 ) -> np.ndarray:
     """Rank-1 PSD moment matrix embedding a deterministic strategy; it
-    satisfies every tie constraint and reproduces the strategy's
-    behavior under the outcome functionals."""
+    is constant on the cells of each moment and reproduces the
+    strategy's behavior under the outcome functionals."""
     v = moment_vector_of_deterministic(structure, strategy)
     return np.outer(v, v)
 

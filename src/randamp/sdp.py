@@ -9,7 +9,8 @@ Problems are stated in maximization form over a symmetric PSD variable:
 Internally the problem is converted to a standard-form minimization with
 inequality slacks lifted into extra diagonal entries of one big PSD
 block, then solved with Nesterov-Todd scaled Newton steps and a
-Mehrotra predictor-corrector.  Everything is dense double precision;
+Mehrotra predictor-corrector; each step is shortened until the new
+iterates pass a plain Cholesky.  Everything is dense double precision;
 intended scale is matrix dimension <= ~40 with <= ~100 constraints.
 
 The solver is deterministic: no randomness, no warm starts, fixed
@@ -182,6 +183,21 @@ def _max_step(L: np.ndarray, dM: np.ndarray) -> float:
     return min(1.0, -1.0 / lam_min)
 
 
+def _cholesky_step(M: np.ndarray, dM: np.ndarray, alpha: float) -> float:
+    """Shrink alpha by 0.8 until M + alpha*dM passes a plain Cholesky.
+
+    The eigenvalue step bound of `_max_step` can admit an iterate that
+    is PSD only within rounding, which the next iteration factors only
+    with jitter or not at all."""
+    while alpha > 1e-10:
+        try:
+            np.linalg.cholesky(M + alpha * dM)
+            return alpha
+        except np.linalg.LinAlgError:
+            alpha *= 0.8
+    return alpha
+
+
 def _farkas_certificate(lifted: _Lifted, y: np.ndarray) -> Optional[dict]:
     """Normalized dual ray proving primal infeasibility, if y encodes one.
 
@@ -336,8 +352,8 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         dX = _sym(X_c - W @ dZ @ W)
 
         frac = 0.98
-        ap = min(1.0, frac * _max_step(Lx, dX))
-        ad = min(1.0, frac * _max_step(Lz, dZ))
+        ap = _cholesky_step(X, dX, min(1.0, frac * _max_step(Lx, dX)))
+        ad = _cholesky_step(Z, dZ, min(1.0, frac * _max_step(Lz, dZ)))
         if ap < 1e-10 and ad < 1e-10:
             certificate = {"kind": "stalled", "mu": mu}
             break
