@@ -10,11 +10,14 @@ Internally the problem is converted to a standard-form minimization with
 inequality slacks lifted into extra diagonal entries of one big PSD
 block, then solved with Nesterov-Todd scaled Newton steps and a
 Mehrotra predictor-corrector; each step is shortened until the new
-iterates pass a plain Cholesky.  Everything is dense double precision;
+iterates pass a plain Cholesky, and the centering target never drops
+below what the gap tolerance needs.  Everything is dense double precision;
 intended scale is matrix dimension <= ~40 with <= ~100 constraints.
 
 The solver is deterministic: no randomness, no warm starts, fixed
-iteration logic, so identical inputs give identical outputs.
+iteration logic, so identical inputs give identical outputs under one
+BLAS configuration.  Its thread count changes the rounding, which moves
+results within the tolerance.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ class _Lifted:
 
 
 def _chol_psd(M: np.ndarray) -> Optional[np.ndarray]:
-    """Cholesky with escalating jitter; None if hopeless."""
+    """Cholesky of the Schur complement with escalating jitter; None if hopeless."""
     scale = max(1.0, float(np.trace(M)) / max(1, M.shape[0]))
     for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
         try:
@@ -183,19 +186,22 @@ def _max_step(L: np.ndarray, dM: np.ndarray) -> float:
     return min(1.0, -1.0 / lam_min)
 
 
-def _cholesky_step(M: np.ndarray, dM: np.ndarray, alpha: float) -> float:
+def _cholesky_step(
+    M: np.ndarray, L: np.ndarray, dM: np.ndarray, alpha: float
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Shrink alpha by 0.8 until M + alpha*dM passes a plain Cholesky.
 
+    Returns the step, the new iterate and its factor, which the next
+    iteration reuses; a step that never passes is 0, with M and L kept.
     The eigenvalue step bound of `_max_step` can admit an iterate that
-    is PSD only within rounding, which the next iteration factors only
-    with jitter or not at all."""
+    is PSD only within rounding, which could not be factored at all."""
     while alpha > 1e-10:
+        M_next = M + alpha * dM
         try:
-            np.linalg.cholesky(M + alpha * dM)
-            return alpha
+            return alpha, M_next, np.linalg.cholesky(M_next)
         except np.linalg.LinAlgError:
             alpha *= 0.8
-    return alpha
+    return 0.0, M, L
 
 
 def _farkas_certificate(lifted: _Lifted, y: np.ndarray) -> Optional[dict]:
@@ -254,6 +260,7 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
     c_scale = max(1.0, float(np.linalg.norm(lifted.C0)))
     X = b_scale * eye.copy()
     Z = max(1.0, c_scale / np.sqrt(nhat)) * eye.copy()
+    Lx, Lz = np.linalg.cholesky(X), np.linalg.cholesky(Z)
     y = np.zeros(K)
 
     status = STATUS_MAX_ITERATIONS
@@ -298,12 +305,6 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
             certificate = {"kind": "divergence", "norm_y": float(np.linalg.norm(y)), "norm_X": float(np.linalg.norm(X))}
             break
 
-        Lx = _chol_psd(X)
-        Lz = _chol_psd(Z)
-        if Lx is None or Lz is None:
-            certificate = {"kind": "factorization_breakdown"}
-            break
-
         # Nesterov-Todd scaling point: r diag(lam) r^T = X, r^-T lam r^-1 = Z.
         U, lam, Vt = np.linalg.svd(Lz.T @ Lx)
         lam = np.maximum(lam, 1e-300)
@@ -337,7 +338,12 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         ap_aff = _max_step(Lx, dX_aff)
         ad_aff = _max_step(Lz, dZ_aff)
         mu_aff = float(np.sum((X + ap_aff * dX_aff) * (Z + ad_aff * dZ_aff))) / nhat
-        sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3)) if mu > 0 else 0.0
+        # Aim no lower than half the complementarity the gap tolerance
+        # allows: a smaller mu only grows the scaling W, and the rounding
+        # error of the Schur solve, ~eps*||S||*|dy| with ||S|| ~ ||W||^2,
+        # then keeps the primal residual above the tolerance.
+        mu_floor = 0.5 * settings.tolerance * max(1.0, abs(obj)) / nhat
+        sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, mu_floor / mu)) if mu > 0 else 0.0
 
         # Corrector pass reuses the Schur factorization.
         DX_aff = rti.T @ dX_aff @ rti
@@ -352,15 +358,15 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         dX = _sym(X_c - W @ dZ @ W)
 
         frac = 0.98
-        ap = _cholesky_step(X, dX, min(1.0, frac * _max_step(Lx, dX)))
-        ad = _cholesky_step(Z, dZ, min(1.0, frac * _max_step(Lz, dZ)))
+        ap, X_next, Lx_next = _cholesky_step(X, Lx, dX, min(1.0, frac * _max_step(Lx, dX)))
+        ad, Z_next, Lz_next = _cholesky_step(Z, Lz, dZ, min(1.0, frac * _max_step(Lz, dZ)))
         if ap < 1e-10 and ad < 1e-10:
             certificate = {"kind": "stalled", "mu": mu}
             break
 
-        X = _sym(X + ap * dX)
+        X, Lx = X_next, Lx_next
         y = y + ad * dy
-        Z = _sym(Z + ad * dZ)
+        Z, Lz = Z_next, Lz_next
 
     if status == STATUS_OPTIMAL:
         best_X, best_y = X, y

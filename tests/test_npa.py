@@ -217,6 +217,16 @@ def test_chsh_cannot_win_always():
         p_max(game, dist, 1.0, LEVEL_Q2)
 
 
+@pytest.mark.parametrize("level", [LEVEL_Q1_AB, LEVEL_Q2])
+@pytest.mark.parametrize("floor", [0.86, 0.9, 0.99])
+def test_chsh_floor_above_quantum_value_is_infeasible(floor, level):
+    """A floor between the quantum value (~0.8536) and 1 leaves no
+    moments; the full-form solve must report it, not fail."""
+    game = chsh_game()
+    with pytest.raises(InfeasibleSuccessError):
+        p_max(game, uniform_distribution(game), floor, level)
+
+
 def test_chsh_level1_value():
     game = chsh_game()
     value = max_success_probability(game, uniform_distribution(game), LEVEL_Q1)
@@ -373,8 +383,10 @@ TIE_FORM_EPS_PRIME = {
 
 def test_every_certify_lattice_cell_solves():
     """Each lattice cell returns a bias bound at the default tolerance,
-    (0.28, 0.97) and (0.29, 0.97) among them, which need the solver's
-    Cholesky step guard; pinned cells keep their earlier values."""
+    whatever the BLAS thread count: (0.28, 0.97) and (0.29, 0.97) once
+    stalled on iterates that failed a plain Cholesky, and (0.21, 0.975)
+    under one thread on a centering target far below the tolerance.
+    Pinned cells keep their earlier values."""
     values = {cell: eps_prime(*cell) for cell in CERTIFY_LATTICE}
     assert all(0.0 <= v <= 0.5 for v in values.values())
     for cell, expected in TIE_FORM_EPS_PRIME.items():
