@@ -345,13 +345,14 @@ def _cell_indicators(structure: MomentMatrixStructure) -> np.ndarray:
 def _moment_problem(
     structure: MomentMatrixStructure,
     objective: Functional,
-    V: np.ndarray,
+    V: Optional[np.ndarray],
     m0: np.ndarray,
     N: np.ndarray,
     success: Optional[Functional] = None,
     success_floor: float = 0.0,
 ) -> SdpProblem:
-    """The relaxation over moment variables, as an `sdp.solve` problem:
+    """The relaxation over moment variables, as an `sdp.solve` problem
+    (V None stands for the identity, which is not multiplied through):
 
         maximize c.m  over  m = m0 + N z
         subject to  V^T M(m) V >= 0  and, with a success functional, s.m >= floor,
@@ -368,13 +369,12 @@ def _moment_problem(
     moments are feasible.
     """
     coords = np.column_stack([m0, N])
-    blocks = np.einsum(
-        "ai,kab,bj->kij", V, np.tensordot(coords.T, _cell_indicators(structure), axes=1), V,
-        optimize=True,
-    )
+    blocks = np.tensordot(coords.T, _cell_indicators(structure), axes=1)
+    if V is not None:
+        blocks = V.T @ blocks @ V
     rhs = -(_functional_vector(structure, objective) @ N)
     if success is not None:
-        d = V.shape[1]
+        d = blocks.shape[1]
         slack = _functional_vector(structure, success) @ coords
         slack[0] -= success_floor
         lmi = np.zeros((len(blocks), d + 1, d + 1))
@@ -405,9 +405,7 @@ def compile_problem(
     the dual optimum; see `_moment_problem`."""
     m0 = _unit_moments(structure)
     N = np.eye(len(m0))[:, m0 == 0.0]
-    return _moment_problem(
-        structure, objective, np.eye(structure.dimension), m0, N, success, success_floor
-    )
+    return _moment_problem(structure, objective, None, m0, N, success, success_floor)
 
 
 def structure_for(game: GameSpec, level: str) -> MomentMatrixStructure:
@@ -476,20 +474,25 @@ def _face_moments(
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Affine parameterization m = m0 + N z of the moments whose matrix
     lives on the face: M(m) (I - V V^T) = 0 with unit normalization, a
-    linear system in m solved once by SVD.  N is an orthonormal basis of
-    its null space; None when the system is inconsistent (no moment
-    matrix lies on the face)."""
+    linear system A m = rhs.  N is an orthonormal basis of its null
+    space; None when the system is inconsistent (no moment matrix lies on
+    the face), that is when [A | rhs] has a larger numerical rank than A.
+
+    [A | rhs] = Q [R_A | q] is factored once; A and [A | rhs] share their
+    singular values with the small triangular R_A and [R_A | q], whose
+    SVDs give both ranks and the least-squares solution."""
     n, d = len(structure.id_cells), structure.dimension
     P = np.eye(d) - V @ V.T
     MP = _cell_indicators(structure) @ P
     A = np.vstack([MP.reshape(n, d * d).T, np.eye(n)[structure.unit_id]])
     rhs = np.zeros(len(A))
     rhs[-1] = 1.0
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    R = np.linalg.qr(np.column_stack([A, rhs]), mode="r")
+    u, s, vt = np.linalg.svd(R[:, :n])
     rank = _numerical_rank(s)
-    if _numerical_rank(np.linalg.svd(np.column_stack([A, rhs]), compute_uv=False)) > rank:
+    if _numerical_rank(np.linalg.svd(R, compute_uv=False)) > rank:
         return None
-    m0 = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
+    m0 = vt[:rank].T @ ((u[:, :rank].T @ R[:, n]) / s[:rank])
     return m0, vt[rank:].T.copy()
 
 
@@ -513,19 +516,30 @@ def _empty_face_solution() -> SdpSolution:
 class SuccessFaceContext:
     """Reusable facial reduction data for success-floor-1 queries: the
     face basis V and the moments m = m0 + N z whose matrix lies on it,
-    with m0 and N None when no moment matrix does."""
+    with m0 and N None when no moment matrix does.
+
+    When N has no columns the face problem has no constraints and its
+    objective matrix -V^T M(m0) V does not depend on the queried
+    functional, so it is solved once per settings and its solution
+    shared by every query through this context."""
 
     def __init__(self, structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution):
         self.structure = structure
         self.V = success_face_basis(structure, game, dist)
         self.m0, self.N = _face_moments(structure, self.V) or (None, None)
+        self._point_solutions: dict[SolverSettings, SdpSolution] = {}
 
     def bound(self, objective: Functional, settings: SolverSettings) -> SdpSolution:
         """Sdp-form solution of max objective over the face; the
         relaxation's bound is objective(m0) minus its objective value."""
         if self.m0 is None:
             return _empty_face_solution()
-        return solve(_moment_problem(self.structure, objective, self.V, self.m0, self.N), settings)
+        problem = _moment_problem(self.structure, objective, self.V, self.m0, self.N)
+        if self.N.shape[1]:
+            return solve(problem, settings)
+        if settings not in self._point_solutions:
+            self._point_solutions[settings] = solve(problem, settings)
+        return self._point_solutions[settings]
 
 
 FULL_SUCCESS_FLOOR = 1.0 - 1e-12
@@ -621,8 +635,18 @@ def target_orbits(
     """
     n = game.n_parties
     admissible = game.admissible_inputs()
-    wins = {(x, o): game.win(x, o) for x in admissible for o in game.all_outputs()}
-    slots = [(p, x) for p in range(n) for x in range(game.input_cardinalities[p])]
+    row_of = {x: i for i, x in enumerate(admissible)}
+    outputs = game.all_outputs()
+    out_shape = tuple(game.output_cardinalities)
+    # win table over (admissible input, raveled output), and its entries as arrays
+    table = np.array([[game.win(x, o) for o in outputs] for x in admissible], dtype=bool)
+    entry_x = np.array(admissible).repeat(len(outputs), axis=0)
+    entry_o = np.tile(np.array(outputs), (len(admissible), 1))
+    # every flip pattern at once, one row per pattern, one column per
+    # (party, input) slot; slot (p, x) is column slot_offset[p] + x
+    slot_offset = np.cumsum([0, *game.input_cardinalities[:-1]])
+    n_slots = sum(game.input_cardinalities)
+    flips = (np.arange(2 ** n_slots)[:, None] >> np.arange(n_slots)) & 1
     shape = [(game.input_cardinalities[p], game.output_cardinalities[p]) for p in range(n)]
     orbit_of = {t: {t} for t in _targets(game)}
     for perm in itertools.permutations(range(n)):
@@ -634,14 +658,14 @@ def target_orbits(
             continue
         if any(abs(dist.prob(moved[x]) - dist.prob(x)) > DIST_TOL for x in admissible):
             continue
-        for bits in itertools.product((0, 1), repeat=len(slots)):
-            flip = dict(zip(slots, bits))
-            if all(
-                wins[moved[x], tuple(o[p] ^ flip[p, x[p]] for p in source)] == won
-                for (x, o), won in wins.items()
-            ):
-                for (party, x, outcome), orbit in orbit_of.items():
-                    orbit.add((perm[party], x, outcome ^ flip[party, x]))
+        moved_rows = np.array([row_of[moved[x]] for x in admissible]).repeat(len(outputs))
+        # image outputs, (pattern, entry, role): o[p] ^ flip[p, x[p]] with p = source[q]
+        image = entry_o[:, source] ^ flips[:, slot_offset[source] + entry_x[:, source]]
+        kept = (table[moved_rows, np.ravel_multi_index(np.moveaxis(image, -1, 0), out_shape)]
+                == table.ravel()).all(axis=1)
+        for bits in flips[kept]:
+            for (party, x, outcome), orbit in orbit_of.items():
+                orbit.add((perm[party], x, outcome ^ int(bits[slot_offset[party] + x])))
     return sorted({tuple(sorted(orbit)) for orbit in orbit_of.values()})
 
 

@@ -9,9 +9,11 @@ Problems are stated in maximization form over a symmetric PSD variable:
 Internally the problem is converted to a standard-form minimization with
 inequality slacks lifted into extra diagonal entries of one big PSD
 block, then solved with Nesterov-Todd scaled Newton steps and a
-Mehrotra predictor-corrector; each step is shortened until the new
-iterates pass a plain Cholesky, and the centering target never drops
-below what the gap tolerance needs.  Everything is dense double precision;
+Mehrotra predictor-corrector.  Step lengths are read in the scaled
+space, where both iterates are diag(lam), from one eigenvalue problem
+per direction; each step is then shortened until the new iterates pass
+a plain Cholesky, and the centering target never drops below what the
+gap tolerance needs.  Everything is dense double precision;
 intended scale is matrix dimension <= ~40 with <= ~100 constraints.
 
 The solver is deterministic: no randomness, no warm starts, fixed
@@ -176,11 +178,23 @@ def _chol_psd(M: np.ndarray) -> Optional[np.ndarray]:
     return None
 
 
-def _max_step(L: np.ndarray, dM: np.ndarray) -> float:
-    """Largest alpha <= 1 keeping M + alpha*dM >= 0, M = L L^T."""
-    Y = np.linalg.solve(L, dM)
-    Y = np.linalg.solve(L, Y.T).T
-    lam_min = float(np.linalg.eigvalsh(_sym(Y)).min())
+def _nt_scaling(Lx: np.ndarray, Lz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nesterov-Todd scaling of X = Lx Lx^T and Z = Lz Lz^T: lam, r and
+    rti = r^-T with r^-1 X r^-T = r^T Z r = diag(lam)."""
+    U, lam, Vt = np.linalg.svd(Lz.T @ Lx)
+    lam = np.maximum(lam, 1e-300)
+    sql = np.sqrt(lam)
+    return lam, Lx @ Vt.T / sql, Lz @ U / sql
+
+
+def _scaled_step(lam: np.ndarray, D: np.ndarray) -> float:
+    """Largest alpha <= 1 keeping diag(lam) + alpha*D >= 0.
+
+    With D the direction in the scaled space (rti^T dX rti for X,
+    r^T dZ r for Z), this is the step bound of X + alpha*dX (Z + alpha*dZ),
+    read without factoring either iterate."""
+    sql = np.sqrt(lam)
+    lam_min = float(np.linalg.eigvalsh(_sym(D / np.outer(sql, sql))).min())
     if lam_min >= -1e-14:
         return 1.0
     return min(1.0, -1.0 / lam_min)
@@ -193,7 +207,7 @@ def _cholesky_step(
 
     Returns the step, the new iterate and its factor, which the next
     iteration reuses; a step that never passes is 0, with M and L kept.
-    The eigenvalue step bound of `_max_step` can admit an iterate that
+    The eigenvalue step bound of `_scaled_step` can admit an iterate that
     is PSD only within rounding, which could not be factored at all."""
     while alpha > 1e-10:
         M_next = M + alpha * dM
@@ -262,6 +276,9 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
     Z = max(1.0, c_scale / np.sqrt(nhat)) * eye.copy()
     Lx, Lz = np.linalg.cholesky(X), np.linalg.cholesky(Z)
     y = np.zeros(K)
+    # Buffers of the Schur build: fresh (K, nhat, nhat) products on every
+    # iteration cost more in page faults than in arithmetic.
+    WA, WAW = np.empty_like(lifted.A), np.empty_like(lifted.A)
 
     status = STATUS_MAX_ITERATIONS
     certificate: Optional[dict] = None
@@ -306,16 +323,12 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
             break
 
         # Nesterov-Todd scaling point: r diag(lam) r^T = X, r^-T lam r^-1 = Z.
-        U, lam, Vt = np.linalg.svd(Lz.T @ Lx)
-        lam = np.maximum(lam, 1e-300)
-        sql = np.sqrt(lam)
-        r_mat = Lx @ Vt.T / sql
-        rti = Lz @ U / sql
+        lam, r_mat, rti = _nt_scaling(Lx, Lz)
         W = r_mat @ r_mat.T
 
         # Schur complement S[i,j] = <A_i, W A_j W>, shared by both passes.
-        WAW = np.einsum("ab,kbc,cd->kad", W, lifted.A, W, optimize=True) if K else np.zeros((0, nhat, nhat))
-        S = lifted.A_flat @ WAW.reshape(K, -1).T if K else np.zeros((0, 0))
+        np.matmul(np.matmul(W, lifted.A, out=WA), W, out=WAW)
+        S = lifted.A_flat @ WAW.reshape(K, nhat * nhat).T
         LS = _chol_psd(_sym(S)) if K else None
         if K and LS is None:
             certificate = {"kind": "schur_breakdown"}
@@ -335,8 +348,11 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         dZ_aff = _sym(R_d - lifted.adjoint(dy_aff))
         dX_aff = _sym(-X - W @ dZ_aff @ W)
 
-        ap_aff = _max_step(Lx, dX_aff)
-        ad_aff = _max_step(Lz, dZ_aff)
+        # Directions in the scaled space, for the step bounds and the corrector.
+        DX_aff = rti.T @ dX_aff @ rti
+        DZ_aff = r_mat.T @ dZ_aff @ r_mat
+        ap_aff = _scaled_step(lam, DX_aff)
+        ad_aff = _scaled_step(lam, DZ_aff)
         mu_aff = float(np.sum((X + ap_aff * dX_aff) * (Z + ad_aff * dZ_aff))) / nhat
         # Aim no lower than half the complementarity the gap tolerance
         # allows: a smaller mu only grows the scaling W, and the rounding
@@ -346,8 +362,6 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, mu_floor / mu)) if mu > 0 else 0.0
 
         # Corrector pass reuses the Schur factorization.
-        DX_aff = rti.T @ dX_aff @ rti
-        DZ_aff = r_mat.T @ dZ_aff @ r_mat
         Rc = sigma * mu * eye - np.diag(lam * lam) - _sym(DX_aff @ DZ_aff)
         Hinv = 2.0 * Rc / np.add.outer(lam, lam)
         X_c = _sym(r_mat @ Hinv @ r_mat.T)
@@ -358,8 +372,10 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         dX = _sym(X_c - W @ dZ @ W)
 
         frac = 0.98
-        ap, X_next, Lx_next = _cholesky_step(X, Lx, dX, min(1.0, frac * _max_step(Lx, dX)))
-        ad, Z_next, Lz_next = _cholesky_step(Z, Lz, dZ, min(1.0, frac * _max_step(Lz, dZ)))
+        ap_max = _scaled_step(lam, rti.T @ dX @ rti)
+        ad_max = _scaled_step(lam, r_mat.T @ dZ @ r_mat)
+        ap, X_next, Lx_next = _cholesky_step(X, Lx, dX, min(1.0, frac * ap_max))
+        ad, Z_next, Lz_next = _cholesky_step(Z, Lz, dZ, min(1.0, frac * ad_max))
         if ap < 1e-10 and ad < 1e-10:
             certificate = {"kind": "stalled", "mu": mu}
             break

@@ -6,6 +6,7 @@ import pytest
 
 from randamp import npa
 from randamp.games import (
+    DIST_TOL,
     chsh_game,
     input_distribution_from_source,
     magic_square_game,
@@ -305,6 +306,69 @@ def test_target_orbits_of_the_three_scenarios():
         assert [orbit[0] for orbit in orbits] == representatives
         members = [t for orbit in orbits for t in orbit]
         assert sorted(members) == list(npa._targets(game))
+
+
+def loop_target_orbits(game, dist):
+    """Reference for `target_orbits`: the flip search one pattern and one
+    (x, o) at a time."""
+    n = game.n_parties
+    admissible = game.admissible_inputs()
+    wins = {(x, o): game.win(x, o) for x in admissible for o in game.all_outputs()}
+    slots = [(p, x) for p in range(n) for x in range(game.input_cardinalities[p])]
+    shape = [(game.input_cardinalities[p], game.output_cardinalities[p]) for p in range(n)]
+    orbit_of = {t: {t} for t in npa._targets(game)}
+    for perm in itertools.permutations(range(n)):
+        if any(shape[perm[p]] != shape[p] for p in range(n)):
+            continue
+        source = [perm.index(q) for q in range(n)]
+        moved = {x: tuple(x[p] for p in source) for x in game.all_inputs()}
+        if any(game.promise(moved[x]) != game.promise(x) for x in moved):
+            continue
+        if any(abs(dist.prob(moved[x]) - dist.prob(x)) > DIST_TOL for x in admissible):
+            continue
+        for bits in itertools.product((0, 1), repeat=len(slots)):
+            flip = dict(zip(slots, bits))
+            if all(
+                wins[moved[x], tuple(o[p] ^ flip[p, x[p]] for p in source)] == won
+                for (x, o), won in wins.items()
+            ):
+                for (party, x, outcome), orbit in orbit_of.items():
+                    orbit.add((perm[party], x, outcome ^ flip[party, x]))
+    return sorted({tuple(sorted(orbit)) for orbit in orbit_of.values()})
+
+
+def test_target_orbits_match_the_loop_search():
+    mermin, chsh, square = mermin_game(), chsh_game(), magic_square_game()
+    cases = [(mermin, input_distribution_from_source(mermin, canonical_mermin_source(e)))
+             for e in (0.0, 0.05, 0.3, 0.45)]
+    cases += [(game, uniform_distribution(game)) for game in (mermin, chsh, square)]
+    for game, dist in cases:
+        assert target_orbits(game, dist) == loop_target_orbits(game, dist)
+
+
+def test_point_face_is_solved_once_per_context(monkeypatch):
+    """Under the canonical source the face holds one moment matrix, so
+    p_max at floor 1 solves the face problem once for all four orbit
+    representatives, and each bound equals a fresh context's bit for bit."""
+    game = mermin_game()
+    dist = input_distribution_from_source(game, canonical_mermin_source(0.3))
+    dims = []
+
+    def counting_solve(problem, settings):
+        dims.append(problem.dimension)
+        return solve(problem, settings)
+
+    monkeypatch.setattr(npa, "solve", counting_solve)
+    p_max(game, dist, 1.0)
+    assert dims == [11]
+    structure = structure_for(game, LEVEL_Q1_ABC)
+    shared = SuccessFaceContext(structure, game, dist)
+    for orbit in target_orbits(game, dist):
+        query = RandomnessBoundQuery(game, dist, 1.0, orbit[0])
+        fresh = SuccessFaceContext(structure, game, dist)
+        value = max_outcome_probability(query, structure=structure, face=shared).value
+        assert value == max_outcome_probability(query, structure=structure, face=fresh).value
+    assert len(dims) == 1 + 1 + 4  # the shared context once, each fresh one once
 
 
 @pytest.mark.parametrize("epsilon,floor", [(0.2, 0.97), (0.3, 0.975), (0.05, 0.95), (0.3, 1.0)])

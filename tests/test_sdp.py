@@ -1,7 +1,10 @@
 import dataclasses
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
 
 from analytic_problems import analytic_problems, infeasible_problem, unbounded_problem
 from randamp.sdp import (
@@ -16,6 +19,7 @@ from randamp.sdp import (
     solve,
     verify,
 )
+from randamp.sdp import _nt_scaling, _scaled_step
 
 BATTERY = analytic_problems()
 IDS = [name for name, _, _ in BATTERY]
@@ -140,3 +144,31 @@ def test_load_rejects_malformed_text():
     truncated = "\n".join(good.splitlines()[:-1])
     with pytest.raises(ValueError):
         load_problem(truncated)
+
+
+def cholesky_step_bound(M, dM):
+    """Largest alpha <= 1 keeping M + alpha*dM >= 0, read from the
+    eigenvalues of L^-1 dM L^-T with L = cholesky(M)."""
+    L = np.linalg.cholesky(M)
+    Y = np.linalg.solve(L, np.linalg.solve(L, dM).T)
+    lam_min = np.linalg.eigvalsh((Y + Y.T) / 2.0).min()
+    return 1.0 if lam_min >= -1e-14 else min(1.0, -1.0 / lam_min)
+
+
+SQUARE_TRIPLES = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(*(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)) for _ in range(3)))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SQUARE_TRIPLES, st.floats(0.1, 10.0))
+def test_scaled_step_matches_the_cholesky_step_bound(mats, scale):
+    """The step bound read in the Nesterov-Todd scaled space, where both
+    iterates are diag(lam), is the bound of X + alpha*dX (Z + alpha*dZ)."""
+    B, C, D = mats
+    eye = np.eye(len(B))
+    X, Z = B @ B.T + eye, C @ C.T + eye
+    dM = scale * (D + D.T)
+    lam, r, rti = _nt_scaling(np.linalg.cholesky(X), np.linalg.cholesky(Z))
+    assert _scaled_step(lam, rti.T @ dM @ rti) == pytest.approx(cholesky_step_bound(X, dM), rel=1e-9, abs=0)
+    assert _scaled_step(lam, r.T @ dM @ r) == pytest.approx(cholesky_step_bound(Z, dM), rel=1e-9, abs=0)
