@@ -4,11 +4,13 @@
 Runs the honest device at a few visibilities plus the whole adversary
 suite, printing abort rates and the empirical bias of the emitted bit.
 A sound protocol either aborts a cheating device or keeps its bias under
-the certified target.
+the certified target; the script exits 1 if any device does neither
+(a LEAK verdict).
 """
 
 import argparse
 import math
+import sys
 import time
 
 from randamp.protocol import plan_protocol
@@ -21,18 +23,26 @@ from randamp.simulator import (
 from randamp.strategies import NoiseModel, ghz_mermin_strategy
 
 
+def leaks(est, target: float) -> bool:
+    """Emits bits often (abort rate below 0.95) with a bias more than
+    3 sigma above the target."""
+    if est.no_data:
+        return False
+    sigma = math.sqrt(0.25 / est.emitted)
+    return est.abort_rate < 0.95 and est.bias > target + 3 * sigma
+
+
 def describe(name: str, est, target: float) -> str:
     if est.no_data:
         return f"{name:24s} abort_rate=1.000  (no bit ever emitted)"
-    sigma = math.sqrt(0.25 / est.emitted)
-    verdict = "ok" if est.abort_rate >= 0.95 or est.bias <= target + 3 * sigma else "LEAK"
+    verdict = "LEAK" if leaks(est, target) else "ok"
     return (
         f"{name:24s} abort_rate={est.abort_rate:.3f}  "
         f"bias={est.bias:.4f} (ci {est.bias_interval[0]:.4f}..{est.bias_interval[1]:.4f})  {verdict}"
     )
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--epsilon", type=float, default=0.3)
     parser.add_argument("--eps-prime", type=float, default=0.29)
@@ -52,16 +62,18 @@ def main() -> None:
     # the planned threshold sits just below 1, so the honest device only
     # tolerates noise up to roughly the planner's slack
     ghz = ghz_mermin_strategy()
-    for visibility in (1.0, 0.99999, 0.9999):
-        est = estimate_output_bias(
-            params, HonestDevice(ghz, NoiseModel(visibility)), args.runs, args.seed
-        )
-        print(describe(f"honest v={visibility}", est, args.eps_prime))
-
-    for name, adversary in attack_suite().items():
-        est = estimate_output_bias(params, AdversarialDevice(adversary), args.runs, args.seed)
+    devices = {
+        f"honest v={visibility}": HonestDevice(ghz, NoiseModel(visibility))
+        for visibility in (1.0, 0.99999, 0.9999)
+    }
+    devices.update((name, AdversarialDevice(adv)) for name, adv in attack_suite().items())
+    leaked = False
+    for name, device in devices.items():
+        est = estimate_output_bias(params, device, args.runs, args.seed)
         print(describe(name, est, args.eps_prime))
+        leaked = leaked or leaks(est, args.eps_prime)
+    return 1 if leaked else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -221,7 +221,8 @@ def cmd_simulate(
 ) -> tuple[list[dict], list[str]]:
     if runs < 1:
         raise UsageError(f"--runs must be at least 1, got {runs}")
-    params = plan_protocol(epsilon, eps_prime, delta, x, tolerance)
+    if not 0.0 <= visibility <= 1.0:
+        raise UsageError(f"--visibility must lie in [0, 1], got {visibility}")
     if device_name == "honest":
         device = HonestDevice(ghz_mermin_strategy(), NoiseModel(visibility))
     else:
@@ -230,6 +231,7 @@ def cmd_simulate(
             known = ", ".join(["honest", *suite])
             raise UsageError(f"unknown device {device_name!r} (known: {known})")
         device = AdversarialDevice(suite[device_name])
+    params = plan_protocol(epsilon, eps_prime, delta, x, tolerance)
 
     rows = []
     seeds = np.random.SeedSequence(seed).spawn(runs)

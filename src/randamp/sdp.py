@@ -54,9 +54,13 @@ def _check_symmetric(M: np.ndarray, what: str) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {M.shape}")
-    if np.max(np.abs(M - M.T)) > SYMMETRY_TOL:
+    # M - M.T holds -d wherever it holds d, so its max is its largest |d|
+    out = M - M.T
+    if out.max() > SYMMETRY_TOL:
         raise ValueError(f"{what} is not symmetric within {SYMMETRY_TOL}")
-    return _sym(M)
+    np.add(M, M.T, out=out)
+    out *= 0.5  # equals (M + M.T) / 2 bit for bit: halving is exact
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,16 @@ win status.  Aggregation requires a round-local steering pattern (the
 sign may depend only on the position within the current two-bit round),
 which keeps rounds i.i.d.; materialized runs accept any pattern.
 
+A materialized run draws its 3 N round uniforms in one call: round j
+reads uniforms 3j and 3j + 1 for its two input bits and 3j + 2 for its
+outputs, the doubles that 3 N scalar draws would give, in the same
+order.  The Python loop over rounds then evaluates the steering pattern
+three times per round, on the history h, h + [0] and h + [1]; both bit
+draws and the round's p_avg term reuse those three values.  Outputs are
+drawn after the loop, one search per (schedule block, input cell).  A
+history-dependent pattern costs whatever its own evaluation costs:
+`parity_sign` reads the whole history, so its runs are quadratic in N.
+
 Selection bits are drawn from the same source stream after all round
 bits, most significant bit first, redrawing whenever the index falls
 outside the round range.  A run consumes exactly
@@ -211,24 +221,6 @@ def _block_round_counts(blocks: tuple[ScheduleBlock, ...], n_rounds: int) -> lis
     return counts
 
 
-def _round_input_distribution(source: ExtremalSource, history: list[int]) -> dict[InputTuple, float]:
-    """Conditional distribution of the round's input cell given the bits
-    drawn so far (both bits still ahead).  Probes the second-bit
-    conditional by appending to and restoring the caller's history list,
-    avoiding a copy of the full past each round."""
-    dist: dict[InputTuple, float] = {}
-    pa0 = source.next_bit_probability(history)
-    for a in (0, 1):
-        pa = pa0 if a == 0 else 1.0 - pa0
-        history.append(a)
-        pb0 = source.next_bit_probability(history)
-        history.pop()
-        for b in (0, 1):
-            pb = pb0 if b == 0 else 1.0 - pb0
-            dist[(a, b, a ^ b)] = pa * pb
-    return dist
-
-
 def _win_probability(behavior: Behavior, game: GameSpec, x: InputTuple) -> float:
     row = behavior.table[x]
     return float(sum(row[o] for o in game.all_outputs() if game.win(x, o)))
@@ -249,6 +241,18 @@ def _alice_zero_given_status(
     if den <= 0.0:
         raise ValueError(f"conditioning on a zero-probability win status at {x}")
     return num / den
+
+
+def _search_right(row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(row, v, side="right")` for each v in `u`.
+
+    One vector call gives the per-key answer only on a non-decreasing
+    row: it starts each search from the previous key's result, which can
+    land on another crossing where rounding makes a cumulative row dip.
+    Such a row is searched key by key."""
+    if np.all(row[1:] >= row[:-1]):
+        return np.searchsorted(row, u, side="right")
+    return np.array([np.searchsorted(row, v, side="right") for v in u], dtype=np.intp)
 
 
 def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolRun:
@@ -283,33 +287,54 @@ def _run_materialized(
     n = params.n_rounds
     counts = _block_round_counts(blocks, n)
     behaviors = [_block_behavior(b.strategy, game) for b in blocks]
-    round_block = np.repeat(np.arange(len(blocks)), counts)
+    # input cells indexed by 2a + b, where a and b are the round's source bits
+    cells = [(a, b, a ^ b) for a in (0, 1) for b in (0, 1)]
+    win_prob = [tuple(_win_probability(bh, game, x) for x in cells) for bh in behaviors]
 
-    cells = game.admissible_inputs()
-    win_prob = [{x: _win_probability(bh, game, x) for x in cells} for bh in behaviors]
-    flat_rows = [{x: np.cumsum(bh.table[x].ravel()) for x in cells} for bh in behaviors]
-    out_shape = tuple(game.output_cardinalities)
-
+    # round j reads uniforms 3j and 3j + 1 for its input bits, 3j + 2 for its outputs
+    uniforms = rng.random(3 * n)
+    u_first = uniforms[0::3].tolist()
+    u_second = uniforms[1::3].tolist()
     stream = _SourceStream(source, rng)
-    inputs = []
-    outputs = []
-    wins = []
+    history = stream.history
     p_avg_sum = 0.0
-    for j in range(n):
-        k = int(round_block[j])
-        dist_j = _round_input_distribution(source, stream.history)
-        p_avg_sum += sum(p * win_prob[k][x] for x, p in dist_j.items())
-        a = stream.draw()
-        b = stream.draw()
-        x = (a, b, a ^ b)
-        u = rng.random()
-        flat_idx = int(np.searchsorted(flat_rows[k][x], u, side="right"))
-        o = tuple(int(v) for v in np.unravel_index(min(flat_idx, flat_rows[k][x].size - 1), out_shape))
-        inputs.append(x)
-        outputs.append(o)
-        wins.append(bool(game.win(x, o)))
+    stop = 0
+    for count, (w000, w011, w101, w110) in zip(counts, win_prob):
+        start, stop = stop, stop + count
+        for j in range(start, stop):
+            pa = source.next_bit_probability(history)
+            history.append(0)
+            pb_0 = source.next_bit_probability(history)
+            history[-1] = 1
+            pb_1 = source.next_bit_probability(history)
+            qa = 1.0 - pa
+            p_avg_sum += ((pa * pb_0) * w000 + (pa * (1.0 - pb_0)) * w011
+                          + (qa * pb_1) * w101 + (qa * (1.0 - pb_1)) * w110)
+            if u_first[j] < pa:
+                history[-1] = 0
+                history.append(0 if u_second[j] < pb_0 else 1)
+            else:
+                history.append(0 if u_second[j] < pb_1 else 1)
 
-    total_wins = int(sum(wins))
+    bits = np.array(history, dtype=np.intp)
+    cell_index = 2 * bits[0::2] + bits[1::2]
+    u_out = uniforms[2::3]
+    out_cells = game.all_outputs()
+    flat = np.empty(n, dtype=np.intp)
+    start = 0
+    for count, bh in zip(counts, behaviors):
+        for c, x in enumerate(cells):
+            rounds = start + np.flatnonzero(cell_index[start:start + count] == c)
+            flat[rounds] = _search_right(np.cumsum(bh.table[x].ravel()), u_out[rounds])
+        start += count
+    np.minimum(flat, len(out_cells) - 1, out=flat)
+    win_table = np.array([[bool(game.win(x, o)) for o in out_cells] for x in cells])
+    won = win_table[cell_index, flat]
+
+    inputs = tuple(cells[c] for c in cell_index.tolist())
+    outputs = tuple(out_cells[i] for i in flat.tolist())
+    wins = tuple(won.tolist())
+    total_wins = int(won.sum())
     p_est = total_wins / n
     p_avg = p_avg_sum / n
     if p_est <= params.p_threshold:
@@ -317,7 +342,7 @@ def _run_materialized(
             n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=True,
             selected_round=None, output_bit=None, p_avg=p_avg,
             source_bits_used=stream.count, selection_draws=0, aggregated=False,
-            inputs=tuple(inputs), outputs=tuple(outputs), wins=tuple(wins),
+            inputs=inputs, outputs=outputs, wins=wins,
         )
 
     n_bits = _selection_bit_count(n)
@@ -333,7 +358,7 @@ def _run_materialized(
         n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=False,
         selected_round=idx, output_bit=outputs[idx][0], p_avg=p_avg,
         source_bits_used=stream.count, selection_draws=draws, aggregated=False,
-        inputs=tuple(inputs), outputs=tuple(outputs), wins=tuple(wins),
+        inputs=inputs, outputs=outputs, wins=wins,
     )
 
 

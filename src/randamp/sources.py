@@ -63,7 +63,9 @@ def constant_sign(sign: int) -> SignPattern:
 
 
 def parity_sign() -> SignPattern:
-    """+1 after an even number of ones in the history, -1 otherwise."""
+    """+1 after an even number of ones in the history, -1 otherwise.
+
+    Each call sums the whole history, so it costs O(len(history))."""
     return SignPattern(lambda h: 1 if sum(h) % 2 == 0 else -1, name="parity")
 
 

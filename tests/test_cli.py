@@ -240,7 +240,16 @@ def test_simulate_steered_adversary_aborts(tmp_path):
     assert "# emitted: 0" in comments
 
 
-def test_simulate_unknown_device_is_usage_error(tmp_path, capsys):
+def forbid_planning(monkeypatch, what):
+    def no_plan(*args, **kwargs):
+        raise AssertionError(f"plan_protocol called for an invalid {what}")
+
+    monkeypatch.setattr("randamp.cli.plan_protocol", no_plan)
+
+
+def test_simulate_unknown_device_is_usage_error(tmp_path, capsys, monkeypatch):
+    """An unknown device is rejected before any plan is solved."""
+    forbid_planning(monkeypatch, "--device")
     code, _ = run_cli(
         ["simulate", "--epsilon", "0.3", "--eps-prime", "0.29", "--delta", "0.5",
          "--device", "nonsense", "--tolerance", "1e-2"],
@@ -250,14 +259,25 @@ def test_simulate_unknown_device_is_usage_error(tmp_path, capsys):
     assert "unknown device" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("visibility", ["1.5", "-0.1", "nan"])
+def test_simulate_visibility_outside_unit_interval_is_usage_error(
+    visibility, tmp_path, capsys, monkeypatch
+):
+    """A visibility outside [0, 1] is rejected before any plan is solved."""
+    forbid_planning(monkeypatch, "--visibility")
+    code, _ = run_cli(
+        ["simulate", "--epsilon", "0.3", "--eps-prime", "0.29", "--delta", "0.5",
+         "--visibility", visibility],
+        tmp_path,
+    )
+    assert code == 1
+    assert "--visibility must lie in [0, 1]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("runs", ["-1", "0"])
 def test_simulate_nonpositive_runs_is_usage_error(runs, tmp_path, capsys, monkeypatch):
     """A run count below 1 is rejected before any plan is solved."""
-
-    def no_plan(*args, **kwargs):
-        raise AssertionError("plan_protocol called for an invalid --runs")
-
-    monkeypatch.setattr("randamp.cli.plan_protocol", no_plan)
+    forbid_planning(monkeypatch, "--runs")
     code, _ = run_cli(
         ["simulate", "--epsilon", "0.3", "--eps-prime", "0.29", "--delta", "0.5",
          "--runs", runs],

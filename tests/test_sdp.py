@@ -19,7 +19,7 @@ from randamp.sdp import (
     solve,
     verify,
 )
-from randamp.sdp import _nt_scaling, _scaled_step
+from randamp.sdp import SYMMETRY_TOL, _nt_scaling, _scaled_step
 
 BATTERY = analytic_problems()
 IDS = [name for name, _, _ in BATTERY]
@@ -90,6 +90,24 @@ def test_non_symmetric_inputs_rejected():
         Constraint(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, "eq")
     with pytest.raises(ValueError):
         Constraint(np.eye(2), 1.0, "le")
+
+
+def test_constraint_owns_the_symmetrized_matrix():
+    """An asymmetry up to SYMMETRY_TOL in either triangle is accepted and
+    averaged away into a fresh array; one beyond it is rejected."""
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((6, 6))
+    M = M + M.T
+    for i, j in ((1, 4), (4, 1)):
+        A = M.copy()
+        A[i, j] += 0.9 * SYMMETRY_TOL
+        con = Constraint(A, 1.0, "eq")
+        assert np.array_equal(con.A, (A + A.T) / 2.0)
+        assert np.array_equal(con.A, con.A.T)
+        assert not np.shares_memory(con.A, A)
+        A[i, j] += 0.2 * SYMMETRY_TOL
+        with pytest.raises(ValueError, match="not symmetric"):
+            Constraint(A, 1.0, "eq")
 
 
 def test_constraint_dimension_mismatch_rejected():

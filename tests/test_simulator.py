@@ -18,8 +18,18 @@ from randamp.simulator import (
     run_protocol,
     transcript_lines,
 )
-from randamp.sources import parity_sign
-from randamp.strategies import DeterministicStrategy, NoiseModel, ghz_mermin_strategy
+from randamp.games import mermin_game
+from randamp.sources import constant_sign, parity_sign, table_sign
+from randamp.strategies import (
+    PAULI_X,
+    PAULI_Y,
+    DeterministicStrategy,
+    NoiseModel,
+    QuantumStrategy,
+    ghz_mermin_strategy,
+    projective_pair,
+    pure_state_density,
+)
 
 GHZ = ghz_mermin_strategy()
 LINE_SHAPE = re.compile(r"^\d+ [01]{3} [01]{3} [01]$")
@@ -111,6 +121,138 @@ def test_runs_are_deterministic_given_seed():
     assert a == b
     c = run_protocol(params, device, seed=124)
     assert (a.inputs, a.outputs) != (c.inputs, c.outputs)
+
+
+def loop_run_protocol(params, device, seed):
+    """Reference for the materialized `run_protocol`: one round at a time,
+    with three scalar uniforms, an input-cell distribution and a
+    `searchsorted` per round."""
+    game = mermin_game()
+    rng = np.random.default_rng(seed)
+    blocks, source = sim._resolve_schedule(params, device, rng, game)
+    n = params.n_rounds
+    counts = sim._block_round_counts(blocks, n)
+    behaviors = [sim._block_behavior(b.strategy, game) for b in blocks]
+    round_block = np.repeat(np.arange(len(blocks)), counts)
+    cells = game.admissible_inputs()
+    win_prob = [{x: sim._win_probability(bh, game, x) for x in cells} for bh in behaviors]
+    flat_rows = [{x: np.cumsum(bh.table[x].ravel()) for x in cells} for bh in behaviors]
+    out_shape = tuple(game.output_cardinalities)
+
+    def round_input_distribution(history):
+        dist = {}
+        pa0 = source.next_bit_probability(history)
+        for a in (0, 1):
+            pa = pa0 if a == 0 else 1.0 - pa0
+            pb0 = source.next_bit_probability(history + [a])
+            for b in (0, 1):
+                pb = pb0 if b == 0 else 1.0 - pb0
+                dist[(a, b, a ^ b)] = pa * pb
+        return dist
+
+    stream = sim._SourceStream(source, rng)
+    inputs, outputs, wins = [], [], []
+    p_avg_sum = 0.0
+    for j in range(n):
+        k = int(round_block[j])
+        dist_j = round_input_distribution(stream.history)
+        p_avg_sum += sum(p * win_prob[k][x] for x, p in dist_j.items())
+        a = stream.draw()
+        b = stream.draw()
+        x = (a, b, a ^ b)
+        row = flat_rows[k][x]
+        flat_idx = int(np.searchsorted(row, rng.random(), side="right"))
+        o = tuple(int(v) for v in np.unravel_index(min(flat_idx, row.size - 1), out_shape))
+        inputs.append(x)
+        outputs.append(o)
+        wins.append(bool(game.win(x, o)))
+
+    total_wins = int(sum(wins))
+    p_est = total_wins / n
+    transcript = dict(
+        n_rounds=n, total_wins=total_wins, p_est=p_est, p_avg=p_avg_sum / n,
+        aggregated=False, inputs=tuple(inputs), outputs=tuple(outputs), wins=tuple(wins),
+    )
+    if p_est <= params.p_threshold:
+        return ProtocolRun(
+            aborted=True, selected_round=None, output_bit=None,
+            source_bits_used=stream.count, selection_draws=0, **transcript,
+        )
+    n_bits = (n - 1).bit_length()
+    draws = 0
+    while True:
+        draws += 1
+        idx = 0
+        for _ in range(n_bits):
+            idx = (idx << 1) | stream.draw()
+        if idx < n:
+            break
+    return ProtocolRun(
+        aborted=False, selected_round=idx, output_bit=outputs[idx][0],
+        source_bits_used=stream.count, selection_draws=draws, **transcript,
+    )
+
+
+def dipping_product_strategy():
+    """Each party measures n.sigma, n at angle 1.552 in the X-Y plane, on
+    the product of its +1 eigenstates.  The Born rule rounds one
+    zero-probability outcome at cell 000 to about -6e-17, so that cell's
+    cumulative row dips."""
+    n = math.cos(1.552) * PAULI_X + math.sin(1.552) * PAULI_Y
+    plus = np.linalg.eigh(n)[1][:, 1]
+    per_party = (projective_pair(n), projective_pair(PAULI_Y))
+    return QuantumStrategy(
+        (2, 2, 2), pure_state_density(np.kron(np.kron(plus, plus), plus)), (per_party,) * 3
+    )
+
+
+LOSE_110 = DeterministicStrategy(((0, 1), (0, 1), (0, 0)))
+REFERENCE_DEVICES = {
+    "honest": HonestDevice(GHZ),
+    "depolarized": HonestDevice(GHZ, NoiseModel(0.999)),
+    **{name: AdversarialDevice(adversary) for name, adversary in attack_suite().items()},
+    "parity-split": AdversarialDevice(AdversaryModel(
+        (1.0,), ((ScheduleBlock(0.9, GHZ), ScheduleBlock(0.1, LOSE_110)),), (parity_sign(),)
+    )),
+    "table-depth-1": AdversarialDevice(AdversaryModel(
+        (1.0,), ((ScheduleBlock(1.0, LOSE_110),),), (table_sign({(0,): -1, (1,): 1}, depth=1),)
+    )),
+    "dipping-row": AdversarialDevice(AdversaryModel(
+        (1.0,), ((ScheduleBlock(1.0, dipping_product_strategy()),),), (constant_sign(+1),)
+    )),
+}
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 0.07])
+@pytest.mark.parametrize("name", sorted(REFERENCE_DEVICES))
+def test_materialized_runs_match_the_round_loop(name, epsilon):
+    """Same transcript, p_avg and selection as the per-round loop, bit for
+    bit, for emitted and aborted runs alike.  At epsilon 0.07 the
+    depth-1 table adversary's p_avg changes if a round's four cell terms
+    are summed in another order."""
+    device = REFERENCE_DEVICES[name]
+    for n in (1, 2, 3, 50, 777):
+        for p_threshold in (0.5, 0.99):
+            params = make_params(n, p_threshold, epsilon=epsilon, p_crit=0.999)
+            for seed in range(3):
+                assert run_protocol(params, device, seed) == loop_run_protocol(params, device, seed)
+
+
+def test_search_right_matches_per_key_search_on_a_dipping_row():
+    """A vector `searchsorted` disagrees with per-key calls on a row that
+    is not monotone; `_search_right` must not."""
+    behavior = sim._block_behavior(dipping_product_strategy(), mermin_game())
+    dipping = np.cumsum(behavior.table[(0, 0, 0)].ravel())
+    assert not np.all(np.diff(dipping) >= 0)
+    row = np.array([0.1, 0.3, 0.29, 0.5, 0.7, 0.69, 0.9, 1.0])
+    u = np.random.default_rng(0).random(5000)
+    per_key = [int(np.searchsorted(row, v, side="right")) for v in u]
+    assert np.searchsorted(row, u, side="right").tolist() != per_key
+    assert sim._search_right(row, u).tolist() == per_key
+    monotone = np.cumsum(np.full(8, 0.125))
+    assert sim._search_right(monotone, u).tolist() == [
+        int(np.searchsorted(monotone, v, side="right")) for v in u
+    ]
 
 
 def test_transcript_lines_shape():
