@@ -1,7 +1,7 @@
 """randamp: randomness amplification from weak sources via biased nonlocal games.
 
 Submodules:
-  sources     weak (epsilon-free) bit sources and their extremal decomposition
+  sources     extremal epsilon-free bit sources and their steering sign patterns
   games       nonlocal game definitions, behaviors, success probability
   strategies  deterministic and quantum strategies, classical/quantum values
   sdp         dense primal-dual interior-point semidefinite solver

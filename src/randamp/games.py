@@ -14,8 +14,7 @@ the parity constraints are structurally unviolable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -88,7 +87,10 @@ class Behavior:
     """Conditional output table P(outputs | inputs) for admissible inputs.
 
     Each row is indexed by the output tuple via per-party output
-    cardinalities (row shape = output_cardinalities).
+    cardinalities (row shape = output_cardinalities).  Entries in
+    [-BEHAVIOR_TOL, 0), which the Born rule leaves by rounding, are set
+    to 0, so every row is nonnegative and its cumulative sum
+    non-decreasing.
     """
 
     game: GameSpec
@@ -103,8 +105,11 @@ class Behavior:
             row = np.asarray(self.table[x], dtype=float)
             if row.shape != shape:
                 raise ValueError(f"row {x} has shape {row.shape}, expected {shape}")
-            if row.min() < -BEHAVIOR_TOL:
+            low = row.min()
+            if low < -BEHAVIOR_TOL:
                 raise ValueError(f"negative conditional probability at {x}")
+            if low < 0.0:
+                row = np.where(row < 0.0, 0.0, row)
             if abs(row.sum() - 1.0) > BEHAVIOR_TOL:
                 raise ValueError(f"row {x} sums to {row.sum()}, expected 1")
             rows[x] = row
@@ -189,13 +194,6 @@ def uniform_distribution(game: GameSpec) -> InputDistribution:
     return InputDistribution(game, {x: p for x in cells})
 
 
-def uniformly_random_behavior(game: GameSpec) -> Behavior:
-    shape = tuple(game.output_cardinalities)
-    n_out = int(np.prod(shape))
-    row = np.full(shape, 1.0 / n_out)
-    return Behavior(game, {x: row for x in game.admissible_inputs()})
-
-
 def success_probability(game: GameSpec, dist: InputDistribution, behavior: Behavior) -> float:
     """Win probability: sum over inputs of p(x) * P(win | x)."""
     if dist.game is not game and dist.game.name != game.name:
@@ -240,27 +238,3 @@ def input_distribution_from_source(game: GameSpec, source: ExtremalSource) -> In
                 raise ValueError(f"induced cell {cell} violates the promise")
             table[cell] = table.get(cell, 0.0) + pa * pb
     return InputDistribution(game, table)
-
-
-def no_signalling_residual(behavior: Behavior, game: GameSpec) -> float:
-    """Max discrepancy of any party's marginal across other-party inputs.
-
-    Zero (to numerical precision) for all deterministic and quantum
-    behaviors; strictly positive tables would require signalling.
-    Only inputs inside the promise are compared, since conditionals
-    outside it are undefined.
-    """
-    admissible = game.admissible_inputs()
-    worst = 0.0
-    for party in range(game.n_parties):
-        others = [q for q in range(game.n_parties) if q != party]
-        # Group admissible inputs by this party's own input symbol.
-        for own in range(game.input_cardinalities[party]):
-            cells = [x for x in admissible if x[party] == own]
-            marginals = []
-            for x in cells:
-                row = behavior.table[x]
-                marginals.append(np.asarray(row.sum(axis=tuple(others))))
-            for m in marginals[1:]:
-                worst = max(worst, float(np.max(np.abs(m - marginals[0]))))
-    return worst

@@ -9,8 +9,10 @@ subword per party (parties commute, same-party factors do not).
 The moment matrix M[i,j] = <w_i^dagger w_j> is real symmetric positive
 semidefinite.  Algebraically equal entries (idempotence, commutation,
 adjoint symmetry) share one moment variable, so M(m) = sum_k m_k B_k is
-linear in the distinct moments m, with the unit moment fixed to 1.
-Maximizing a linear functional of the moments subject to a
+linear in the distinct moments m, with the unit moment fixed to 1.  A
+linear functional of the moments (an outcome probability, a marginal,
+the win probability) is a dense coefficient vector c over the moment
+ids, with value c @ m.  Maximizing a functional subject to a
 success-probability floor gives an upper bound on how predictable any
 single party's outcome can be, which is the quantity that drives all
 the amplification curves.  Each problem is solved over the moments
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -55,8 +57,7 @@ from .sdp import (
     STATUS_UNBOUNDED,
     solve,
 )
-from .sources import ExtremalSource, canonical_mermin_source
-from .strategies import DeterministicStrategy
+from .sources import canonical_mermin_source
 from .games import input_distribution_from_source, mermin_game
 
 LEVEL_Q1 = "Q1"
@@ -69,7 +70,6 @@ LEVELS = (LEVEL_Q1, LEVEL_Q1_AB, LEVEL_Q1_ABC, LEVEL_Q2, LEVEL_Q2_ABC)
 # A word is a tuple over parties; each per-party subword is an ordered
 # tuple of input indices (outcome-0 projectors), adjacent-duplicate free.
 Word = tuple[tuple[int, ...], ...]
-Functional = dict[int, float]
 
 
 class UnsupportedScenarioError(ValueError):
@@ -277,62 +277,61 @@ def _moment_id(structure: MomentMatrixStructure, word: Word) -> int:
     return idx
 
 
-def outcome_probability_functional(
-    structure: MomentMatrixStructure, outputs: tuple[int, ...], inputs: tuple[int, ...]
-) -> Functional:
-    """Coefficients over moment ids expressing P(outputs | inputs).
+def _outcome_words(
+    n_parties: int, outputs: tuple[int, ...], inputs: tuple[int, ...]
+) -> Iterator[tuple[Word, float]]:
+    """Signed projector words summing to the joint outcome operator.
 
-    Outcome-1 operators expand as identity minus the projector, so the
-    probability is an inclusion-exclusion sum over the parties that
-    answered 1.
-    """
-    n = structure.basis.scenario.n_parties
-    if len(outputs) != n or len(inputs) != n:
+    The product of per-party outcome operators (projector for outcome 0,
+    identity minus projector for outcome 1) expands by inclusion-exclusion
+    over the parties that answered 1: one word per subset of them, with
+    sign (-1)^(subset size)."""
+    if len(outputs) != n_parties or len(inputs) != n_parties:
         raise ValueError("outputs and inputs must have one entry per party")
-    zeros = [p for p in range(n) if outputs[p] == 0]
-    ones = [p for p in range(n) if outputs[p] == 1]
-    functional: Functional = {}
+    zeros = [p for p in range(n_parties) if outputs[p] == 0]
+    ones = [p for p in range(n_parties) if outputs[p] == 1]
     for k in range(len(ones) + 1):
         for subset in itertools.combinations(ones, k):
             parties = sorted(zeros + list(subset))
-            word = tuple((inputs[p],) if p in parties else () for p in range(n))
-            idx = _moment_id(structure, word)
-            functional[idx] = functional.get(idx, 0.0) + (-1.0) ** k
-    return functional
+            yield tuple((inputs[p],) if p in parties else () for p in range(n_parties)), (-1.0) ** k
+
+
+def outcome_probability_functional(
+    structure: MomentMatrixStructure, outputs: tuple[int, ...], inputs: tuple[int, ...]
+) -> np.ndarray:
+    """Coefficients over moment ids expressing P(outputs | inputs)."""
+    c = np.zeros(len(structure.id_cells))
+    for word, sign in _outcome_words(structure.basis.scenario.n_parties, outputs, inputs):
+        c[_moment_id(structure, word)] += sign
+    return c
 
 
 def marginal_functional(
     structure: MomentMatrixStructure, party: int, x: int, outcome: int
-) -> Functional:
+) -> np.ndarray:
     """P(party answers `outcome` on input x), as moment coefficients."""
+    c = np.zeros(len(structure.id_cells))
     single = _moment_id(structure, _single(structure.basis.scenario.n_parties, party, x))
     if outcome == 0:
-        return {single: 1.0}
-    return {structure.unit_id: 1.0, single: -1.0}
+        c[single] += 1.0
+    else:
+        c[structure.unit_id] += 1.0
+        c[single] -= 1.0
+    return c
 
 
 def success_functional(
     structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution
-) -> Functional:
+) -> np.ndarray:
     """Win probability under `dist` as moment coefficients."""
-    total: Functional = {}
+    c = np.zeros(len(structure.id_cells))
     for x in game.admissible_inputs():
         px = dist.prob(x)
         if px == 0.0:
             continue
         for o in game.all_outputs():
-            if not game.win(x, o):
-                continue
-            for idx, coeff in outcome_probability_functional(structure, o, x).items():
-                total[idx] = total.get(idx, 0.0) + px * coeff
-    return {idx: c for idx, c in total.items() if c != 0.0}
-
-
-def _functional_vector(structure: MomentMatrixStructure, functional: Functional) -> np.ndarray:
-    """Dense coefficient vector c with c.m = functional(m) over all moment ids."""
-    c = np.zeros(len(structure.id_cells))
-    for idx, coeff in functional.items():
-        c[idx] += coeff
+            if game.win(x, o):
+                c += px * outcome_probability_functional(structure, o, x)
     return c
 
 
@@ -344,11 +343,11 @@ def _cell_indicators(structure: MomentMatrixStructure) -> np.ndarray:
 
 def _moment_problem(
     structure: MomentMatrixStructure,
-    objective: Functional,
+    objective: np.ndarray,
     V: Optional[np.ndarray],
     m0: np.ndarray,
     N: np.ndarray,
-    success: Optional[Functional] = None,
+    success: Optional[np.ndarray] = None,
     success_floor: float = 0.0,
 ) -> SdpProblem:
     """The relaxation over moment variables, as an `sdp.solve` problem
@@ -372,10 +371,10 @@ def _moment_problem(
     blocks = np.tensordot(coords.T, _cell_indicators(structure), axes=1)
     if V is not None:
         blocks = V.T @ blocks @ V
-    rhs = -(_functional_vector(structure, objective) @ N)
+    rhs = -(objective @ N)
     if success is not None:
         d = blocks.shape[1]
-        slack = _functional_vector(structure, success) @ coords
+        slack = success @ coords
         slack[0] -= success_floor
         lmi = np.zeros((len(blocks), d + 1, d + 1))
         lmi[:, :d, :d] = blocks
@@ -394,14 +393,14 @@ def _unit_moments(structure: MomentMatrixStructure) -> np.ndarray:
 
 def compile_problem(
     structure: MomentMatrixStructure,
-    objective: Functional,
-    success: Optional[Functional] = None,
+    objective: np.ndarray,
+    success: Optional[np.ndarray] = None,
     success_floor: float = 0.0,
 ) -> SdpProblem:
     """Assemble the moment SDP: maximize `objective` over PSD moment
     matrices with unit normalization, and optionally a
     success-probability floor.  Every non-unit moment is free (m0 is the
-    unit vector), so the relaxation's maximum is objective[unit] minus
+    unit vector), so the relaxation's maximum is objective @ m0 minus
     the dual optimum; see `_moment_problem`."""
     m0 = _unit_moments(structure)
     N = np.eye(len(m0))[:, m0 == 0.0]
@@ -417,25 +416,18 @@ def outcome_operator_vector(
 ) -> np.ndarray:
     """Expansion of the joint outcome operator over the basis words.
 
-    The product of per-party outcome operators (projector for outcome 0,
-    identity minus projector for outcome 1) is itself a projector Q, and
+    The joint outcome operator is itself a projector Q, and
     P(outputs|inputs) = <Q> = v^T M v with this vector v, provided every
-    subset word lives in the basis.
+    word of its expansion is a basis word.
     """
-    n = structure.basis.scenario.n_parties
     index = {w: i for i, w in enumerate(structure.basis.words)}
-    zeros = [p for p in range(n) if outputs[p] == 0]
-    ones = [p for p in range(n) if outputs[p] == 1]
     vec = np.zeros(len(structure.basis.words))
-    for k in range(len(ones) + 1):
-        for subset in itertools.combinations(ones, k):
-            parties = sorted(zeros + list(subset))
-            word = tuple((inputs[p],) if p in parties else () for p in range(n))
-            if word not in index:
-                raise MomentNotAvailableError(
-                    f"word {word} is not a basis word at level {structure.basis.level}"
-                )
-            vec[index[word]] += (-1.0) ** k
+    for word, sign in _outcome_words(structure.basis.scenario.n_parties, outputs, inputs):
+        if word not in index:
+            raise MomentNotAvailableError(
+                f"word {word} is not a basis word at level {structure.basis.level}"
+            )
+        vec[index[word]] += sign
     return vec
 
 
@@ -529,9 +521,9 @@ class SuccessFaceContext:
         self.m0, self.N = _face_moments(structure, self.V) or (None, None)
         self._point_solutions: dict[SolverSettings, SdpSolution] = {}
 
-    def bound(self, objective: Functional, settings: SolverSettings) -> SdpSolution:
+    def bound(self, objective: np.ndarray, settings: SolverSettings) -> SdpSolution:
         """Sdp-form solution of max objective over the face; the
-        relaxation's bound is objective(m0) minus its objective value."""
+        relaxation's bound is objective @ m0 minus its objective value."""
         if self.m0 is None:
             return _empty_face_solution()
         problem = _moment_problem(self.structure, objective, self.V, self.m0, self.N)
@@ -573,15 +565,9 @@ def max_outcome_probability(
         problem = compile_problem(structure, objective, success, query.success_floor)
         solution = solve(problem, settings)
         m0 = _unit_moments(structure)
-    if solution.status == STATUS_OPTIMAL:
-        offset = float(_functional_vector(structure, objective) @ m0)
-        return BoundResult(_upper_value(solution, offset), solution.status, solution)
-    if solution.status == STATUS_UNBOUNDED:
-        return BoundResult(None, STATUS_INFEASIBLE, solution)
-    raise SolverFailureError(
-        f"solver returned {solution.status} for target {query.target} "
-        f"at success floor {query.success_floor}"
-    )
+    what = f"target {query.target} at success floor {query.success_floor}"
+    value = _upper_value(solution, objective, m0, what, floor_may_be_infeasible=True)
+    return BoundResult(value, STATUS_INFEASIBLE if value is None else solution.status, solution)
 
 
 def max_success_probability(
@@ -594,9 +580,7 @@ def max_success_probability(
     structure = structure_for(game, level)
     success = success_functional(structure, game, dist)
     solution = solve(compile_problem(structure, success), settings)
-    if solution.status != STATUS_OPTIMAL:
-        raise SolverFailureError(f"solver returned {solution.status} for game value")
-    return _upper_value(solution, success.get(structure.unit_id, 0.0))
+    return _upper_value(solution, success, _unit_moments(structure), "game value")
 
 
 def _targets(game: GameSpec) -> Iterable[tuple[int, int, int]]:
@@ -669,12 +653,28 @@ def target_orbits(
     return sorted({tuple(sorted(orbit)) for orbit in orbit_of.values()})
 
 
-def _upper_value(solution: SdpSolution, offset: float) -> float:
-    """The larger of the relaxation values read from the sdp form's
-    primal and dual objective, `offset` minus each (offset is c.m0, see
-    `_moment_problem`), so that an inexact solve errs on the safe side of
-    an upper bound."""
-    return offset - min(solution.objective_value, solution.objective_value + solution.duality_gap)
+def _upper_value(
+    solution: SdpSolution,
+    objective: np.ndarray,
+    m0: np.ndarray,
+    what: str,
+    floor_may_be_infeasible: bool = False,
+) -> Optional[float]:
+    """The bound a solve of `_moment_problem` gives on max objective @ m:
+    the larger of the relaxation values read from the sdp form's primal
+    and dual objective, objective @ m0 minus each, so that an inexact
+    solve errs on the safe side of an upper bound.
+
+    An unbounded sdp form means no moments are feasible: with
+    `floor_may_be_infeasible` that is the answer (None), since a success
+    floor may exceed the quantum maximum.  Any other status but optimal
+    raises SolverFailureError; its message names the solve by `what`."""
+    if solution.status == STATUS_OPTIMAL:
+        offset = float(objective @ m0)
+        return offset - min(solution.objective_value, solution.objective_value + solution.duality_gap)
+    if floor_may_be_infeasible and solution.status == STATUS_UNBOUNDED:
+        return None
+    raise SolverFailureError(f"solver returned {solution.status} for {what}")
 
 
 def p_max(
@@ -757,56 +757,15 @@ def critical_success(
     dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
     structure = structure_for(game, level)
     success = success_functional(structure, game, dist)
+    m0 = _unit_moments(structure)
     best = -np.inf
     for orbit in target_orbits(game, dist):
         floor = marginal_functional(structure, *orbit[0])
         problem = compile_problem(structure, success, floor, 0.5 + target_eps_prime)
-        solution = solve(problem, settings)
-        if solution.status != STATUS_OPTIMAL:
-            raise SolverFailureError(f"solver returned {solution.status} for target {orbit[0]}")
-        best = max(best, _upper_value(solution, success.get(structure.unit_id, 0.0)))
+        best = max(best, _upper_value(solve(problem, settings), success, m0, f"target {orbit[0]}"))
     if 1.0 - best <= tol:
         raise BracketingError(
             f"tolerance {tol} cannot certify a critical success below 1 "
             f"at epsilon {epsilon}: the bound {best:.9g} lies within tol of 1; tighten tol"
         )
     return float(best)
-
-
-def moment_vector_of_deterministic(
-    structure: MomentMatrixStructure, strategy: DeterministicStrategy
-) -> np.ndarray:
-    """Basis-word values of a deterministic strategy (projector value is
-    1 when the strategy answers 0 on that input, else 0)."""
-
-    def word_value(word: Word) -> float:
-        v = 1.0
-        for party, sub in enumerate(word):
-            for x in sub:
-                v *= 1.0 if strategy.output(party, x) == 0 else 0.0
-        return v
-
-    return np.array([word_value(w) for w in structure.basis.words])
-
-
-def moment_matrix_of_deterministic(
-    structure: MomentMatrixStructure, strategy: DeterministicStrategy
-) -> np.ndarray:
-    """Rank-1 PSD moment matrix embedding a deterministic strategy; it
-    is constant on the cells of each moment and reproduces the
-    strategy's behavior under the outcome functionals."""
-    v = moment_vector_of_deterministic(structure, strategy)
-    return np.outer(v, v)
-
-
-def evaluate_functional(functional: Functional, moments: Mapping[int, float]) -> float:
-    return float(sum(coeff * moments[idx] for idx, coeff in functional.items()))
-
-
-def moments_of_matrix(structure: MomentMatrixStructure, M: np.ndarray) -> dict[int, float]:
-    """Read one value per moment id from a (consistent) moment matrix."""
-    out = {}
-    for idx, cells in enumerate(structure.id_cells):
-        i, j = cells[0]
-        out[idx] = float(M[i, j])
-    return out

@@ -24,9 +24,8 @@ results within the tolerance.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -473,70 +472,3 @@ def verify(problem: SdpProblem, solution: SdpSolution, tol: float) -> dict:
         "optimal_ok": bool(optimal_ok),
         "passed": bool(feasible_ok and optimal_ok),
     }
-
-
-def dump_problem(problem: SdpProblem) -> str:
-    """Plain-text serialization; see load_problem for the grammar."""
-    out = io.StringIO()
-    m = problem.dimension
-    out.write("SDP 1\n")
-    out.write(f"dim {m}\n")
-    out.write("objective\n")
-    for row in problem.C:
-        out.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-    out.write(f"constraints {len(problem.constraints)}\n")
-    for con in problem.constraints:
-        out.write(f"{con.relation} {con.b:.17g}\n")
-        for row in con.A:
-            out.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-    return out.getvalue()
-
-
-def load_problem(text: str) -> SdpProblem:
-    """Parse the dump_problem format.
-
-    Line 1: `SDP 1` (magic + version).  Line 2: `dim m`.  Then the word
-    `objective` followed by m rows of m floats, then `constraints n`
-    followed by n blocks, each `relation b` and m rows of m floats.
-    Whitespace-separated, row-major.
-    """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ValueError("truncated SDP dump")
-        ln = lines[pos]
-        pos += 1
-        return ln
-
-    magic = take()
-    if magic != "SDP 1":
-        raise ValueError(f"unrecognized header {magic!r}")
-    dim_line = take().split()
-    if dim_line[0] != "dim":
-        raise ValueError("expected 'dim m'")
-    m = int(dim_line[1])
-
-    def matrix() -> np.ndarray:
-        rows = []
-        for _ in range(m):
-            vals = [float(v) for v in take().split()]
-            if len(vals) != m:
-                raise ValueError("row length mismatch in SDP dump")
-            rows.append(vals)
-        return np.array(rows)
-
-    if take() != "objective":
-        raise ValueError("expected 'objective'")
-    C = matrix()
-    cons_line = take().split()
-    if cons_line[0] != "constraints":
-        raise ValueError("expected 'constraints n'")
-    n = int(cons_line[1])
-    constraints = []
-    for _ in range(n):
-        rel, bval = take().split()
-        constraints.append(Constraint(matrix(), float(bval), rel))
-    return SdpProblem(C, tuple(constraints))

@@ -243,18 +243,6 @@ def _alice_zero_given_status(
     return num / den
 
 
-def _search_right(row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """`np.searchsorted(row, v, side="right")` for each v in `u`.
-
-    One vector call gives the per-key answer only on a non-decreasing
-    row: it starts each search from the previous key's result, which can
-    land on another crossing where rounding makes a cumulative row dip.
-    Such a row is searched key by key."""
-    if np.all(row[1:] >= row[:-1]):
-        return np.searchsorted(row, u, side="right")
-    return np.array([np.searchsorted(row, v, side="right") for v in u], dtype=np.intp)
-
-
 def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolRun:
     """Execute the three protocol steps against a device model.
 
@@ -325,7 +313,7 @@ def _run_materialized(
     for count, bh in zip(counts, behaviors):
         for c, x in enumerate(cells):
             rounds = start + np.flatnonzero(cell_index[start:start + count] == c)
-            flat[rounds] = _search_right(np.cumsum(bh.table[x].ravel()), u_out[rounds])
+            flat[rounds] = np.searchsorted(np.cumsum(bh.table[x].ravel()), u_out[rounds], side="right")
         start += count
     np.minimum(flat, len(out_cells) - 1, out=flat)
     win_table = np.array([[bool(game.win(x, o)) for o in out_cells] for x in cells])

@@ -9,22 +9,17 @@ the band at every step: the conditional probability is exactly
 Every epsilon-free source is a convex combination of extremal ones.
 That decomposition theorem is taken as an assumption here (its proof is
 not part of this package); all analysis code therefore works with
-extremal sources and convex mixtures of them.
-
-Sources are immutable; all sampling takes an explicit seed or
-numpy Generator, so callers own the RNG state.
+extremal sources, and a mixture of them is modelled by the weights of
+`simulator.AdversaryModel`.  Sources are immutable and hold no RNG
+state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, Union
-
-import numpy as np
+from typing import Callable, Sequence
 
 History = tuple[int, ...]
-
-NORMALIZATION_TOL = 1e-12
 
 
 def check_epsilon(epsilon: float) -> float:
@@ -106,102 +101,6 @@ class ExtremalSource:
     def next_bit_probability(self, history: Sequence[int]) -> float:
         """Probability that the next bit is 0 given `history`."""
         return 0.5 + self.sign(history) * self.epsilon
-
-
-@dataclass(frozen=True)
-class ConvexSourceMixture:
-    """Convex combination of extremal sources.
-
-    A draw first selects one component by weight, then the whole
-    requested sequence comes from that component.
-    """
-
-    components: tuple[ExtremalSource, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise ValueError("mixture needs at least one component")
-        if len(self.components) != len(self.weights):
-            raise ValueError("one weight per component required")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
-
-    @property
-    def epsilon(self) -> float:
-        return max(c.epsilon for c in self.components)
-
-
-Source = Union[ExtremalSource, ConvexSourceMixture]
-
-
-def next_bit_probability(source: ExtremalSource, history: Sequence[int]) -> float:
-    """Probability that `source` emits 0 after seeing `history`."""
-    return source.next_bit_probability(history)
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def sample_sequence(source: Source, n: int, seed) -> np.ndarray:
-    """Draw `n` bits.  For a mixture, one component is selected per call."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    rng = _as_rng(seed)
-    if isinstance(source, ConvexSourceMixture):
-        idx = rng.choice(len(source.components), p=np.asarray(source.weights))
-        source = source.components[idx]
-    bits = np.empty(n, dtype=np.uint8)
-    history: list[int] = []
-    for i in range(n):
-        p0 = source.next_bit_probability(history)
-        bit = 0 if rng.random() < p0 else 1
-        bits[i] = bit
-        history.append(bit)
-    return bits
-
-
-def sequence_probability(source: Source, bits: Iterable[int]) -> float:
-    """Exact probability of emitting `bits`, in order.
-
-    For mixtures this is the weight-averaged component probability,
-    matching the draw-one-component sampling semantics.
-    """
-    seq = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in seq):
-        raise ValueError("bits must be 0 or 1")
-    if isinstance(source, ConvexSourceMixture):
-        return float(
-            sum(w * sequence_probability(c, seq) for c, w in zip(source.components, source.weights))
-        )
-    prob = 1.0
-    for i, bit in enumerate(seq):
-        p0 = source.next_bit_probability(seq[:i])
-        prob *= p0 if bit == 0 else 1.0 - p0
-    return prob
-
-
-def conditional_bit_probability(source: Source, history: Sequence[int]) -> float:
-    """P(next bit = 0 | history) for an extremal source or a mixture.
-
-    For a mixture the components' weights are reweighted by how likely
-    each component was to produce `history` (Bayes), which is what an
-    observer of the stream experiences.
-    """
-    if isinstance(source, ExtremalSource):
-        return source.next_bit_probability(history)
-    h = tuple(int(b) for b in history)
-    joint0 = sequence_probability(source, h + (0,))
-    total = sequence_probability(source, h)
-    if total == 0.0:
-        # Unreachable history; any conditional is vacuous. Report 1/2.
-        return 0.5
-    return joint0 / total
 
 
 def canonical_mermin_source(epsilon: float) -> ExtremalSource:

@@ -207,26 +207,6 @@ def ghz_mermin_strategy() -> QuantumStrategy:
     )
 
 
-def chsh_optimal_strategy() -> QuantumStrategy:
-    """Singlet-frame optimal CHSH strategy, success (1 + 1/sqrt(2))/2.
-
-    Bell state with A0=Z, A1=X, B0=(Z+X)/sqrt(2), B1=(Z-X)/sqrt(2).
-    """
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
-    s = 1.0 / math.sqrt(2.0)
-    alice = (projective_pair(PAULI_Z), projective_pair(PAULI_X))
-    bob = (
-        projective_pair(s * (PAULI_Z + PAULI_X)),
-        projective_pair(s * (PAULI_Z - PAULI_X)),
-    )
-    return QuantumStrategy(
-        local_dims=(2, 2),
-        state=pure_state_density(phi),
-        measurements=(alice, bob),
-    )
-
-
 def _magic_square_grid() -> list[list[np.ndarray]]:
     """3x3 grid of commuting two-qubit observables.
 
@@ -283,12 +263,6 @@ def apply_depolarizing(strategy: QuantumStrategy, noise: NoiseModel) -> QuantumS
     dim = int(np.prod(strategy.local_dims))
     state = v * strategy.state + (1.0 - v) * np.eye(dim, dtype=complex) / dim
     return QuantumStrategy(strategy.local_dims, state, strategy.measurements)
-
-
-def epsilon_crit_chsh() -> float:
-    """Input bias at which the biased CHSH game stops certifying
-    nonclassicality: 1/sqrt(2) - 1/2."""
-    return 1.0 / math.sqrt(2.0) - 0.5
 
 
 def quantum_success(strategy: QuantumStrategy, game: GameSpec, dist: InputDistribution) -> float:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from randamp.cli import UsageError, _fmt, main, parse_grid
+from randamp import npa
+from randamp.cli import UsageError, _fmt, cmd_figure1, cmd_figure2, main, parse_grid
 from randamp.protocol import plan_protocol
+from randamp.sdp import STATUS_MAX_ITERATIONS, solve
 from randamp.simulator import HonestDevice, estimate_output_bias
 from randamp.strategies import ghz_mermin_strategy
 
@@ -319,3 +322,20 @@ def test_figure3_coarse_tolerance_marks_row_failed(tmp_path):
     assert float(rows[0.3]["threshold_margin"]) > 0.0
     assert rows[0.45]["status"].startswith("failed:")
     assert rows[0.45]["p_threshold"] == ""
+
+
+def test_figures_mark_stalled_solves_as_failed_cells(monkeypatch, tmp_path):
+    """Every solve stops at max_iterations: each figure1 cell reads
+    solver_failure, each figure2 cell failed:, and a grid of only failed
+    cells exits 2."""
+    def stalled(problem, settings):
+        return dataclasses.replace(solve(problem, settings), status=STATUS_MAX_ITERATIONS)
+
+    monkeypatch.setattr(npa, "solve", stalled)
+    rows, _ = cmd_figure1([0.3], [0.97, 1.0], 1e-8)
+    assert [(r["eps_prime"], r["status"]) for r in rows] == [(None, "solver_failure")] * 2
+    (row,) = cmd_figure2([0.3], 1e-4)
+    assert row["p_crit"] is None
+    assert row["status"].startswith("failed: solver returned max_iterations")
+    code, text = run_cli(["figure2", "--grid", "0.3"], tmp_path)
+    assert (code, text) == (2, "")

@@ -14,14 +14,19 @@ from randamp.games import (
     magic_square_bob_bits,
     magic_square_game,
     mermin_game,
-    no_signalling_residual,
     success_probability,
     uniform_distribution,
-    uniformly_random_behavior,
 )
 from randamp.sources import ExtremalSource, canonical_mermin_source, constant_sign, parity_sign
+from reference_behaviors import no_signalling_residual
 
 GAMES = [chsh_game, mermin_game, magic_square_game]
+
+
+def uniformly_random_behavior(game):
+    shape = tuple(game.output_cardinalities)
+    row = np.full(shape, 1.0 / int(np.prod(shape)))
+    return Behavior(game, {x: row for x in game.admissible_inputs()})
 
 
 def random_behavior(game, rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from functools import reduce
 
@@ -24,6 +25,7 @@ from randamp.npa import (
     MomentNotAvailableError,
     RandomnessBoundQuery,
     Scenario,
+    SolverFailureError,
     SuccessFaceContext,
     UnsupportedScenarioError,
     build_basis,
@@ -31,12 +33,9 @@ from randamp.npa import (
     compile_problem,
     critical_success,
     eps_prime,
-    evaluate_functional,
     marginal_functional,
     max_outcome_probability,
     max_success_probability,
-    moment_matrix_of_deterministic,
-    moments_of_matrix,
     outcome_probability_functional,
     outcome_operator_vector,
     p_max,
@@ -45,7 +44,7 @@ from randamp.npa import (
     success_functional,
     target_orbits,
 )
-from randamp.sdp import STATUS_OPTIMAL, SolverSettings, solve
+from randamp.sdp import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, SolverSettings, solve
 from randamp.sources import canonical_mermin_source
 from randamp.strategies import (
     behavior_of_deterministic,
@@ -54,6 +53,27 @@ from randamp.strategies import (
 )
 
 SWEEP_SETTINGS = SolverSettings(tolerance=1e-6)
+
+
+def moment_matrix_of_deterministic(structure, strategy):
+    """Rank-1 PSD moment matrix embedding a deterministic strategy: the
+    outer product of its basis-word values, where a projector is 1 when
+    the strategy answers 0 on that input, else 0."""
+
+    def word_value(word):
+        v = 1.0
+        for party, sub in enumerate(word):
+            for x in sub:
+                v *= 1.0 if strategy.output(party, x) == 0 else 0.0
+        return v
+
+    v = np.array([word_value(w) for w in structure.basis.words])
+    return np.outer(v, v)
+
+
+def moments_of_matrix(structure, M):
+    """One value per moment id, read from a (consistent) moment matrix."""
+    return np.array([M[cells[0]] for cells in structure.id_cells])
 
 
 def test_basis_word_counts():
@@ -136,7 +156,7 @@ def test_deterministic_embedding_all_strategies():
         for x in game.admissible_inputs():
             for o in game.all_outputs():
                 functional = outcome_probability_functional(structure, o, x)
-                assert abs(evaluate_functional(functional, moments) - behavior.prob(o, x)) <= 1e-12
+                assert abs(functional @ moments - behavior.prob(o, x)) <= 1e-12
 
 
 def test_success_functional_matches_game_evaluation():
@@ -148,7 +168,7 @@ def test_success_functional_matches_game_evaluation():
 
     for strategy in itertools.islice(enumerate_deterministic(game), 0, 64, 7):
         M = moment_matrix_of_deterministic(structure, strategy)
-        via_moments = evaluate_functional(functional, moments_of_matrix(structure, M))
+        via_moments = functional @ moments_of_matrix(structure, M)
         direct = success_probability(game, dist, behavior_of_deterministic(strategy, game))
         assert abs(via_moments - direct) <= 1e-12
 
@@ -392,7 +412,7 @@ def test_every_target_matches_its_orbit_representative(epsilon, floor):
 def achieved_value(structure, objective, solution):
     """Objective value of the moments a compiled full-form solve reached:
     c.m0 - (objective + gap), with m0 the unit moment."""
-    return objective.get(structure.unit_id, 0.0) - (solution.objective_value + solution.duality_gap)
+    return objective[structure.unit_id] - (solution.objective_value + solution.duality_gap)
 
 
 def test_critical_success_form_matches_its_orbit_representative():
@@ -509,3 +529,34 @@ def test_critical_success_rejects_unresolvable_tolerance():
     solver tolerance of 5e-3 cannot separate the answer from 1."""
     with pytest.raises(BracketingError, match="tighten tol"):
         critical_success(0.45, 0.45, tol=5e-3)
+
+
+def stall(solution):
+    """The solution as a solve that stopped at max_iterations."""
+    return dataclasses.replace(solution, status=STATUS_MAX_ITERATIONS)
+
+
+def test_stalled_solves_raise_solver_failure(monkeypatch):
+    """A solve without a verdict is never read as a bound, at full and
+    face-reduced floors alike."""
+    monkeypatch.setattr(npa, "solve", lambda problem, settings: stall(solve(problem, settings)))
+    for floor in (0.97, 1.0):
+        with pytest.raises(SolverFailureError):
+            eps_prime(0.3, floor)
+    game = chsh_game()
+    with pytest.raises(SolverFailureError, match="game value"):
+        max_success_probability(game, uniform_distribution(game), LEVEL_Q2)
+    with pytest.raises(SolverFailureError):
+        critical_success(0.3, 0.29)
+
+
+def test_critical_success_raises_on_a_stalled_target_solve(monkeypatch):
+    """Only the full-form solves stall, so the floor-1 check passes and the
+    failure comes from the per-target solves."""
+    def stall_full(problem, settings):
+        solution = solve(problem, settings)
+        return stall(solution) if problem.constraints else solution
+
+    monkeypatch.setattr(npa, "solve", stall_full)
+    with pytest.raises(SolverFailureError, match="max_iterations for target"):
+        critical_success(0.3, 0.29)

@@ -14,8 +14,6 @@ from randamp.sdp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
-    dump_problem,
-    load_problem,
     solve,
     verify,
 )
@@ -142,26 +140,6 @@ def test_settings_validation():
         SolverSettings(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverSettings(max_iterations=0)
-
-
-@pytest.mark.parametrize("name,problem,optimum", BATTERY, ids=IDS)
-def test_dump_load_round_trip(name, problem, optimum):
-    loaded = load_problem(dump_problem(problem))
-    assert np.array_equal(loaded.C, problem.C)
-    assert len(loaded.constraints) == len(problem.constraints)
-    for a, b in zip(loaded.constraints, problem.constraints):
-        assert np.array_equal(a.A, b.A)
-        assert a.b == b.b
-        assert a.relation == b.relation
-
-
-def test_load_rejects_malformed_text():
-    with pytest.raises(ValueError):
-        load_problem("not an sdp")
-    good = dump_problem(BATTERY[0][1])
-    truncated = "\n".join(good.splitlines()[:-1])
-    with pytest.raises(ValueError):
-        load_problem(truncated)
 
 
 def cholesky_step_bound(M, dM):

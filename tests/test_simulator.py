@@ -1,5 +1,6 @@
 import math
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from randamp.strategies import (
     DeterministicStrategy,
     NoiseModel,
     QuantumStrategy,
+    behavior_of_quantum,
     ghz_mermin_strategy,
     projective_pair,
     pure_state_density,
@@ -195,9 +197,9 @@ def loop_run_protocol(params, device, seed):
 
 def dipping_product_strategy():
     """Each party measures n.sigma, n at angle 1.552 in the X-Y plane, on
-    the product of its +1 eigenstates.  The Born rule rounds one
-    zero-probability outcome at cell 000 to about -6e-17, so that cell's
-    cumulative row dips."""
+    the product of its +1 eigenstates.  The Born rule rounds two
+    zero-probability outcomes at cell 000 to about -7e-18 and -9e-17,
+    which `Behavior` sets to 0."""
     n = math.cos(1.552) * PAULI_X + math.sin(1.552) * PAULI_Y
     plus = np.linalg.eigh(n)[1][:, 1]
     per_party = (projective_pair(n), projective_pair(PAULI_Y))
@@ -238,21 +240,25 @@ def test_materialized_runs_match_the_round_loop(name, epsilon):
                 assert run_protocol(params, device, seed) == loop_run_protocol(params, device, seed)
 
 
-def test_search_right_matches_per_key_search_on_a_dipping_row():
-    """A vector `searchsorted` disagrees with per-key calls on a row that
-    is not monotone; `_search_right` must not."""
-    behavior = sim._block_behavior(dipping_product_strategy(), mermin_game())
-    dipping = np.cumsum(behavior.table[(0, 0, 0)].ravel())
-    assert not np.all(np.diff(dipping) >= 0)
-    row = np.array([0.1, 0.3, 0.29, 0.5, 0.7, 0.69, 0.9, 1.0])
-    u = np.random.default_rng(0).random(5000)
-    per_key = [int(np.searchsorted(row, v, side="right")) for v in u]
-    assert np.searchsorted(row, u, side="right").tolist() != per_key
-    assert sim._search_right(row, u).tolist() == per_key
-    monotone = np.cumsum(np.full(8, 0.125))
-    assert sim._search_right(monotone, u).tolist() == [
-        int(np.searchsorted(monotone, v, side="right")) for v in u
+def test_behavior_rows_are_nonnegative_with_monotone_cumulative_sums():
+    """The Born rule leaves negative rounding residue in the dipping
+    product strategy's row at cell 000; its behavior clips it, so every
+    row is nonnegative and its cumulative sum, which the materialized
+    runs search, is non-decreasing."""
+    game = mermin_game()
+    strategy = dipping_product_strategy()
+    born = [
+        float(np.trace(strategy.state @ reduce(np.kron, [
+            strategy.measurements[p][0][o[p]] for p in range(3)
+        ])).real)
+        for o in game.all_outputs()
     ]
+    assert min(born) < 0.0
+    behavior = behavior_of_quantum(strategy, game)
+    for x in game.admissible_inputs():
+        row = behavior.table[x].ravel()
+        assert row.min() >= 0.0
+        assert np.all(np.diff(np.cumsum(row)) >= 0.0)
 
 
 def test_transcript_lines_shape():

@@ -10,26 +10,50 @@ from randamp.games import (
     input_distribution_from_source,
     magic_square_game,
     mermin_game,
-    no_signalling_residual,
     success_probability,
     uniform_distribution,
 )
 from randamp.sources import canonical_mermin_source
 from randamp.strategies import (
+    PAULI_X,
+    PAULI_Z,
     DeterministicStrategy,
     NoiseModel,
+    QuantumStrategy,
     apply_depolarizing,
     behavior_of_deterministic,
     behavior_of_quantum,
     biased_mermin_classical_value,
-    chsh_optimal_strategy,
     classical_value,
     enumerate_deterministic,
-    epsilon_crit_chsh,
     ghz_mermin_strategy,
     magic_square_quantum_strategy,
+    projective_pair,
+    pure_state_density,
     quantum_success,
 )
+from reference_behaviors import no_signalling_residual
+
+
+def chsh_optimal_strategy():
+    """Singlet-frame optimal CHSH strategy, success (1 + 1/sqrt(2))/2.
+
+    Bell state with A0=Z, A1=X, B0=(Z+X)/sqrt(2), B1=(Z-X)/sqrt(2).
+    """
+    phi = np.zeros(4, dtype=complex)
+    phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
+    s = 1.0 / math.sqrt(2.0)
+    alice = (projective_pair(PAULI_Z), projective_pair(PAULI_X))
+    bob = (
+        projective_pair(s * (PAULI_Z + PAULI_X)),
+        projective_pair(s * (PAULI_Z - PAULI_X)),
+    )
+    return QuantumStrategy(
+        local_dims=(2, 2),
+        state=pure_state_density(phi),
+        measurements=(alice, bob),
+    )
+
 
 REFERENCE_STRATEGIES = [
     (chsh_optimal_strategy, chsh_game),
@@ -109,10 +133,6 @@ def test_magic_square_strategy_is_perfect():
     game = magic_square_game()
     value = quantum_success(magic_square_quantum_strategy(), game, uniform_distribution(game))
     assert np.isclose(value, 1.0, atol=1e-10)
-
-
-def test_epsilon_crit_chsh_value():
-    assert np.isclose(epsilon_crit_chsh(), 1.0 / math.sqrt(2) - 0.5, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(6))
