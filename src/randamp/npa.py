@@ -34,6 +34,16 @@ The moments whose matrix lies on the face form an affine set m0 + N z,
 solved for once per context; under the canonical source it is a single
 point, and the face solve only checks that its matrix is PSD.
 
+Bounds that maximize over (party, input, outcome) targets use the
+symmetry group of (game, dist), enumerated once (`symmetry_group`):
+they solve one representative per target orbit, and below floor 1 they
+solve it over the moments its stabilizer fixes (`invariant_moments`),
+again an affine set m0 + N z.  The objective, the success functional
+and the floor are fixed by the stabilizer, so averaging an optimum over
+it keeps the value (Gatermann & Parrilo, J. Pure Appl. Algebra 192,
+2004).  For the Mermin game under the canonical source at Q1+ABC that
+leaves 14 to 19 free moments of 75.
+
 Q2 and Q2+ABC exceed the smallest useful level and exist for
 cross-checking that bounds tighten down the hierarchy.
 """
@@ -384,26 +394,19 @@ def _moment_problem(
     return SdpProblem(-blocks[0], constraints)
 
 
-def _unit_moments(structure: MomentMatrixStructure) -> np.ndarray:
-    """The moments with unit 1 and every other moment 0."""
-    m0 = np.zeros(len(structure.id_cells))
-    m0[structure.unit_id] = 1.0
-    return m0
-
-
 def compile_problem(
     structure: MomentMatrixStructure,
     objective: np.ndarray,
+    moments: tuple[np.ndarray, np.ndarray],
     success: Optional[np.ndarray] = None,
     success_floor: float = 0.0,
 ) -> SdpProblem:
-    """Assemble the moment SDP: maximize `objective` over PSD moment
-    matrices with unit normalization, and optionally a
-    success-probability floor.  Every non-unit moment is free (m0 is the
-    unit vector), so the relaxation's maximum is objective @ m0 minus
-    the dual optimum; see `_moment_problem`."""
-    m0 = _unit_moments(structure)
-    N = np.eye(len(m0))[:, m0 == 0.0]
+    """Assemble the moment SDP: maximize `objective` over the moments
+    m = m0 + N z of `moments` (from `invariant_moments`) whose matrix is
+    PSD, optionally with a success-probability floor.  The relaxation's
+    maximum is objective @ m0 minus the dual optimum; see
+    `_moment_problem`."""
+    m0, N = moments
     return _moment_problem(structure, objective, None, m0, N, success, success_floor)
 
 
@@ -543,14 +546,20 @@ def max_outcome_probability(
     settings: SolverSettings = SolverSettings(),
     structure: Optional[MomentMatrixStructure] = None,
     face: Optional[SuccessFaceContext] = None,
+    stabilizer: tuple[Symmetry, ...] = (),
 ) -> BoundResult:
     """Upper bound on P(target outcome | target input) over all quantum
     behaviors winning with probability at least the success floor.
 
     Floors at 1 are solved on the face where every losing probability
     vanishes; the unreduced problem has no interior there and loses the
-    interior-point method several digits of accuracy.
+    interior-point method several digits of accuracy.  Lower floors are
+    solved over the moments fixed by `stabilizer`, a group of symmetries
+    of (game, dist) that fix the target (see `orbit_stabilizers`); the
+    default, the trivial group, solves over every moment vector.
     """
+    if any(g.target(query.target) != query.target for g in stabilizer):
+        raise ValueError(f"the stabilizer moves target {query.target}")
     if structure is None:
         structure = structure_for(query.game, level)
     party, x, outcome = query.target
@@ -562,9 +571,10 @@ def max_outcome_probability(
         m0 = face.m0
     else:
         success = success_functional(structure, query.game, query.dist)
-        problem = compile_problem(structure, objective, success, query.success_floor)
+        moments = invariant_moments(structure, stabilizer)
+        problem = compile_problem(structure, objective, moments, success, query.success_floor)
         solution = solve(problem, settings)
-        m0 = _unit_moments(structure)
+        m0 = moments[0]
     what = f"target {query.target} at success floor {query.success_floor}"
     value = _upper_value(solution, objective, m0, what, floor_may_be_infeasible=True)
     return BoundResult(value, STATUS_INFEASIBLE if value is None else solution.status, solution)
@@ -579,8 +589,9 @@ def max_success_probability(
     """Upper bound on the quantum game value under `dist`."""
     structure = structure_for(game, level)
     success = success_functional(structure, game, dist)
-    solution = solve(compile_problem(structure, success), settings)
-    return _upper_value(solution, success, _unit_moments(structure), "game value")
+    moments = invariant_moments(structure)
+    solution = solve(compile_problem(structure, success, moments), settings)
+    return _upper_value(solution, success, moments[0], "game value")
 
 
 def _targets(game: GameSpec) -> Iterable[tuple[int, int, int]]:
@@ -591,21 +602,30 @@ def _targets(game: GameSpec) -> Iterable[tuple[int, int, int]]:
                 yield party, x, outcome
 
 
-def target_orbits(
-    game: GameSpec, dist: InputDistribution
-) -> list[tuple[tuple[int, int, int], ...]]:
-    """The targets grouped into orbits of the symmetries of (game, dist).
+@dataclass(frozen=True, order=True)
+class Symmetry:
+    """A relabelling of a game: party p takes the role of party perm[p],
+    and its binary output on input x is flipped when flips[p][x] is set.
+    Target (p, x, o) maps to (perm[p], x, o ^ flips[p][x])."""
 
-    A candidate symmetry sends party p to perm[p], which must have the
-    same input and output cardinalities, and flips the binary output of
-    party p on input x when flip[p][x] is set.  It is kept when it maps
-    the promise onto itself, keeps dist.prob within DIST_TOL and keeps
-    game.win on every admissible (x, o).  Target (p, x, o) then maps to
-    (perm[p], x, o ^ flip[p][x]).  Each orbit lists its targets in
-    `_targets` order; the first is the orbit's representative.
+    perm: tuple[int, ...]
+    flips: tuple[tuple[int, ...], ...]
 
-    Targets in one orbit have equal bounds at every level in LEVELS.  A
-    symmetry acts on the projectors by P[p, x] -> P[perm[p], x], or
+    def target(self, target: tuple[int, int, int]) -> tuple[int, int, int]:
+        party, x, outcome = target
+        return self.perm[party], x, outcome ^ self.flips[party][x]
+
+
+def symmetry_group(game: GameSpec, dist: InputDistribution) -> tuple[Symmetry, ...]:
+    """Every symmetry of (game, dist), sorted, the identity first.
+
+    A candidate sends party p to perm[p], which must have the same input
+    and output cardinalities, and flips outputs by some pattern.  It is
+    kept when it maps the promise onto itself, keeps dist.prob within
+    DIST_TOL and keeps game.win on every admissible (x, o).  The kept
+    candidates are closed under composition, so they form a group.
+
+    A symmetry acts on the projectors by P[p, x] -> P[perm[p], x], or
     1 - P[perm[p], x] when flipped, which is an automorphism of the
     operator algebra: projectors stay projectors and parties still
     commute, so algebraically equal moments stay equal.  It keeps the
@@ -632,7 +652,7 @@ def target_orbits(
     n_slots = sum(game.input_cardinalities)
     flips = (np.arange(2 ** n_slots)[:, None] >> np.arange(n_slots)) & 1
     shape = [(game.input_cardinalities[p], game.output_cardinalities[p]) for p in range(n)]
-    orbit_of = {t: {t} for t in _targets(game)}
+    group = []
     for perm in itertools.permutations(range(n)):
         if any(shape[perm[p]] != shape[p] for p in range(n)):
             continue
@@ -647,10 +667,115 @@ def target_orbits(
         image = entry_o[:, source] ^ flips[:, slot_offset[source] + entry_x[:, source]]
         kept = (table[moved_rows, np.ravel_multi_index(np.moveaxis(image, -1, 0), out_shape)]
                 == table.ravel()).all(axis=1)
-        for bits in flips[kept]:
-            for (party, x, outcome), orbit in orbit_of.items():
-                orbit.add((perm[party], x, outcome ^ int(bits[slot_offset[party] + x])))
-    return sorted({tuple(sorted(orbit)) for orbit in orbit_of.values()})
+        for bits in flips[kept].tolist():
+            group.append(Symmetry(perm, tuple(
+                tuple(bits[slot_offset[p]:slot_offset[p] + game.input_cardinalities[p]])
+                for p in range(n))))
+    return tuple(sorted(group))
+
+
+def _orbits(
+    game: GameSpec, group: tuple[Symmetry, ...]
+) -> list[tuple[tuple[int, int, int], ...]]:
+    return sorted({tuple(sorted({g.target(t) for g in group})) for t in _targets(game)})
+
+
+def target_orbits(
+    game: GameSpec, dist: InputDistribution
+) -> list[tuple[tuple[int, int, int], ...]]:
+    """The targets grouped into orbits of `symmetry_group(game, dist)`.
+
+    Each orbit lists its targets in `_targets` order; the first is the
+    orbit's representative.  Targets in one orbit have equal bounds at
+    every level in LEVELS (see `symmetry_group`)."""
+    return _orbits(game, symmetry_group(game, dist))
+
+
+def orbit_stabilizers(
+    game: GameSpec, group: tuple[Symmetry, ...]
+) -> list[tuple[tuple[int, int, int], tuple[Symmetry, ...]]]:
+    """Each orbit's representative with its stabilizer: the symmetries
+    of `group` that map the representative to itself."""
+    return [
+        (orbit[0], tuple(g for g in group if g.target(orbit[0]) == orbit[0]))
+        for orbit in _orbits(game, group)
+    ]
+
+
+def _basis_action(structure: MomentMatrixStructure, g: Symmetry) -> np.ndarray:
+    """T with w_i(P') = sum_a T[i, a] w_a(P) for the projectors P' that
+    `g` makes of P (P'[p, x] is P[perm[p], x], or 1 - P[perm[p], x] when
+    flipped), so the moment matrix of P' is T M T^T."""
+    words = structure.basis.words
+    index = {w: i for i, w in enumerate(words)}
+    T = np.zeros((len(words), len(words)))
+    for i, word in enumerate(words):
+        per_party: list = [None] * len(word)
+        for p, sub in enumerate(word):
+            terms = [((), 1.0)]
+            for x in sub:
+                grown = [(s + (x,), -c if g.flips[p][x] else c) for s, c in terms]
+                terms = terms + grown if g.flips[p][x] else grown
+            per_party[g.perm[p]] = [(_collapse(s), c) for s, c in terms]
+        for combo in itertools.product(*per_party):
+            T[i, index[tuple(s for s, _ in combo)]] += np.prod([c for _, c in combo])
+    return T
+
+
+def _moment_action(structure: MomentMatrixStructure, g: Symmetry) -> np.ndarray:
+    """G with M(G m) = T M(m) T^T (see `_basis_action`): moment j of the
+    image is the entry of T M T^T on a cell of moment j."""
+    T = _basis_action(structure, g)
+    rows, cols = np.array([cells[0] for cells in structure.id_cells]).T
+    n = len(rows)
+    image = T[rows][:, :, None] * T[cols][:, None, :]
+    return image.reshape(n, -1) @ _cell_indicators(structure).reshape(n, -1).T
+
+
+def _orthonormal_span(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of `columns`, by Gram-Schmidt in
+    column order with each projection applied twice.  A unit column
+    orthogonal to the earlier ones is kept as it is, so identity columns
+    come back unchanged."""
+    basis = np.zeros((len(columns), 0))
+    for v in columns.T:
+        for _ in range(2):
+            v = v - basis @ (basis.T @ v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-9:
+            basis = np.column_stack([basis, v / norm])
+    return basis
+
+
+_INVARIANT_MOMENTS: dict = {}
+
+
+def invariant_moments(
+    structure: MomentMatrixStructure, stabilizer: tuple[Symmetry, ...] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """The moments fixed by every symmetry of the group `stabilizer`, with
+    unit 1, as an affine set m = m0 + N z; the empty tuple stands for the
+    trivial group, whose set is every moment vector (m0 the unit vector,
+    N the identity columns of the other moments).
+
+    Each symmetry acts on the moments by a matrix G (`_moment_action`),
+    linear in the whole vector but affine in the free moments, since a
+    flip sends P to 1 - P.  The average of the G over the group projects
+    onto the fixed vectors, so m0 is the average image of the unit
+    vector and N an orthonormal basis of the average's other columns,
+    whose unit coordinate is 0.  A problem whose objective, success
+    functional and floor are all fixed by the group has the same optimum
+    over this set as over every moment vector: averaging an optimum over
+    the group gives a fixed optimum of the same value.  Cached per
+    (basis, stabilizer); neither depends on the input distribution."""
+    key = (structure.basis, stabilizer)
+    if key not in _INVARIANT_MOMENTS:
+        n = len(structure.id_cells)
+        actions = [_moment_action(structure, g) for g in stabilizer] or [np.eye(n)]
+        average = sum(actions) / len(actions)
+        N = _orthonormal_span(np.delete(average, structure.unit_id, axis=1))
+        _INVARIANT_MOMENTS[key] = (average[:, structure.unit_id], N)
+    return _INVARIANT_MOMENTS[key]
 
 
 def _upper_value(
@@ -683,21 +808,25 @@ def p_max(
     success_floor: float,
     level: str = LEVEL_Q1_ABC,
     settings: SolverSettings = SolverSettings(),
+    structure: Optional[MomentMatrixStructure] = None,
 ) -> float:
     """Worst-case single-outcome predictability at the given success floor.
 
     Maximizes over every (party, input, outcome) target by solving one
-    representative per orbit of `target_orbits`; each contributes its
-    safe-side value (`_upper_value`).
+    representative per orbit of the symmetry group, over the moments
+    its stabilizer fixes below floor 1; each contributes its safe-side
+    value (`_upper_value`).  `structure`, when given, is
+    `structure_for(game, level)`.
     """
-    structure = structure_for(game, level)
+    if structure is None:
+        structure = structure_for(game, level)
     face = None
     if success_floor >= FULL_SUCCESS_FLOOR:
         face = SuccessFaceContext(structure, game, dist)
     best = -np.inf
-    for orbit in target_orbits(game, dist):
-        query = RandomnessBoundQuery(game, dist, success_floor, orbit[0])
-        result = max_outcome_probability(query, level, settings, structure, face)
+    for target, stabilizer in orbit_stabilizers(game, symmetry_group(game, dist)):
+        query = RandomnessBoundQuery(game, dist, success_floor, target)
+        result = max_outcome_probability(query, level, settings, structure, face, stabilizer)
         if result.status == STATUS_INFEASIBLE:
             raise InfeasibleSuccessError(
                 f"success floor {success_floor} exceeds the quantum maximum"
@@ -711,12 +840,14 @@ def eps_prime(
     success_floor: float,
     level: str = LEVEL_Q1_ABC,
     settings: SolverSettings = SolverSettings(),
+    structure: Optional[MomentMatrixStructure] = None,
 ) -> float:
     """Output bias bound for the tripartite protocol at the given
-    observed success probability: p_max - 1/2, clamped to [0, 1/2]."""
+    observed success probability: p_max - 1/2, clamped to [0, 1/2].
+    `structure`, when given, is `structure_for(mermin_game(), level)`."""
     game = mermin_game()
     dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
-    bound = p_max(game, dist, success_floor, level, settings)
+    bound = p_max(game, dist, success_floor, level, settings, structure)
     return float(min(0.5, max(0.0, bound - 0.5)))
 
 
@@ -734,10 +865,11 @@ def critical_success(
 
         p_crit = max over targets t of max{ win(M) : P_t(M) >= 1/2 + eps' },
 
-    one SDP per orbit representative of `target_orbits` at solver
-    tolerance tol.  Each solve contributes the larger of the values read
-    from its primal and dual objective, so inexact-solve error lands on
-    the larger, safe side.
+    one SDP per orbit representative of the symmetry group at solver
+    tolerance tol, over the moments its stabilizer fixes: the success
+    functional and the floor on P_t are fixed by it.  Each solve
+    contributes the larger of the values read from its primal and dual
+    objective, so inexact-solve error lands on the larger, safe side.
 
     Floor 1 is checked first on the face-reduced problem, which decides
     win = 1 where an interior-point solve cannot: if the bias bound there
@@ -749,20 +881,21 @@ def critical_success(
     if not 0.0 <= epsilon < 0.5:
         raise ValueError(f"epsilon must lie in [0, 1/2), got {epsilon}")
     settings = SolverSettings(tolerance=tol)
-    if eps_prime(epsilon, 1.0, level, settings) >= target_eps_prime:
+    game = mermin_game()
+    structure = structure_for(game, level)
+    if eps_prime(epsilon, 1.0, level, settings, structure) >= target_eps_prime:
         raise BracketingError(
             f"output bias bound at success floor 1 is not below {target_eps_prime}"
         )
-    game = mermin_game()
     dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
-    structure = structure_for(game, level)
     success = success_functional(structure, game, dist)
-    m0 = _unit_moments(structure)
     best = -np.inf
-    for orbit in target_orbits(game, dist):
-        floor = marginal_functional(structure, *orbit[0])
-        problem = compile_problem(structure, success, floor, 0.5 + target_eps_prime)
-        best = max(best, _upper_value(solve(problem, settings), success, m0, f"target {orbit[0]}"))
+    for target, stabilizer in orbit_stabilizers(game, symmetry_group(game, dist)):
+        moments = invariant_moments(structure, stabilizer)
+        floor = marginal_functional(structure, *target)
+        problem = compile_problem(structure, success, moments, floor, 0.5 + target_eps_prime)
+        value = _upper_value(solve(problem, settings), success, moments[0], f"target {target}")
+        best = max(best, value)
     if 1.0 - best <= tol:
         raise BracketingError(
             f"tolerance {tol} cannot certify a critical success below 1 "

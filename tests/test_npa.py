@@ -33,15 +33,18 @@ from randamp.npa import (
     compile_problem,
     critical_success,
     eps_prime,
+    invariant_moments,
     marginal_functional,
     max_outcome_probability,
     max_success_probability,
     outcome_probability_functional,
+    orbit_stabilizers,
     outcome_operator_vector,
     p_max,
     structure_for,
     success_face_basis,
     success_functional,
+    symmetry_group,
     target_orbits,
 )
 from randamp.sdp import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, SolverSettings, solve
@@ -366,6 +369,183 @@ def test_target_orbits_match_the_loop_search():
         assert target_orbits(game, dist) == loop_target_orbits(game, dist)
 
 
+def canonical_distribution(epsilon):
+    game = mermin_game()
+    return game, input_distribution_from_source(game, canonical_mermin_source(epsilon))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.2, 0.25, 0.3, 0.45, 0.499])
+def test_canonical_symmetries_hold_exactly(epsilon):
+    """Every symmetry the enumeration accepts under the canonical source
+    keeps dist.prob bit for bit, not only within DIST_TOL, and keeps the
+    win predicate on the promise; each stabilizer's average fixes the success
+    functional and its target's marginal to within 1e-15."""
+    game, dist = canonical_distribution(epsilon)
+    group = symmetry_group(game, dist)
+    assert group[0] == npa.Symmetry((0, 1, 2), ((0, 0), (0, 0), (0, 0)))
+    for g in group:
+        source = [g.perm.index(q) for q in range(3)]
+        for x in game.all_inputs():
+            moved = tuple(x[p] for p in source)
+            assert dist.prob(moved) == dist.prob(x)
+            if not game.promise(x):
+                continue
+            for o in game.all_outputs():
+                image = tuple(o[p] ^ g.flips[p][x[p]] for p in source)
+                assert game.win(moved, image) == game.win(x, o)
+    structure = structure_for(game, LEVEL_Q1_ABC)
+    success = success_functional(structure, game, dist)
+    for target, stabilizer in orbit_stabilizers(game, group):
+        average = sum(npa._moment_action(structure, g) for g in stabilizer) / len(stabilizer)
+        marginal = marginal_functional(structure, *target)
+        assert np.max(np.abs(success @ average - success)) <= 1e-15
+        assert np.max(np.abs(marginal @ average - marginal)) <= 1e-15
+
+
+def compose(g, h):
+    """The symmetry applying h first, then g."""
+    perm = tuple(g.perm[h.perm[p]] for p in range(len(h.perm)))
+    flips = tuple(
+        tuple(f ^ g.flips[h.perm[p]][x] for x, f in enumerate(h.flips[p]))
+        for p in range(len(h.perm))
+    )
+    return npa.Symmetry(perm, flips)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_symmetry_group_is_closed_under_composition(epsilon):
+    """Averaging over a stabilizer projects onto its fixed moments only
+    if the stabilizer is a group, so the enumeration must return one."""
+    game, dist = canonical_distribution(epsilon)
+    group = set(symmetry_group(game, dist))
+    assert len(group) == (48 if epsilon == 0.0 else 16)
+    for g in group:
+        for h in group:
+            composed = compose(g, h)
+            assert composed in group
+            for t in npa._targets(game):
+                assert composed.target(t) == g.target(h.target(t))
+
+
+@pytest.mark.parametrize("level", [LEVEL_Q1, LEVEL_Q1_AB, LEVEL_Q1_ABC, LEVEL_Q2, LEVEL_Q2_ABC])
+def test_symmetries_act_on_moment_matrices_by_congruence(level):
+    """The moment map G of a symmetry is the congruence M -> T M T^T of
+    its basis map T: M(G m) = T M(m) T^T for any moments m, so it keeps
+    the cell ties, PSD matrices and the unit moment."""
+    game, dist = canonical_distribution(0.0)
+    structure = structure_for(game, level)
+    B = npa._cell_indicators(structure)
+    m = np.random.default_rng(7).normal(size=len(structure.id_cells))
+    for g in symmetry_group(game, dist):
+        T = npa._basis_action(structure, g)
+        G = npa._moment_action(structure, g)
+        lhs = np.tensordot(G @ m, B, axes=1)
+        assert np.max(np.abs(lhs - T @ np.tensordot(m, B, axes=1) @ T.T)) <= 1e-13
+        assert np.array_equal(G[structure.unit_id], np.eye(len(m))[structure.unit_id])
+
+
+def test_invariant_moments_of_the_canonical_source():
+    """At epsilon 0.3 the group has order 16 and the representatives'
+    stabilizers 4, 4, 8 and 8, leaving 19, 19, 14 and 14 free moments of
+    75.  Each set is fixed by its stabilizer, with unit 1 and orthonormal
+    directions of unit coordinate 0; the trivial group gives the unit
+    vector and the identity columns."""
+    game, dist = canonical_distribution(0.3)
+    structure = structure_for(game, LEVEL_Q1_ABC)
+    group = symmetry_group(game, dist)
+    assert len(group) == 16
+    stabilizers = orbit_stabilizers(game, group)
+    assert [t for t, _ in stabilizers] == [orbit[0] for orbit in target_orbits(game, dist)]
+    unit = structure.unit_id
+    free = []
+    for target, stabilizer in stabilizers:
+        m0, N = invariant_moments(structure, stabilizer)
+        free.append(N.shape[1])
+        assert m0[unit] == 1.0 and not N[unit].any()
+        assert np.max(np.abs(N.T @ N - np.eye(N.shape[1]))) <= 1e-14
+        for g in stabilizer:
+            G = npa._moment_action(structure, g)
+            assert np.max(np.abs(G @ m0 - m0)) <= 1e-15
+            assert np.max(np.abs(G @ N - N)) <= 1e-14
+    assert [len(s) for _, s in stabilizers] == [4, 4, 8, 8]
+    assert free == [19, 19, 14, 14]
+    m0, N = invariant_moments(structure)
+    n = len(structure.id_cells)
+    assert np.array_equal(m0, np.eye(n)[unit])
+    assert np.array_equal(N, np.delete(np.eye(n), unit, axis=1))
+
+
+def test_a_stabilizer_must_fix_its_target():
+    game, dist = canonical_distribution(0.3)
+    (_, stabilizer), (other, _) = orbit_stabilizers(game, symmetry_group(game, dist))[:2]
+    query = RandomnessBoundQuery(game, dist, 0.97, other)
+    with pytest.raises(ValueError, match="moves target"):
+        max_outcome_probability(query, stabilizer=stabilizer)
+
+
+# Cells of the certify lattice (below) checked against unreduced solves.
+LATTICE_SAMPLE = [
+    (0.2, 0.97), (0.23, 0.98), (0.26, 0.975), (0.28, 0.985), (0.3, 0.97), (0.3, 0.975),
+]
+
+
+def test_reduced_solves_match_unreduced_on_the_certify_lattice():
+    """Each representative's bound over its stabilizer's invariant
+    moments equals the bound over every moment vector within 1e-7."""
+    for epsilon, floor in LATTICE_SAMPLE:
+        game, dist = canonical_distribution(epsilon)
+        structure = structure_for(game, LEVEL_Q1_ABC)
+        for target, stabilizer in orbit_stabilizers(game, symmetry_group(game, dist)):
+            query = RandomnessBoundQuery(game, dist, floor, target)
+            reduced = max_outcome_probability(query, structure=structure, stabilizer=stabilizer)
+            unreduced = max_outcome_probability(query, structure=structure)
+            assert abs(reduced.value - unreduced.value) <= 1e-7, (epsilon, floor, target)
+
+
+def unreduced_critical_success(epsilon, target_eps_prime, tol):
+    """critical_success's per-target solves over every moment vector."""
+    game, dist = canonical_distribution(epsilon)
+    structure = structure_for(game, LEVEL_Q1_ABC)
+    success = success_functional(structure, game, dist)
+    full = invariant_moments(structure)
+    best = -np.inf
+    for target, _ in orbit_stabilizers(game, symmetry_group(game, dist)):
+        floor = marginal_functional(structure, *target)
+        problem = compile_problem(structure, success, full, floor, 0.5 + target_eps_prime)
+        solution = solve(problem, SolverSettings(tolerance=tol))
+        best = max(best, npa._upper_value(solution, success, full[0], str(target)))
+    return best
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.275, 0.45])
+def test_reduced_critical_success_matches_unreduced_on_the_figure2_grid(epsilon):
+    tol = 1e-4
+    reduced = critical_success(epsilon, epsilon, tol)
+    assert abs(reduced - unreduced_critical_success(epsilon, epsilon, tol)) <= tol
+
+
+def test_cells_that_failed_unreduced_solve_reduced():
+    """(0.45, 0.998), (0.45, 0.999) and (0.45, 0.9995) stalled on the
+    unreduced problem; reduced, they give finite bounds, non-increasing
+    in the floor and no lower than the floor-1 bound."""
+    values = [eps_prime(0.45, p_s) for p_s in (0.998, 0.999, 0.9995)]
+    assert all(np.isfinite(v) for v in values)
+    assert values[0] >= values[1] >= values[2] >= eps_prime(0.45, 1.0)
+
+
+def test_critical_success_builds_one_structure(monkeypatch):
+    """Its floor-1 check and its orbit solves share one structure."""
+    calls = []
+
+    def counting_structure_for(game, level):
+        calls.append(level)
+        return structure_for(game, level)
+
+    monkeypatch.setattr(npa, "structure_for", counting_structure_for)
+    critical_success(0.3, 0.29)
+    assert calls == [LEVEL_Q1_ABC]
+
+
 def test_point_face_is_solved_once_per_context(monkeypatch):
     """Under the canonical source the face holds one moment matrix, so
     p_max at floor 1 solves the face problem once for all four orbit
@@ -423,11 +603,12 @@ def test_critical_success_form_matches_its_orbit_representative():
     dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
     structure = structure_for(game, LEVEL_Q1_ABC)
     success = success_functional(structure, game, dist)
+    full = invariant_moments(structure)
     for orbit in target_orbits(game, dist):
         values = []
         for t in orbit:
             floor = marginal_functional(structure, *t)
-            problem = compile_problem(structure, success, floor, 0.5 + target)
+            problem = compile_problem(structure, success, full, floor, 0.5 + target)
             solution = solve(problem, SolverSettings(tolerance=tol))
             assert solution.status == STATUS_OPTIMAL
             values.append(achieved_value(structure, success, solution))
@@ -517,9 +698,11 @@ def test_critical_success_is_the_threshold_floor(epsilon, target):
     dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
     structure = structure_for(game, LEVEL_Q1_ABC)
     success = success_functional(structure, game, dist)
+    full = invariant_moments(structure)
     for party, x, outcome in itertools.product(range(3), range(2), range(2)):
         floor = marginal_functional(structure, party, x, outcome)
-        solution = solve(compile_problem(structure, success, floor, 0.5 + target), SWEEP_SETTINGS)
+        problem = compile_problem(structure, success, full, floor, 0.5 + target)
+        solution = solve(problem, SWEEP_SETTINGS)
         assert solution.status == STATUS_OPTIMAL
         assert p >= achieved_value(structure, success, solution)
 
