@@ -133,18 +133,24 @@ def cmd_game_value(name: str, epsilon: float, tolerance: float) -> list[dict]:
 
 
 def cmd_figure1(eps_grid: list[float], ps_grid: list[float], tolerance: float) -> tuple[list[dict], list[str]]:
-    """Output-bias bound over an (epsilon, success floor) grid."""
+    """Output-bias bound over an (epsilon, success floor) grid, from one
+    relaxation per epsilon row."""
     settings = npa.SolverSettings(tolerance=tolerance)
     rows = []
     for eps in eps_grid:
+        relaxation = None
         for ps in ps_grid:
             row = {"epsilon": eps, "p_s": ps, "eps_prime": None, "status": "ok"}
             try:
-                row["eps_prime"] = npa.eps_prime(eps, ps, settings=settings)
+                if relaxation is None:
+                    relaxation = npa.Relaxation.canonical(eps)
+                row["eps_prime"] = npa.eps_prime(eps, ps, settings=settings, relaxation=relaxation)
             except npa.InfeasibleSuccessError:
                 row["status"] = "infeasible"
             except npa.SolverFailureError:
                 row["status"] = "solver_failure"
+            except ValueError as exc:
+                row["status"] = f"failed: {exc}"
             rows.append(row)
     violations = 0
     for eps in eps_grid:

@@ -17,7 +17,7 @@ success-probability floor gives an upper bound on how predictable any
 single party's outcome can be, which is the quantity that drives all
 the amplification curves.  Each problem is solved over the moments
 themselves (the standard form of the NPA hierarchy): they are the dual
-variables of an `sdp.solve` problem, see `_moment_problem`.
+variables of an `sdp.solve` problem, see `compile_problem`.
 
 Levels: Q1 (identity + single projectors), Q1+AB (plus cross-party
 pairs), Q1+ABC (cross-party pairs plus one-projector-per-party
@@ -31,18 +31,22 @@ where every losing outcome has probability zero.  Queries at floor 1
 are solved on that face directly (facial reduction): the unreduced
 problem has no interior there and interior-point accuracy collapses.
 The moments whose matrix lies on the face form an affine set m0 + N z,
-solved for once per context; under the canonical source it is a single
-point, and the face solve only checks that its matrix is PSD.
+solved for once per `SuccessFaceContext`; under the canonical source it
+is a single point, and the face solve only checks that its matrix is PSD.
 
-Bounds that maximize over (party, input, outcome) targets use the
-symmetry group of (game, dist), enumerated once (`symmetry_group`):
-they solve one representative per target orbit, and below floor 1 they
-solve it over the moments its stabilizer fixes (`invariant_moments`),
-again an affine set m0 + N z.  The objective, the success functional
-and the floor are fixed by the stabilizer, so averaging an optimum over
-it keeps the value (Gatermann & Parrilo, J. Pure Appl. Algebra 192,
-2004).  For the Mermin game under the canonical source at Q1+ABC that
-leaves 14 to 19 free moments of 75.
+A `Relaxation` holds what one (game, dist, level) needs, built once per
+call: the structure, the success functional and the target orbits of
+the symmetry group of (game, dist), enumerated once (`symmetry_group`),
+each with its representative's stabilizer; its face is built on the
+first floor-1 query.  Its one orbit loop solves one representative per
+orbit, below floor 1 over the moments its stabilizer fixes
+(`invariant_moments`), again an affine set m0 + N z, and takes the
+largest bound.  `p_max` runs it with the target's marginal as objective
+and the floor on the win probability, `critical_success` with the two
+swapped.  Objective and floor functional are fixed by the stabilizer,
+so averaging an optimum over it keeps the value (Gatermann & Parrilo,
+J. Pure Appl. Algebra 192, 2004).  For the Mermin game under the
+canonical source at Q1+ABC that leaves 14 to 19 free moments of 75.
 
 Q2 and Q2+ABC exceed the smallest useful level and exist for
 cross-checking that bounds tighten down the hierarchy.
@@ -62,7 +66,6 @@ from .sdp import (
     SdpProblem,
     SdpSolution,
     SolverSettings,
-    STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     solve,
@@ -136,32 +139,6 @@ class MomentMatrixStructure:
     @property
     def dimension(self) -> int:
         return len(self.basis.words)
-
-
-@dataclass(frozen=True)
-class RandomnessBoundQuery:
-    game: GameSpec
-    dist: InputDistribution
-    success_floor: float
-    target: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.success_floor <= 1.0:
-            raise ValueError(f"success floor must lie in [0, 1], got {self.success_floor}")
-        party, x, outcome = self.target
-        if not 0 <= party < self.game.n_parties:
-            raise ValueError(f"target party {party} out of range")
-        if not 0 <= x < self.game.input_cardinalities[party]:
-            raise ValueError(f"target input {x} out of range for party {party}")
-        if not 0 <= outcome < self.game.output_cardinalities[party]:
-            raise ValueError(f"target outcome {outcome} out of range for party {party}")
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    value: Optional[float]
-    status: str
-    solution: SdpSolution
 
 
 def _identity_word(n_parties: int) -> Word:
@@ -351,25 +328,25 @@ def _cell_indicators(structure: MomentMatrixStructure) -> np.ndarray:
     return (structure.cell_ids == ids[:, None, None]).astype(float)
 
 
-def _moment_problem(
+def compile_problem(
     structure: MomentMatrixStructure,
     objective: np.ndarray,
-    V: Optional[np.ndarray],
-    m0: np.ndarray,
-    N: np.ndarray,
-    success: Optional[np.ndarray] = None,
-    success_floor: float = 0.0,
+    moments: tuple[np.ndarray, np.ndarray],
+    floor_functional: Optional[np.ndarray] = None,
+    floor: float = 0.0,
+    V: Optional[np.ndarray] = None,
 ) -> SdpProblem:
-    """The relaxation over moment variables, as an `sdp.solve` problem
-    (V None stands for the identity, which is not multiplied through):
+    """The relaxation over the moments m = m0 + N z of `moments` (from
+    `invariant_moments`, or a face's), as an `sdp.solve` problem:
 
-        maximize c.m  over  m = m0 + N z
-        subject to  V^T M(m) V >= 0  and, with a success functional, s.m >= floor,
+        maximize c.m  subject to  V^T M(m) V >= 0  and, with a floor
+        functional f, f.m >= floor,
 
-    where M(m) = sum_k m_k B_k and B_k has a 1 on each cell of moment k.
+    where M(m) = sum_k m_k B_k, B_k has a 1 on each cell of moment k and
+    V None stands for the identity, which is not multiplied through.
     It is stated as the dual of the returned problem, whose y are the
-    free coordinates z: with A_j = blockdiag(V^T M(N_j) V, s.N_j),
-    b_j = -c.N_j and C = -blockdiag(V^T M(m0) V, s.m0 - floor), the dual
+    free coordinates z: with A_j = blockdiag(V^T M(N_j) V, f.N_j),
+    b_j = -c.N_j and C = -blockdiag(V^T M(m0) V, f.m0 - floor), the dual
     slack sum_j z_j A_j - C is the constrained block and the floor's
     slack.  The relaxation's maximum is c.m0 minus the dual optimum, so
     c.m0 - objective_value bounds it from above (weak duality) and
@@ -377,37 +354,22 @@ def _moment_problem(
     moments m0 + N y the solve reached.  An unbounded sdp form means no
     moments are feasible.
     """
+    m0, N = moments
     coords = np.column_stack([m0, N])
     blocks = np.tensordot(coords.T, _cell_indicators(structure), axes=1)
     if V is not None:
         blocks = V.T @ blocks @ V
     rhs = -(objective @ N)
-    if success is not None:
+    if floor_functional is not None:
         d = blocks.shape[1]
-        slack = success @ coords
-        slack[0] -= success_floor
+        slack = floor_functional @ coords
+        slack[0] -= floor
         lmi = np.zeros((len(blocks), d + 1, d + 1))
         lmi[:, :d, :d] = blocks
         lmi[:, d, d] = slack
         blocks = lmi
     constraints = tuple(Constraint(A, b, "eq") for A, b in zip(blocks[1:], rhs))
     return SdpProblem(-blocks[0], constraints)
-
-
-def compile_problem(
-    structure: MomentMatrixStructure,
-    objective: np.ndarray,
-    moments: tuple[np.ndarray, np.ndarray],
-    success: Optional[np.ndarray] = None,
-    success_floor: float = 0.0,
-) -> SdpProblem:
-    """Assemble the moment SDP: maximize `objective` over the moments
-    m = m0 + N z of `moments` (from `invariant_moments`) whose matrix is
-    PSD, optionally with a success-probability floor.  The relaxation's
-    maximum is objective @ m0 minus the dual optimum; see
-    `_moment_problem`."""
-    m0, N = moments
-    return _moment_problem(structure, objective, None, m0, N, success, success_floor)
 
 
 def structure_for(game: GameSpec, level: str) -> MomentMatrixStructure:
@@ -491,23 +453,6 @@ def _face_moments(
     return m0, vt[rank:].T.copy()
 
 
-def _empty_face_solution() -> SdpSolution:
-    """Sdp-form solution of a face that holds no moment matrix: like any
-    moment problem without feasible moments, it reads as unbounded."""
-    return SdpSolution(
-        X=np.zeros((0, 0)),
-        objective_value=float("nan"),
-        status=STATUS_UNBOUNDED,
-        duality_gap=float("nan"),
-        min_eigenvalue=0.0,
-        max_constraint_residual=0.0,
-        y=np.zeros(0),
-        Z_dual=np.zeros((0, 0)),
-        iterations=0,
-        certificate={"kind": "empty_face"},
-    )
-
-
 class SuccessFaceContext:
     """Reusable facial reduction data for success-floor-1 queries: the
     face basis V and the moments m = m0 + N z whose matrix lies on it,
@@ -524,60 +469,22 @@ class SuccessFaceContext:
         self.m0, self.N = _face_moments(structure, self.V) or (None, None)
         self._point_solutions: dict[SolverSettings, SdpSolution] = {}
 
-    def bound(self, objective: np.ndarray, settings: SolverSettings) -> SdpSolution:
-        """Sdp-form solution of max objective over the face; the
-        relaxation's bound is objective @ m0 minus its objective value."""
+    def bound(self, objective: np.ndarray, settings: SolverSettings) -> Optional[float]:
+        """The bound on max objective @ m over the face (`_upper_value`),
+        or None when no PSD moment matrix lies on it."""
         if self.m0 is None:
-            return _empty_face_solution()
-        problem = _moment_problem(self.structure, objective, self.V, self.m0, self.N)
-        if self.N.shape[1]:
-            return solve(problem, settings)
-        if settings not in self._point_solutions:
-            self._point_solutions[settings] = solve(problem, settings)
-        return self._point_solutions[settings]
+            return None
+        solution = self._point_solutions.get(settings)
+        if solution is None:
+            problem = compile_problem(self.structure, objective, (self.m0, self.N), V=self.V)
+            solution = solve(problem, settings)
+            if not self.N.shape[1]:
+                self._point_solutions[settings] = solution
+        return _upper_value(solution, objective, self.m0, "the success-1 face",
+                            floor_may_be_infeasible=True)
 
 
 FULL_SUCCESS_FLOOR = 1.0 - 1e-12
-
-
-def max_outcome_probability(
-    query: RandomnessBoundQuery,
-    level: str = LEVEL_Q1_ABC,
-    settings: SolverSettings = SolverSettings(),
-    structure: Optional[MomentMatrixStructure] = None,
-    face: Optional[SuccessFaceContext] = None,
-    stabilizer: tuple[Symmetry, ...] = (),
-) -> BoundResult:
-    """Upper bound on P(target outcome | target input) over all quantum
-    behaviors winning with probability at least the success floor.
-
-    Floors at 1 are solved on the face where every losing probability
-    vanishes; the unreduced problem has no interior there and loses the
-    interior-point method several digits of accuracy.  Lower floors are
-    solved over the moments fixed by `stabilizer`, a group of symmetries
-    of (game, dist) that fix the target (see `orbit_stabilizers`); the
-    default, the trivial group, solves over every moment vector.
-    """
-    if any(g.target(query.target) != query.target for g in stabilizer):
-        raise ValueError(f"the stabilizer moves target {query.target}")
-    if structure is None:
-        structure = structure_for(query.game, level)
-    party, x, outcome = query.target
-    objective = marginal_functional(structure, party, x, outcome)
-    if query.success_floor >= FULL_SUCCESS_FLOOR:
-        if face is None:
-            face = SuccessFaceContext(structure, query.game, query.dist)
-        solution = face.bound(objective, settings)
-        m0 = face.m0
-    else:
-        success = success_functional(structure, query.game, query.dist)
-        moments = invariant_moments(structure, stabilizer)
-        problem = compile_problem(structure, objective, moments, success, query.success_floor)
-        solution = solve(problem, settings)
-        m0 = moments[0]
-    what = f"target {query.target} at success floor {query.success_floor}"
-    value = _upper_value(solution, objective, m0, what, floor_may_be_infeasible=True)
-    return BoundResult(value, STATUS_INFEASIBLE if value is None else solution.status, solution)
 
 
 def max_success_probability(
@@ -785,7 +692,7 @@ def _upper_value(
     what: str,
     floor_may_be_infeasible: bool = False,
 ) -> Optional[float]:
-    """The bound a solve of `_moment_problem` gives on max objective @ m:
+    """The bound a solve of `compile_problem` gives on max objective @ m:
     the larger of the relaxation values read from the sdp form's primal
     and dual objective, objective @ m0 minus each, so that an inexact
     solve errs on the safe side of an upper bound.
@@ -802,37 +709,78 @@ def _upper_value(
     raise SolverFailureError(f"solver returned {solution.status} for {what}")
 
 
-def p_max(
-    game: GameSpec,
-    dist: InputDistribution,
-    success_floor: float,
-    level: str = LEVEL_Q1_ABC,
-    settings: SolverSettings = SolverSettings(),
-    structure: Optional[MomentMatrixStructure] = None,
-) -> float:
-    """Worst-case single-outcome predictability at the given success floor.
+class Relaxation:
+    """The relaxation of (game, dist) at one level, built once per call:
+    the moment structure, the success functional and each target orbit's
+    representative with its stabilizer (`orbit_stabilizers`).  The
+    success-1 face is built on the first floor-1 query and kept.
 
-    Maximizes over every (party, input, outcome) target by solving one
-    representative per orbit of the symmetry group, over the moments
-    its stabilizer fixes below floor 1; each contributes its safe-side
-    value (`_upper_value`).  `structure`, when given, is
-    `structure_for(game, level)`.
-    """
-    if structure is None:
-        structure = structure_for(game, level)
-    face = None
-    if success_floor >= FULL_SUCCESS_FLOOR:
-        face = SuccessFaceContext(structure, game, dist)
-    best = -np.inf
-    for target, stabilizer in orbit_stabilizers(game, symmetry_group(game, dist)):
-        query = RandomnessBoundQuery(game, dist, success_floor, target)
-        result = max_outcome_probability(query, level, settings, structure, face, stabilizer)
-        if result.status == STATUS_INFEASIBLE:
-            raise InfeasibleSuccessError(
-                f"success floor {success_floor} exceeds the quantum maximum"
-            )
-        best = max(best, result.value)
-    return float(best)
+    `p_max` and `critical_success` run the one orbit loop, `_orbit_max`:
+    the first with each target's marginal as objective and the floor on
+    the success functional, the second with the two swapped."""
+
+    def __init__(self, game: GameSpec, dist: InputDistribution, level: str = LEVEL_Q1_ABC):
+        self.game = game
+        self.dist = dist
+        self.structure = structure_for(game, level)
+        self.success = success_functional(self.structure, game, dist)
+        self.orbits = orbit_stabilizers(game, symmetry_group(game, dist))
+        self._face: Optional[SuccessFaceContext] = None
+
+    @classmethod
+    def canonical(cls, epsilon: float, level: str = LEVEL_Q1_ABC) -> "Relaxation":
+        """The tripartite protocol's relaxation: the Mermin game under the
+        canonical source of bias `epsilon`."""
+        game = mermin_game()
+        return cls(game, input_distribution_from_source(game, canonical_mermin_source(epsilon)), level)
+
+    @property
+    def face(self) -> SuccessFaceContext:
+        if self._face is None:
+            self._face = SuccessFaceContext(self.structure, self.game, self.dist)
+        return self._face
+
+    def p_max(self, success_floor: float, settings: SolverSettings = SolverSettings()) -> float:
+        """Worst-case single-outcome predictability at the given success
+        floor: the max over targets t of max{ P_t(M) : win(M) >= floor }.
+        Raises InfeasibleSuccessError when the floor exceeds the quantum
+        maximum."""
+        if not 0.0 <= success_floor <= 1.0:
+            raise ValueError(f"success floor must lie in [0, 1], got {success_floor}")
+        return self._orbit_max(success_floor, settings, floor_on_success=True)
+
+    def critical_success(self, target_eps_prime: float, settings: SolverSettings) -> float:
+        """The max over targets t of max{ win(M) : P_t(M) >= 1/2 + target_eps_prime }."""
+        return self._orbit_max(0.5 + target_eps_prime, settings, floor_on_success=False)
+
+    def _orbit_max(self, floor: float, settings: SolverSettings, floor_on_success: bool) -> float:
+        """The one orbit loop: for each orbit representative t, the bound
+        (`_upper_value`) on max c.m subject to f.m >= floor over the
+        moments t's stabilizer fixes, and the largest of these.  With
+        `floor_on_success`, c is t's marginal and f the success
+        functional, and a floor at 1 is solved on the face instead
+        (floors at 1 leave the full problem no interior, and the
+        interior-point method loses several digits there); otherwise the
+        two are swapped.  Both are fixed by the stabilizer, so the
+        reduction keeps each value (see `invariant_moments`)."""
+        on_face = floor_on_success and floor >= FULL_SUCCESS_FLOOR
+        best = -np.inf
+        for target, stabilizer in self.orbits:
+            marginal = marginal_functional(self.structure, *target)
+            if on_face:
+                value = self.face.bound(marginal, settings)
+            else:
+                objective, floored = marginal, self.success
+                if not floor_on_success:
+                    objective, floored = floored, objective
+                moments = invariant_moments(self.structure, stabilizer)
+                problem = compile_problem(self.structure, objective, moments, floored, floor)
+                value = _upper_value(solve(problem, settings), objective, moments[0], f"target {target}",
+                                     floor_may_be_infeasible=floor_on_success)
+            if value is None:
+                raise InfeasibleSuccessError(f"success floor {floor} exceeds the quantum maximum")
+            best = max(best, value)
+        return float(best)
 
 
 def eps_prime(
@@ -840,14 +788,14 @@ def eps_prime(
     success_floor: float,
     level: str = LEVEL_Q1_ABC,
     settings: SolverSettings = SolverSettings(),
-    structure: Optional[MomentMatrixStructure] = None,
+    relaxation: Optional[Relaxation] = None,
 ) -> float:
     """Output bias bound for the tripartite protocol at the given
     observed success probability: p_max - 1/2, clamped to [0, 1/2].
-    `structure`, when given, is `structure_for(mermin_game(), level)`."""
-    game = mermin_game()
-    dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
-    bound = p_max(game, dist, success_floor, level, settings, structure)
+    `relaxation`, when given, is `Relaxation.canonical(epsilon, level)`."""
+    if relaxation is None:
+        relaxation = Relaxation.canonical(epsilon, level)
+    bound = relaxation.p_max(success_floor, settings)
     return float(min(0.5, max(0.0, bound - 0.5)))
 
 
@@ -876,29 +824,20 @@ def critical_success(
     is not below the target, BracketingError is raised.  A p_crit within
     tol of 1 cannot be separated from 1 and raises BracketingError too.
     """
-    if not 0.0 < target_eps_prime <= 0.5:
-        raise ValueError(f"target bias must lie in (0, 1/2], got {target_eps_prime}")
     if not 0.0 <= epsilon < 0.5:
         raise ValueError(f"epsilon must lie in [0, 1/2), got {epsilon}")
+    if not 0.0 < target_eps_prime <= 0.5:
+        raise ValueError(f"target bias must lie in (0, 1/2], got {target_eps_prime}")
     settings = SolverSettings(tolerance=tol)
-    game = mermin_game()
-    structure = structure_for(game, level)
-    if eps_prime(epsilon, 1.0, level, settings, structure) >= target_eps_prime:
+    relaxation = Relaxation.canonical(epsilon, level)
+    if eps_prime(epsilon, 1.0, level, settings, relaxation) >= target_eps_prime:
         raise BracketingError(
             f"output bias bound at success floor 1 is not below {target_eps_prime}"
         )
-    dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
-    success = success_functional(structure, game, dist)
-    best = -np.inf
-    for target, stabilizer in orbit_stabilizers(game, symmetry_group(game, dist)):
-        moments = invariant_moments(structure, stabilizer)
-        floor = marginal_functional(structure, *target)
-        problem = compile_problem(structure, success, moments, floor, 0.5 + target_eps_prime)
-        value = _upper_value(solve(problem, settings), success, moments[0], f"target {target}")
-        best = max(best, value)
+    best = relaxation.critical_success(target_eps_prime, settings)
     if 1.0 - best <= tol:
         raise BracketingError(
             f"tolerance {tol} cannot certify a critical success below 1 "
             f"at epsilon {epsilon}: the bound {best:.9g} lies within tol of 1; tighten tol"
         )
-    return float(best)
+    return best

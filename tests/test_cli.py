@@ -130,6 +130,47 @@ def test_figure1_small_grid(tmp_path):
     assert float(rows[0.96]["eps_prime"]) > 0.5 - 1e-3
 
 
+def test_figure1_shares_one_relaxation_per_epsilon_row(monkeypatch):
+    """A row's cells share one structure and one face, and each equals a
+    fresh eps_prime call bit for bit."""
+    structures, faces = [], []
+    structure_for = npa.structure_for
+
+    def counting_structure_for(game, level):
+        structures.append(level)
+        return structure_for(game, level)
+
+    class CountingFace(npa.SuccessFaceContext):
+        def __init__(self, *args):
+            faces.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(npa, "structure_for", counting_structure_for)
+    monkeypatch.setattr(npa, "SuccessFaceContext", CountingFace)
+    rows, _ = cmd_figure1([0.3], [0.97, 0.98, 1.0], 1e-8)
+    assert (len(structures), len(faces)) == (1, 1)
+    monkeypatch.undo()
+    assert [r["eps_prime"] for r in rows] == [npa.eps_prime(0.3, ps) for ps in (0.97, 0.98, 1.0)]
+
+
+def test_figure1_marks_out_of_domain_cells_failed(tmp_path, capsys):
+    """An out-of-domain cell carries a failed: status and the sweep goes
+    on; a grid of only such cells exits 2."""
+    cases = [
+        ("0.3", "0.97:1.5:2", "failed: success floor must lie in [0, 1], got 1.5"),
+        ("0.3:0.6:2", "0.97", "failed: epsilon must lie in [0, 1/2], got 0.6"),
+    ]
+    for grid, ps, failed in cases:
+        code, text = run_cli(["figure1", "--grid", grid, "--ps", ps], tmp_path)
+        assert code == 0
+        first, second = csv_rows(text)
+        assert (first["status"], second["status"]) == ("ok", failed)
+        assert second["eps_prime"] == ""
+    code, text = run_cli(["figure1", "--grid", "0.6", "--ps", "1.5"], tmp_path, "all.txt")
+    assert (code, text) == (2, "")
+    assert "every grid cell failed" in capsys.readouterr().err
+
+
 def test_figure2_single_point(tmp_path):
     code, text = run_cli(
         ["figure2", "--grid", "0.3", "--tolerance", "5e-3"], tmp_path

@@ -23,7 +23,7 @@ from randamp.npa import (
     BracketingError,
     InfeasibleSuccessError,
     MomentNotAvailableError,
-    RandomnessBoundQuery,
+    Relaxation,
     Scenario,
     SolverFailureError,
     SuccessFaceContext,
@@ -35,12 +35,10 @@ from randamp.npa import (
     eps_prime,
     invariant_moments,
     marginal_functional,
-    max_outcome_probability,
     max_success_probability,
     outcome_probability_functional,
     orbit_stabilizers,
     outcome_operator_vector,
-    p_max,
     structure_for,
     success_face_basis,
     success_functional,
@@ -77,6 +75,20 @@ def moment_matrix_of_deterministic(structure, strategy):
 def moments_of_matrix(structure, M):
     """One value per moment id, read from a (consistent) moment matrix."""
     return np.array([M[cells[0]] for cells in structure.id_cells])
+
+
+def target_bound(game, dist, floor, target, stabilizer=(), face=None, settings=SolverSettings()):
+    """One target's bound at a success floor: on the success-1 face at
+    floor 1 (a fresh face unless one is given), else over the moments
+    `stabilizer` fixes, every moment vector by default."""
+    structure = structure_for(game, LEVEL_Q1_ABC)
+    objective = marginal_functional(structure, *target)
+    if floor >= npa.FULL_SUCCESS_FLOOR:
+        return (face or SuccessFaceContext(structure, game, dist)).bound(objective, settings)
+    success = success_functional(structure, game, dist)
+    moments = invariant_moments(structure, stabilizer)
+    problem = compile_problem(structure, objective, moments, success, floor)
+    return npa._upper_value(solve(problem, settings), objective, moments[0], str(target))
 
 
 def test_basis_word_counts():
@@ -122,14 +134,15 @@ def test_moment_structure_is_symmetric_with_unit():
 
 
 def test_query_validation():
+    """A success floor outside [0, 1] is rejected before any solve;
+    `randamp figure1 --ps 1.5` reaches this check."""
     game = mermin_game()
-    dist = uniform_distribution(game)
-    with pytest.raises(ValueError):
-        RandomnessBoundQuery(game, dist, 1.5, (0, 0, 0))
-    with pytest.raises(ValueError):
-        RandomnessBoundQuery(game, dist, 0.5, (3, 0, 0))
-    with pytest.raises(ValueError):
-        RandomnessBoundQuery(game, dist, 0.5, (0, 2, 0))
+    relaxation = Relaxation(game, uniform_distribution(game))
+    for floor in (1.5, -0.1):
+        with pytest.raises(ValueError, match="success floor must lie in"):
+            relaxation.p_max(floor)
+        with pytest.raises(ValueError, match="success floor must lie in"):
+            eps_prime(0.3, floor)
 
 
 def test_mermin_success_needs_triple_moments():
@@ -226,19 +239,16 @@ def test_face_bound_of_marginal_is_half():
     """On the success-1 face no outcome is predictable beyond 1/2."""
     game = mermin_game()
     dist = input_distribution_from_source(game, canonical_mermin_source(0.2))
-    structure = structure_for(game, LEVEL_Q1_ABC)
-    face = SuccessFaceContext(structure, game, dist)
-    query = RandomnessBoundQuery(game, dist, 1.0, (0, 0, 0))
-    result = max_outcome_probability(query, face=face, structure=structure)
-    assert result.value is not None
-    assert abs(result.value - 0.5) <= 1e-6
+    value = target_bound(game, dist, 1.0, (0, 0, 0))
+    assert value is not None
+    assert abs(value - 0.5) <= 1e-6
 
 
 def test_chsh_cannot_win_always():
     game = chsh_game()
     dist = uniform_distribution(game)
     with pytest.raises(InfeasibleSuccessError):
-        p_max(game, dist, 1.0, LEVEL_Q2)
+        Relaxation(game, dist, LEVEL_Q2).p_max(1.0)
 
 
 @pytest.mark.parametrize("level", [LEVEL_Q1_AB, LEVEL_Q2])
@@ -248,7 +258,7 @@ def test_chsh_floor_above_quantum_value_is_infeasible(floor, level):
     moments; the full-form solve must report it, not fail."""
     game = chsh_game()
     with pytest.raises(InfeasibleSuccessError):
-        p_max(game, uniform_distribution(game), floor, level)
+        Relaxation(game, uniform_distribution(game), level).p_max(floor)
 
 
 def test_chsh_level1_value():
@@ -285,13 +295,11 @@ def test_symmetry_of_targets_under_party_permutation():
     permutations, so every permuted target gives the same bound."""
     game = mermin_game()
     dist = uniform_distribution(game)
-    structure = structure_for(game, LEVEL_Q1_ABC)
     for x, outcome in ((0, 0), (1, 1)):
-        bounds = []
-        for party in range(3):
-            query = RandomnessBoundQuery(game, dist, 0.9, (party, x, outcome))
-            result = max_outcome_probability(query, settings=SWEEP_SETTINGS, structure=structure)
-            bounds.append(result.value)
+        bounds = [
+            target_bound(game, dist, 0.9, (party, x, outcome), settings=SWEEP_SETTINGS)
+            for party in range(3)
+        ]
         assert max(bounds) - min(bounds) <= 2e-4
 
 
@@ -300,18 +308,11 @@ def test_symmetry_of_first_two_parties_under_source_distribution():
     identically, so their targets are exchangeable."""
     game = mermin_game()
     dist = input_distribution_from_source(game, canonical_mermin_source(0.3))
-    structure = structure_for(game, LEVEL_Q1_ABC)
     for x in (0, 1):
         for outcome in (0, 1):
-            r0 = max_outcome_probability(
-                RandomnessBoundQuery(game, dist, 0.97, (0, x, outcome)),
-                settings=SWEEP_SETTINGS, structure=structure,
-            )
-            r1 = max_outcome_probability(
-                RandomnessBoundQuery(game, dist, 0.97, (1, x, outcome)),
-                settings=SWEEP_SETTINGS, structure=structure,
-            )
-            assert abs(r0.value - r1.value) <= 2e-4
+            r0 = target_bound(game, dist, 0.97, (0, x, outcome), settings=SWEEP_SETTINGS)
+            r1 = target_bound(game, dist, 0.97, (1, x, outcome), settings=SWEEP_SETTINGS)
+            assert abs(r0 - r1) <= 2e-4
 
 
 def test_target_orbits_of_the_three_scenarios():
@@ -475,14 +476,6 @@ def test_invariant_moments_of_the_canonical_source():
     assert np.array_equal(N, np.delete(np.eye(n), unit, axis=1))
 
 
-def test_a_stabilizer_must_fix_its_target():
-    game, dist = canonical_distribution(0.3)
-    (_, stabilizer), (other, _) = orbit_stabilizers(game, symmetry_group(game, dist))[:2]
-    query = RandomnessBoundQuery(game, dist, 0.97, other)
-    with pytest.raises(ValueError, match="moves target"):
-        max_outcome_probability(query, stabilizer=stabilizer)
-
-
 # Cells of the certify lattice (below) checked against unreduced solves.
 LATTICE_SAMPLE = [
     (0.2, 0.97), (0.23, 0.98), (0.26, 0.975), (0.28, 0.985), (0.3, 0.97), (0.3, 0.975),
@@ -494,12 +487,10 @@ def test_reduced_solves_match_unreduced_on_the_certify_lattice():
     moments equals the bound over every moment vector within 1e-7."""
     for epsilon, floor in LATTICE_SAMPLE:
         game, dist = canonical_distribution(epsilon)
-        structure = structure_for(game, LEVEL_Q1_ABC)
         for target, stabilizer in orbit_stabilizers(game, symmetry_group(game, dist)):
-            query = RandomnessBoundQuery(game, dist, floor, target)
-            reduced = max_outcome_probability(query, structure=structure, stabilizer=stabilizer)
-            unreduced = max_outcome_probability(query, structure=structure)
-            assert abs(reduced.value - unreduced.value) <= 1e-7, (epsilon, floor, target)
+            reduced = target_bound(game, dist, floor, target, stabilizer)
+            unreduced = target_bound(game, dist, floor, target)
+            assert abs(reduced - unreduced) <= 1e-7, (epsilon, floor, target)
 
 
 def unreduced_critical_success(epsilon, target_eps_prime, tol):
@@ -546,6 +537,25 @@ def test_critical_success_builds_one_structure(monkeypatch):
     assert calls == [LEVEL_Q1_ABC]
 
 
+def test_a_relaxation_builds_its_face_on_the_first_floor_one_query(monkeypatch):
+    """Floors below 1 build no face; the first floor-1 query builds it and
+    later ones reuse it."""
+    built = []
+
+    class CountingFace(SuccessFaceContext):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(npa, "SuccessFaceContext", CountingFace)
+    relaxation = Relaxation.canonical(0.3)
+    relaxation.p_max(0.97)
+    assert built == []
+    relaxation.p_max(1.0)
+    relaxation.p_max(1.0)
+    assert len(built) == 1
+
+
 def test_point_face_is_solved_once_per_context(monkeypatch):
     """Under the canonical source the face holds one moment matrix, so
     p_max at floor 1 solves the face problem once for all four orbit
@@ -559,15 +569,12 @@ def test_point_face_is_solved_once_per_context(monkeypatch):
         return solve(problem, settings)
 
     monkeypatch.setattr(npa, "solve", counting_solve)
-    p_max(game, dist, 1.0)
+    Relaxation(game, dist).p_max(1.0)
     assert dims == [11]
-    structure = structure_for(game, LEVEL_Q1_ABC)
-    shared = SuccessFaceContext(structure, game, dist)
+    shared = SuccessFaceContext(structure_for(game, LEVEL_Q1_ABC), game, dist)
     for orbit in target_orbits(game, dist):
-        query = RandomnessBoundQuery(game, dist, 1.0, orbit[0])
-        fresh = SuccessFaceContext(structure, game, dist)
-        value = max_outcome_probability(query, structure=structure, face=shared).value
-        assert value == max_outcome_probability(query, structure=structure, face=fresh).value
+        value = target_bound(game, dist, 1.0, orbit[0], face=shared)
+        assert value == target_bound(game, dist, 1.0, orbit[0])
     assert len(dims) == 1 + 1 + 4  # the shared context once, each fresh one once
 
 
@@ -577,15 +584,9 @@ def test_every_target_matches_its_orbit_representative(epsilon, floor):
     their representative's, full and face-reduced alike."""
     game = mermin_game()
     dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
-    structure = structure_for(game, LEVEL_Q1_ABC)
-    face = SuccessFaceContext(structure, game, dist) if floor == 1.0 else None
+    face = SuccessFaceContext(structure_for(game, LEVEL_Q1_ABC), game, dist) if floor == 1.0 else None
     for orbit in target_orbits(game, dist):
-        values = [
-            max_outcome_probability(
-                RandomnessBoundQuery(game, dist, floor, target), structure=structure, face=face
-            ).value
-            for target in orbit
-        ]
+        values = [target_bound(game, dist, floor, target, face=face) for target in orbit]
         assert max(abs(v - values[0]) for v in values) <= 1e-6, orbit
 
 
@@ -681,8 +682,10 @@ def test_critical_success_validation():
         critical_success(0.2, 0.0)
     with pytest.raises(ValueError):
         critical_success(0.2, 0.6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epsilon must lie in"):
         critical_success(0.5, 0.2)
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        critical_success(0.6, 0.6)
 
 
 @pytest.mark.parametrize("epsilon,target", [(0.3, 0.29), (0.1, 0.1), (0.45, 0.45)])
