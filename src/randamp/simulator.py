@@ -221,25 +221,30 @@ def _block_round_counts(blocks: tuple[ScheduleBlock, ...], n_rounds: int) -> lis
     return counts
 
 
-def _win_probability(behavior: Behavior, game: GameSpec, x: InputTuple) -> float:
-    row = behavior.table[x]
-    return float(sum(row[o] for o in game.all_outputs() if game.win(x, o)))
+def _win_table(game: GameSpec, cells: Sequence[InputTuple]) -> np.ndarray:
+    """wins[c, i]: whether the i-th output of `game.all_outputs()` wins at cells[c]."""
+    return np.array([[bool(game.win(x, o)) for o in game.all_outputs()] for x in cells])
 
 
-def _alice_zero_given_status(
-    behavior: Behavior, game: GameSpec, x: InputTuple, won: bool
-) -> float:
-    """P(first party outputs 0 | input cell, round win status)."""
+def _win_probability(row: np.ndarray, wins: np.ndarray) -> float:
+    """Sum of a behavior row's winning entries, added one by one in output order."""
+    return float(sum(row.ravel()[wins]))
+
+
+def _alice_zero_given_status(row: np.ndarray, wins: np.ndarray, won: bool) -> float:
+    """P(first party outputs 0 | input cell, round win status) from the
+    cell's behavior row and win-table row."""
+    # flat output indices below this one have the first party output 0
+    first_zero = row.size // row.shape[0]
     num = 0.0
     den = 0.0
-    row = behavior.table[x]
-    for o in game.all_outputs():
-        if game.win(x, o) == won:
-            den += float(row[o])
-            if o[0] == 0:
-                num += float(row[o])
+    for i in np.flatnonzero(wins == won).tolist():
+        p = float(row.flat[i])
+        den += p
+        if i < first_zero:
+            num += p
     if den <= 0.0:
-        raise ValueError(f"conditioning on a zero-probability win status at {x}")
+        raise ValueError("conditioning on a zero-probability win status")
     return num / den
 
 
@@ -277,7 +282,8 @@ def _run_materialized(
     behaviors = [_block_behavior(b.strategy, game) for b in blocks]
     # input cells indexed by 2a + b, where a and b are the round's source bits
     cells = [(a, b, a ^ b) for a in (0, 1) for b in (0, 1)]
-    win_prob = [tuple(_win_probability(bh, game, x) for x in cells) for bh in behaviors]
+    win_table = _win_table(game, cells)
+    win_prob = [tuple(_win_probability(bh.table[x], w) for x, w in zip(cells, win_table)) for bh in behaviors]
 
     # round j reads uniforms 3j and 3j + 1 for its input bits, 3j + 2 for its outputs
     uniforms = rng.random(3 * n)
@@ -316,7 +322,6 @@ def _run_materialized(
             flat[rounds] = np.searchsorted(np.cumsum(bh.table[x].ravel()), u_out[rounds], side="right")
         start += count
     np.minimum(flat, len(out_cells) - 1, out=flat)
-    win_table = np.array([[bool(game.win(x, o)) for o in out_cells] for x in cells])
     won = win_table[cell_index, flat]
 
     inputs = tuple(cells[c] for c in cell_index.tolist())
@@ -363,6 +368,7 @@ def _run_aggregated(
 
     dist = input_distribution_from_source(game, source)
     cells = game.admissible_inputs()
+    win_table = _win_table(game, cells)
     p_vec = np.array([dist.prob(x) for x in cells])
     p_vec = p_vec / p_vec.sum()
 
@@ -371,7 +377,7 @@ def _run_aggregated(
     p_avg = 0.0
     for k, nb in enumerate(counts):
         nc = rng.multinomial(nb, p_vec) if nb else np.zeros(len(cells), dtype=np.int64)
-        wp = np.clip([_win_probability(behaviors[k], game, x) for x in cells], 0.0, 1.0)
+        wp = np.clip([_win_probability(behaviors[k].table[x], w) for x, w in zip(cells, win_table)], 0.0, 1.0)
         wc = rng.binomial(nc, wp)
         cell_counts.append(nc)
         cell_wins.append(wc)
@@ -408,7 +414,7 @@ def _run_aggregated(
     cell_idx = int(rng.choice(len(cells), p=nc / nc.sum()))
     x = cells[cell_idx]
     won = rng.random() < (wc[cell_idx] / nc[cell_idx])
-    p_zero = _alice_zero_given_status(behaviors[k], game, x, bool(won))
+    p_zero = _alice_zero_given_status(behaviors[k].table[x], win_table[cell_idx], bool(won))
     bit = 0 if rng.random() < p_zero else 1
 
     return ProtocolRun(

@@ -169,8 +169,27 @@ def biased_mermin_classical_value(epsilon: float) -> float:
     return 1.0 - r * r
 
 
+def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cell-wise Kronecker products of two (cells, outputs, d, d) operator
+    stacks, each a-entry times each b-entry, outputs in row-major order."""
+    c, o, d, _ = a.shape
+    k, e = b.shape[1], b.shape[2]
+    outer = a[:, :, None, :, None, :, None] * b[:, None, :, None, :, None, :]
+    return outer.reshape(c, o * k, d * e, d * e)
+
+
 def behavior_of_quantum(strategy: QuantumStrategy, game: GameSpec) -> Behavior:
-    """Born-rule conditional table of a quantum strategy."""
+    """Born-rule conditional table of a quantum strategy.
+
+    Every (input cell, output) operator is built at once: party by party,
+    one broadcast outer product extends a (cells, outputs, D, D) stack by
+    the next party's POVM elements, so each entry is the product a*b*c
+    in party order, the same numbers `reduce(np.kron, ...)` gives.  One
+    batched matmul with the state and one trace over the last two axes
+    then give every probability; the matmul runs the same gemm on each
+    (D, D) slice as `state @ op` does, so the table is bit-identical to
+    the per-cell loop.
+    """
     if len(strategy.local_dims) != game.n_parties:
         raise ValueError("strategy and game disagree on the number of parties")
     for p in range(game.n_parties):
@@ -179,16 +198,13 @@ def behavior_of_quantum(strategy: QuantumStrategy, game: GameSpec) -> Behavior:
         for povm in strategy.measurements[p]:
             if len(povm) != game.output_cardinalities[p]:
                 raise ValueError(f"party {p}: one POVM element per output required")
+    cells = game.admissible_inputs()
+    stacks = [np.asarray([strategy.measurements[p][x[p]] for x in cells]) for p in range(game.n_parties)]
+    ops = reduce(_stacked_kron, stacks)
+    # contiguous, so each row is a plain C-ordered array as the loop's rows were
+    probs = np.ascontiguousarray(np.trace(np.matmul(strategy.state, ops), axis1=-2, axis2=-1).real)
     shape = tuple(game.output_cardinalities)
-    table = {}
-    for x in game.admissible_inputs():
-        row = np.zeros(shape)
-        for o in game.all_outputs():
-            # kron accumulates in party order, matching the state's factor order
-            op = reduce(np.kron, [strategy.measurements[p][x[p]][o[p]] for p in range(game.n_parties)])
-            row[o] = float(np.trace(strategy.state @ op).real)
-        table[x] = row
-    return Behavior(game, table)
+    return Behavior(game, {x: probs[i].reshape(shape) for i, x in enumerate(cells)})
 
 
 def ghz_mermin_strategy() -> QuantumStrategy:

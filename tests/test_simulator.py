@@ -22,16 +22,14 @@ from randamp.simulator import (
 from randamp.games import mermin_game
 from randamp.sources import constant_sign, parity_sign, table_sign
 from randamp.strategies import (
-    PAULI_X,
-    PAULI_Y,
     DeterministicStrategy,
     NoiseModel,
-    QuantumStrategy,
+    behavior_of_deterministic,
     behavior_of_quantum,
     ghz_mermin_strategy,
-    projective_pair,
-    pure_state_density,
 )
+
+from reference_behaviors import dipping_product_strategy, loop_behavior_of_quantum, random_qubit_strategy
 
 GHZ = ghz_mermin_strategy()
 LINE_SHAPE = re.compile(r"^\d+ [01]{3} [01]{3} [01]$")
@@ -128,16 +126,25 @@ def test_runs_are_deterministic_given_seed():
 def loop_run_protocol(params, device, seed):
     """Reference for the materialized `run_protocol`: one round at a time,
     with three scalar uniforms, an input-cell distribution and a
-    `searchsorted` per round."""
+    `searchsorted` per round.  Its Born tables come from the per-cell
+    loop and its win probabilities from its own sum over `game.win`, so
+    none of the simulator's table helpers is compared with itself."""
     game = mermin_game()
     rng = np.random.default_rng(seed)
     blocks, source = sim._resolve_schedule(params, device, rng, game)
     n = params.n_rounds
     counts = sim._block_round_counts(blocks, n)
-    behaviors = [sim._block_behavior(b.strategy, game) for b in blocks]
+    behaviors = [
+        behavior_of_deterministic(b.strategy, game) if isinstance(b.strategy, DeterministicStrategy)
+        else loop_behavior_of_quantum(b.strategy, game)
+        for b in blocks
+    ]
     round_block = np.repeat(np.arange(len(blocks)), counts)
     cells = game.admissible_inputs()
-    win_prob = [{x: sim._win_probability(bh, game, x) for x in cells} for bh in behaviors]
+    win_prob = [
+        {x: float(sum(bh.table[x][o] for o in game.all_outputs() if game.win(x, o))) for x in cells}
+        for bh in behaviors
+    ]
     flat_rows = [{x: np.cumsum(bh.table[x].ravel()) for x in cells} for bh in behaviors]
     out_shape = tuple(game.output_cardinalities)
 
@@ -195,19 +202,6 @@ def loop_run_protocol(params, device, seed):
     )
 
 
-def dipping_product_strategy():
-    """Each party measures n.sigma, n at angle 1.552 in the X-Y plane, on
-    the product of its +1 eigenstates.  The Born rule rounds two
-    zero-probability outcomes at cell 000 to about -7e-18 and -9e-17,
-    which `Behavior` sets to 0."""
-    n = math.cos(1.552) * PAULI_X + math.sin(1.552) * PAULI_Y
-    plus = np.linalg.eigh(n)[1][:, 1]
-    per_party = (projective_pair(n), projective_pair(PAULI_Y))
-    return QuantumStrategy(
-        (2, 2, 2), pure_state_density(np.kron(np.kron(plus, plus), plus)), (per_party,) * 3
-    )
-
-
 LOSE_110 = DeterministicStrategy(((0, 1), (0, 1), (0, 0)))
 REFERENCE_DEVICES = {
     "honest": HonestDevice(GHZ),
@@ -222,6 +216,7 @@ REFERENCE_DEVICES = {
     "dipping-row": AdversarialDevice(AdversaryModel(
         (1.0,), ((ScheduleBlock(1.0, dipping_product_strategy()),),), (constant_sign(+1),)
     )),
+    "random-qubit": HonestDevice(random_qubit_strategy(1)[0]),
 }
 
 
@@ -238,6 +233,33 @@ def test_materialized_runs_match_the_round_loop(name, epsilon):
             params = make_params(n, p_threshold, epsilon=epsilon, p_crit=0.999)
             for seed in range(3):
                 assert run_protocol(params, device, seed) == loop_run_protocol(params, device, seed)
+
+
+@pytest.mark.parametrize("seed", range(1, 40, 2))
+def test_win_table_sums_match_the_per_output_loop(seed):
+    """Win probabilities and P(first output 0 | win status), read off the
+    win table, equal the sums over `game.win` output by output, bit for
+    bit.  Random rows make the result depend on the summation order,
+    which the transcripts' p_avg is too coarse to show."""
+    strategy, game = random_qubit_strategy(seed)
+    behavior = behavior_of_quantum(strategy, game)
+    cells = game.admissible_inputs()
+    for x, wins in zip(cells, sim._win_table(game, cells)):
+        row = behavior.table[x]
+        expected = float(sum(row[o] for o in game.all_outputs() if game.win(x, o)))
+        assert sim._win_probability(row, wins) == expected
+        for won in (False, True):
+            num = den = 0.0
+            for o in game.all_outputs():
+                if game.win(x, o) == won:
+                    den += float(row[o])
+                    if o[0] == 0:
+                        num += float(row[o])
+            if den <= 0.0:
+                with pytest.raises(ValueError, match="zero-probability"):
+                    sim._alice_zero_given_status(row, wins, won)
+            else:
+                assert sim._alice_zero_given_status(row, wins, won) == num / den
 
 
 def test_behavior_rows_are_nonnegative_with_monotone_cumulative_sums():

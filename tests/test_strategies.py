@@ -32,7 +32,12 @@ from randamp.strategies import (
     pure_state_density,
     quantum_success,
 )
-from reference_behaviors import no_signalling_residual
+from reference_behaviors import (
+    dipping_product_strategy,
+    loop_behavior_of_quantum,
+    no_signalling_residual,
+    random_qubit_strategy,
+)
 
 
 def chsh_optimal_strategy():
@@ -60,6 +65,44 @@ REFERENCE_STRATEGIES = [
     (ghz_mermin_strategy, mermin_game),
     (magic_square_quantum_strategy, magic_square_game),
 ]
+
+
+BORN_CASES = {
+    "ghz": lambda: (ghz_mermin_strategy(), mermin_game()),
+    **{
+        f"ghz-v{v}": lambda v=v: (apply_depolarizing(ghz_mermin_strategy(), NoiseModel(v)), mermin_game())
+        for v in (1.0, 0.99995, 0.999, 0.5, 0.0)
+    },
+    "magic-square": lambda: (magic_square_quantum_strategy(), magic_square_game()),
+    "chsh": lambda: (chsh_optimal_strategy(), chsh_game()),
+    "dipping-product": lambda: (dipping_product_strategy(), mermin_game()),
+    **{f"random-{seed}": lambda seed=seed: random_qubit_strategy(seed) for seed in range(50)},
+}
+
+
+@pytest.mark.parametrize("name", BORN_CASES)
+def test_born_rule_matches_the_per_cell_loop(name):
+    """The batched Born rule gives the per-cell loop's table bit for bit."""
+    strategy, game = BORN_CASES[name]()
+    batched = behavior_of_quantum(strategy, game)
+    loop = loop_behavior_of_quantum(strategy, game)
+    assert set(batched.table) == set(loop.table) == set(game.admissible_inputs())
+    for x in game.admissible_inputs():
+        assert np.array_equal(batched.table[x], loop.table[x]), x
+
+
+def test_born_rule_rejects_a_mismatched_game():
+    ghz = ghz_mermin_strategy()
+    with pytest.raises(ValueError, match="number of parties"):
+        behavior_of_quantum(ghz, chsh_game())
+    x_pair, y_pair = ghz.measurements[0]
+    one_input = QuantumStrategy(ghz.local_dims, ghz.state, ((x_pair,), *ghz.measurements[1:]))
+    with pytest.raises(ValueError, match="one POVM per input"):
+        behavior_of_quantum(one_input, mermin_game())
+    three_outputs = tuple((p0, p1 / 2.0, p1 / 2.0) for p0, p1 in (x_pair, y_pair))
+    wide = QuantumStrategy(ghz.local_dims, ghz.state, (three_outputs, *ghz.measurements[1:]))
+    with pytest.raises(ValueError, match="one POVM element per output"):
+        behavior_of_quantum(wide, mermin_game())
 
 
 def test_enumeration_sizes():
