@@ -62,7 +62,6 @@ import numpy as np
 
 from .games import DIST_TOL, GameSpec, InputDistribution
 from .sdp import (
-    Constraint,
     SdpProblem,
     SdpSolution,
     SolverSettings,
@@ -348,7 +347,10 @@ def compile_problem(
     free coordinates z: with A_j = blockdiag(V^T M(N_j) V, f.N_j),
     b_j = -c.N_j and C = -blockdiag(V^T M(m0) V, f.m0 - floor), the dual
     slack sum_j z_j A_j - C is the constrained block and the floor's
-    slack.  The relaxation's maximum is c.m0 minus the dual optimum, so
+    slack.  C and the A_j come out of one stack of blocks, one per
+    column of [m0, N], whose tail is passed on as the problem's
+    (K, d, d) constraint stack, every row an equality.  The
+    relaxation's maximum is c.m0 minus the dual optimum, so
     c.m0 - objective_value bounds it from above (weak duality) and
     c.m0 - (objective_value + duality_gap) is the objective at the
     moments m0 + N y the solve reached.  An unbounded sdp form means no
@@ -368,8 +370,7 @@ def compile_problem(
         lmi[:, :d, :d] = blocks
         lmi[:, d, d] = slack
         blocks = lmi
-    constraints = tuple(Constraint(A, b, "eq") for A, b in zip(blocks[1:], rhs))
-    return SdpProblem(-blocks[0], constraints)
+    return SdpProblem(-blocks[0], blocks[1:], rhs, ("eq",) * len(rhs))
 
 
 def structure_for(game: GameSpec, level: str) -> MomentMatrixStructure:
@@ -585,17 +586,6 @@ def _orbits(
     game: GameSpec, group: tuple[Symmetry, ...]
 ) -> list[tuple[tuple[int, int, int], ...]]:
     return sorted({tuple(sorted({g.target(t) for g in group})) for t in _targets(game)})
-
-
-def target_orbits(
-    game: GameSpec, dist: InputDistribution
-) -> list[tuple[tuple[int, int, int], ...]]:
-    """The targets grouped into orbits of `symmetry_group(game, dist)`.
-
-    Each orbit lists its targets in `_targets` order; the first is the
-    orbit's representative.  Targets in one orbit have equal bounds at
-    every level in LEVELS (see `symmetry_group`)."""
-    return _orbits(game, symmetry_group(game, dist))
 
 
 def orbit_stabilizers(

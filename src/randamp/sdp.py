@@ -50,61 +50,58 @@ def _sym(M: np.ndarray) -> np.ndarray:
 
 
 def _check_symmetric(M: np.ndarray, what: str) -> np.ndarray:
+    """M, or each matrix of a stack M, symmetrized into a fresh array."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {M.shape}")
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"{what} must be square, got shape {M.shape}")
+    MT = np.swapaxes(M, -1, -2)
     # M - M.T holds -d wherever it holds d, so its max is its largest |d|
-    out = M - M.T
-    if out.max() > SYMMETRY_TOL:
+    out = M - MT
+    if out.max(initial=0.0) > SYMMETRY_TOL:
         raise ValueError(f"{what} is not symmetric within {SYMMETRY_TOL}")
-    np.add(M, M.T, out=out)
+    np.add(M, MT, out=out)
     out *= 0.5  # equals (M + M.T) / 2 bit for bit: halving is exact
     return out
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """Single affine constraint <A, X> relation b."""
-
-    A: np.ndarray
-    b: float
-    relation: str
-
-    def __post_init__(self) -> None:
-        if self.relation not in RELATIONS:
-            raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
-        object.__setattr__(self, "A", _check_symmetric(self.A, "constraint matrix"))
-        object.__setattr__(self, "b", float(self.b))
-
-    def residual(self, X: np.ndarray) -> float:
-        """Violation of this constraint at X (0 when satisfied)."""
-        v = float(np.sum(self.A * X))
-        if self.relation == "eq":
-            return abs(v - self.b)
-        if self.relation == "geq":
-            return max(0.0, self.b - v)
-        return max(0.0, v - self.b)
-
-
-@dataclass(frozen=True)
 class SdpProblem:
-    """Maximize <C, X> over PSD X subject to affine constraints."""
+    """Maximize <C, X> over PSD X subject to <A_k, X> relations[k] b[k],
+    with the A_k stacked as `constraints`, shape (K, m, m)."""
 
     C: np.ndarray
-    constraints: tuple[Constraint, ...]
+    constraints: np.ndarray
+    b: np.ndarray
+    relations: tuple[str, ...]
 
     def __post_init__(self) -> None:
         C = _check_symmetric(self.C, "objective matrix")
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        A = _check_symmetric(self.constraints, "constraint matrices")
+        b = np.asarray(self.b, dtype=float)
+        relations = tuple(self.relations)
         m = C.shape[0]
-        for k, con in enumerate(self.constraints):
-            if con.A.shape != (m, m):
-                raise ValueError(f"constraint {k} has shape {con.A.shape}, expected {(m, m)}")
+        if A.ndim != 3 or A.shape[1:] != (m, m):
+            raise ValueError(f"constraints have shape {A.shape}, expected (K, {m}, {m})")
+        if b.shape != (len(A),) or len(relations) != len(A):
+            raise ValueError(f"{len(A)} constraints need as many b and relations, "
+                             f"got {b.shape} and {len(relations)}")
+        bad = set(relations) - set(RELATIONS)
+        if bad:
+            raise ValueError(f"relations must be among {RELATIONS}, got {sorted(bad)}")
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "constraints", A)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "relations", relations)
 
     @property
     def dimension(self) -> int:
         return self.C.shape[0]
+
+    def residuals(self, X: np.ndarray) -> np.ndarray:
+        """Violation of each constraint at X (0 where satisfied)."""
+        d = np.tensordot(self.constraints, X, axes=2) - self.b
+        rel = np.array(self.relations, dtype=str)
+        return np.where(rel == "eq", np.abs(d), np.maximum(np.where(rel == "leq", d, -d), 0.0))
 
 
 @dataclass(frozen=True)
@@ -125,10 +122,7 @@ class SdpSolution:
     objective_value: float
     status: str
     duality_gap: float
-    min_eigenvalue: float
-    max_constraint_residual: float
     y: np.ndarray
-    Z_dual: np.ndarray
     iterations: int
     certificate: Optional[dict] = None
 
@@ -142,24 +136,18 @@ class _Lifted:
 
     def __init__(self, problem: SdpProblem):
         m = problem.dimension
-        ineq = [k for k, c in enumerate(problem.constraints) if c.relation != "eq"]
-        self.m = m
+        ineq = [k for k, rel in enumerate(problem.relations) if rel != "eq"]
         self.nhat = m + len(ineq)
-        self.K = len(problem.constraints)
-        slack_of = {k: m + j for j, k in enumerate(ineq)}
+        self.K = len(problem.b)
+        self.b = problem.b
 
         self.C0 = np.zeros((self.nhat, self.nhat))
         self.C0[:m, :m] = -problem.C
 
         self.A = np.zeros((self.K, self.nhat, self.nhat))
-        self.b = np.zeros(self.K)
-        for k, con in enumerate(problem.constraints):
-            self.A[k, :m, :m] = con.A
-            self.b[k] = con.b
-            if con.relation == "geq":
-                self.A[k, slack_of[k], slack_of[k]] = -1.0
-            elif con.relation == "leq":
-                self.A[k, slack_of[k], slack_of[k]] = 1.0
+        self.A[:, :m, :m] = problem.constraints
+        for j, k in enumerate(ineq):
+            self.A[k, m + j, m + j] = -1.0 if problem.relations[k] == "geq" else 1.0
 
         self.A_flat = self.A.reshape(self.K, self.nhat * self.nhat)
 
@@ -389,12 +377,11 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
 
     if status == STATUS_OPTIMAL:
         best_X, best_y = X, y
-    return _build_solution(problem, lifted, best_X, best_y, status, iterations, certificate)
+    return _build_solution(problem, best_X, best_y, status, iterations, certificate)
 
 
 def _build_solution(
     problem: SdpProblem,
-    lifted: _Lifted,
     Xh: np.ndarray,
     y_internal: np.ndarray,
     status: str,
@@ -404,24 +391,14 @@ def _build_solution(
     m = problem.dimension
     X = _sym(Xh[:m, :m])
     obj = float(np.sum(problem.C * X))
-    y_user = -y_internal
-    Z_user = np.zeros((m, m))
-    for k, con in enumerate(problem.constraints):
-        Z_user += y_user[k] * con.A
-    Z_user = _sym(Z_user - problem.C)
-    b_user = np.array([c.b for c in problem.constraints])
-    gap = float(b_user @ y_user - obj) if len(b_user) else -obj
-    min_eig = float(np.linalg.eigvalsh(X).min()) if m else 0.0
-    max_res = max((c.residual(X) for c in problem.constraints), default=0.0)
+    y = -y_internal
+    gap = float(problem.b @ y - obj) if len(problem.b) else -obj
     return SdpSolution(
         X=X,
         objective_value=obj,
         status=status,
         duality_gap=gap,
-        min_eigenvalue=min_eig,
-        max_constraint_residual=float(max_res),
-        y=y_user,
-        Z_dual=Z_user,
+        y=y,
         iterations=iterations,
         certificate=certificate,
     )
@@ -436,24 +413,19 @@ def verify(problem: SdpProblem, solution: SdpSolution, tol: float) -> dict:
     conjunction.  Never consults solver internals.
     """
     X = _sym(np.asarray(solution.X, dtype=float))
-    residuals = [c.residual(X) for c in problem.constraints]
+    residuals = problem.residuals(X)
     min_eig = float(np.linalg.eigvalsh(X).min()) if problem.dimension else 0.0
-    max_res = max(residuals, default=0.0)
+    max_res = float(residuals.max(initial=0.0))
     feasible_ok = min_eig >= -tol and max_res <= tol
 
     y = np.asarray(solution.y, dtype=float)
-    sign_violation = 0.0
-    Z = -problem.C.copy()
-    for k, con in enumerate(problem.constraints):
-        Z += y[k] * con.A
-        if con.relation == "leq":
-            sign_violation = max(sign_violation, -y[k])
-        elif con.relation == "geq":
-            sign_violation = max(sign_violation, y[k])
-    dual_slack_min_eig = float(np.linalg.eigvalsh(_sym(Z)).min()) if problem.dimension else 0.0
-    b_user = np.array([c.b for c in problem.constraints])
+    rel = np.array(problem.relations, dtype=str)
+    # a leq row needs y >= 0, a geq row y <= 0
+    sign_violation = float(np.max(np.where(rel == "leq", -y, np.where(rel == "geq", y, 0.0)), initial=0.0))
+    Z = _sym(np.tensordot(y, problem.constraints, axes=1) - problem.C)
+    dual_slack_min_eig = float(np.linalg.eigvalsh(Z).min()) if problem.dimension else 0.0
     obj = float(np.sum(problem.C * X))
-    gap = float(b_user @ y - obj) if len(b_user) else -obj
+    gap = float(problem.b @ y - obj) if len(problem.b) else -obj
     optimal_ok = (
         feasible_ok
         and dual_slack_min_eig >= -tol
@@ -462,12 +434,12 @@ def verify(problem: SdpProblem, solution: SdpSolution, tol: float) -> dict:
     )
     return {
         "min_eigenvalue": min_eig,
-        "constraint_residuals": residuals,
-        "max_constraint_residual": float(max_res),
+        "constraint_residuals": residuals.tolist(),
+        "max_constraint_residual": max_res,
         "objective_value": obj,
         "duality_gap": gap,
         "dual_slack_min_eigenvalue": dual_slack_min_eig,
-        "dual_sign_violation": float(sign_violation),
+        "dual_sign_violation": sign_violation,
         "feasible_ok": bool(feasible_ok),
         "optimal_ok": bool(optimal_ok),
         "passed": bool(feasible_ok and optimal_ok),

@@ -163,27 +163,28 @@ class ProtocolRun:
             raise ValueError("aborted runs and only aborted runs lack an output bit")
 
 
-class _SourceStream:
-    """Sequential bit sampler holding the full history across rounds."""
-
-    def __init__(self, source: ExtremalSource, rng: np.random.Generator):
-        self.source = source
-        self.rng = rng
-        self.history: list[int] = []
-
-    def draw(self) -> int:
-        p0 = self.source.next_bit_probability(self.history)
-        bit = 0 if self.rng.random() < p0 else 1
-        self.history.append(bit)
-        return bit
-
-    @property
-    def count(self) -> int:
-        return len(self.history)
-
-
 def _selection_bit_count(n_rounds: int) -> int:
     return (n_rounds - 1).bit_length()
+
+
+def _select_round(
+    source: ExtremalSource, history: list[int], rng: np.random.Generator, n_rounds: int
+) -> tuple[int, int]:
+    """The selected round and the number of index draws: each draw reads
+    `_selection_bit_count` source bits, continuing and extending `history`,
+    until the index they spell is below n_rounds."""
+    n_bits = _selection_bit_count(n_rounds)
+    draws = 0
+    while True:
+        draws += 1
+        idx = 0
+        for _ in range(n_bits):
+            p0 = source.next_bit_probability(history)
+            bit = 0 if rng.random() < p0 else 1
+            history.append(bit)
+            idx = (idx << 1) | bit
+        if idx < n_rounds:
+            return idx, draws
 
 
 def _resolve_schedule(
@@ -289,8 +290,7 @@ def _run_materialized(
     uniforms = rng.random(3 * n)
     u_first = uniforms[0::3].tolist()
     u_second = uniforms[1::3].tolist()
-    stream = _SourceStream(source, rng)
-    history = stream.history
+    history: list[int] = []
     p_avg_sum = 0.0
     stop = 0
     for count, (w000, w011, w101, w110) in zip(counts, win_prob):
@@ -334,23 +334,15 @@ def _run_materialized(
         return ProtocolRun(
             n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=True,
             selected_round=None, output_bit=None, p_avg=p_avg,
-            source_bits_used=stream.count, selection_draws=0, aggregated=False,
+            source_bits_used=len(history), selection_draws=0, aggregated=False,
             inputs=inputs, outputs=outputs, wins=wins,
         )
 
-    n_bits = _selection_bit_count(n)
-    draws = 0
-    while True:
-        draws += 1
-        idx = 0
-        for _ in range(n_bits):
-            idx = (idx << 1) | stream.draw()
-        if idx < n:
-            break
+    idx, draws = _select_round(source, history, rng, n)
     return ProtocolRun(
         n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=False,
         selected_round=idx, output_bit=outputs[idx][0], p_avg=p_avg,
-        source_bits_used=stream.count, selection_draws=draws, aggregated=False,
+        source_bits_used=len(history), selection_draws=draws, aggregated=False,
         inputs=inputs, outputs=outputs, wins=wins,
     )
 
@@ -397,16 +389,7 @@ def _run_aggregated(
     # reach back into the round bits (even stream positions restart each
     # round's pattern, and 2N is even), so an empty virtual history with
     # the right parity is exact.
-    n_bits = _selection_bit_count(n)
-    virtual = _SourceStream(source, rng)
-    draws = 0
-    while True:
-        draws += 1
-        idx = 0
-        for _ in range(n_bits):
-            idx = (idx << 1) | virtual.draw()
-        if idx < n:
-            break
+    idx, draws = _select_round(source, [], rng, n)
 
     bounds = np.cumsum(counts)
     k = int(np.searchsorted(bounds, idx, side="right"))
@@ -420,7 +403,7 @@ def _run_aggregated(
     return ProtocolRun(
         n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=False,
         selected_round=idx, output_bit=bit, p_avg=p_avg,
-        source_bits_used=base_bits + draws * n_bits, selection_draws=draws,
+        source_bits_used=base_bits + draws * _selection_bit_count(n), selection_draws=draws,
         aggregated=True,
     )
 

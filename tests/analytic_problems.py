@@ -8,7 +8,7 @@ the 5-cycle (sqrt 5).
 
 import numpy as np
 
-from randamp.sdp import Constraint, SdpProblem
+from randamp.sdp import SdpProblem
 
 
 def entry_matrix(m: int, i: int, j: int) -> np.ndarray:
@@ -27,7 +27,7 @@ def analytic_problems() -> list[tuple[str, SdpProblem, float]]:
 
     probs.append((
         "spectraplex-diag",
-        SdpProblem(np.diag([1.0, 2.0]), (Constraint(np.eye(2), 1.0, "eq"),)),
+        SdpProblem(np.diag([1.0, 2.0]), np.array([np.eye(2)]), [1.0], ("eq",)),
         2.0,
     ))
 
@@ -35,10 +35,9 @@ def analytic_problems() -> list[tuple[str, SdpProblem, float]]:
         "correlation-extreme",
         SdpProblem(
             entry_matrix(2, 0, 1),
-            (
-                Constraint(entry_matrix(2, 0, 0), 1.0, "eq"),
-                Constraint(entry_matrix(2, 1, 1), 1.0, "eq"),
-            ),
+            np.array([entry_matrix(2, 0, 0), entry_matrix(2, 1, 1)]),
+            [1.0, 1.0],
+            ("eq", "eq"),
         ),
         2.0,
     ))
@@ -49,10 +48,9 @@ def analytic_problems() -> list[tuple[str, SdpProblem, float]]:
         "theta-c5",
         SdpProblem(
             np.ones((5, 5)),
-            (
-                Constraint(np.eye(5), 1.0, "eq"),
-                *(Constraint(entry_matrix(5, i, j), 0.0, "eq") for i, j in edges),
-            ),
+            np.array([np.eye(5), *(entry_matrix(5, i, j) for i, j in edges)]),
+            [1.0] + [0.0] * len(edges),
+            ("eq",) * (1 + len(edges)),
         ),
         float(np.sqrt(5.0)),
     ))
@@ -61,11 +59,9 @@ def analytic_problems() -> list[tuple[str, SdpProblem, float]]:
         "boxed-corner",
         SdpProblem(
             np.diag([1.0, 0.0]),
-            (
-                Constraint(entry_matrix(2, 1, 1), 1.0, "eq"),
-                Constraint(entry_matrix(2, 0, 1), 1.0, "eq"),
-                Constraint(np.diag([1.0, 0.0]), 2.0, "leq"),
-            ),
+            np.array([entry_matrix(2, 1, 1), entry_matrix(2, 0, 1), np.diag([1.0, 0.0])]),
+            [1.0, 1.0, 2.0],
+            ("eq", "eq", "leq"),
         ),
         2.0,
     ))
@@ -75,26 +71,22 @@ def analytic_problems() -> list[tuple[str, SdpProblem, float]]:
         "offdiag-gram",
         SdpProblem(
             entry_matrix(2, 0, 1),
-            (
-                Constraint(entry_matrix(2, 0, 0), 1.0, "eq"),
-                Constraint(entry_matrix(2, 1, 1), 4.0, "eq"),
-            ),
+            np.array([entry_matrix(2, 0, 0), entry_matrix(2, 1, 1)]),
+            [1.0, 4.0],
+            ("eq", "eq"),
         ),
         4.0,
     ))
 
     probs.append((
         "trace-cap",
-        SdpProblem(np.eye(3), (Constraint(np.eye(3), 5.0, "leq"),)),
+        SdpProblem(np.eye(3), np.array([np.eye(3)]), [5.0], ("leq",)),
         5.0,
     ))
 
     probs.append((
         "spectraplex-coupled",
-        SdpProblem(
-            np.array([[2.0, 1.0], [1.0, 2.0]]),
-            (Constraint(np.eye(2), 1.0, "eq"),),
-        ),
+        SdpProblem(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([np.eye(2)]), [1.0], ("eq",)),
         3.0,
     ))
 
@@ -102,10 +94,9 @@ def analytic_problems() -> list[tuple[str, SdpProblem, float]]:
         "surplus-floor",
         SdpProblem(
             -np.diag([1.0, 0.0]),
-            (
-                Constraint(np.diag([1.0, 0.0]), 1.0, "geq"),
-                Constraint(np.eye(2), 3.0, "leq"),
-            ),
+            np.array([np.diag([1.0, 0.0]), np.eye(2)]),
+            [1.0, 3.0],
+            ("geq", "leq"),
         ),
         -1.0,
     ))
@@ -114,10 +105,9 @@ def analytic_problems() -> list[tuple[str, SdpProblem, float]]:
         "independent-caps",
         SdpProblem(
             np.eye(2),
-            (
-                Constraint(np.diag([1.0, 0.0]), 2.0, "leq"),
-                Constraint(np.diag([0.0, 1.0]), 3.0, "leq"),
-            ),
+            np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+            [2.0, 3.0],
+            ("leq", "leq"),
         ),
         5.0,
     ))
@@ -127,10 +117,9 @@ def analytic_problems() -> list[tuple[str, SdpProblem, float]]:
         "amgm-offdiag",
         SdpProblem(
             entry_matrix(3, 0, 1),
-            (
-                Constraint(np.diag([1.0, 1.0, 0.0]), 2.0, "eq"),
-                Constraint(entry_matrix(3, 2, 2), 1.0, "eq"),
-            ),
+            np.array([np.diag([1.0, 1.0, 0.0]), entry_matrix(3, 2, 2)]),
+            [2.0, 1.0],
+            ("eq", "eq"),
         ),
         2.0,
     ))
@@ -140,9 +129,9 @@ def analytic_problems() -> list[tuple[str, SdpProblem, float]]:
 
 def infeasible_problem() -> SdpProblem:
     """No PSD matrix has negative trace."""
-    return SdpProblem(np.eye(2), (Constraint(np.eye(2), -1.0, "eq"),))
+    return SdpProblem(np.eye(2), np.array([np.eye(2)]), [-1.0], ("eq",))
 
 
 def unbounded_problem() -> SdpProblem:
     """Maximize the trace with nothing holding it down."""
-    return SdpProblem(np.eye(2), (Constraint(entry_matrix(2, 0, 1), 1.0, "eq"),))
+    return SdpProblem(np.eye(2), np.array([entry_matrix(2, 0, 1)]), [1.0], ("eq",))

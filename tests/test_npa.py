@@ -43,9 +43,8 @@ from randamp.npa import (
     success_face_basis,
     success_functional,
     symmetry_group,
-    target_orbits,
 )
-from randamp.sdp import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, SolverSettings, solve
+from randamp.sdp import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, SolverSettings, solve, verify
 from randamp.sources import canonical_mermin_source
 from randamp.strategies import (
     behavior_of_deterministic,
@@ -313,6 +312,15 @@ def test_symmetry_of_first_two_parties_under_source_distribution():
             r0 = target_bound(game, dist, 0.97, (0, x, outcome), settings=SWEEP_SETTINGS)
             r1 = target_bound(game, dist, 0.97, (1, x, outcome), settings=SWEEP_SETTINGS)
             assert abs(r0 - r1) <= 2e-4
+
+
+def target_orbits(game, dist):
+    """The targets grouped into orbits of `symmetry_group(game, dist)`.
+
+    Each orbit lists its targets in `_targets` order; the first is the
+    orbit's representative.  Targets in one orbit have equal bounds at
+    every level in LEVELS (see `symmetry_group`)."""
+    return npa._orbits(game, symmetry_group(game, dist))
 
 
 def test_target_orbits_of_the_three_scenarios():
@@ -596,6 +604,21 @@ def achieved_value(structure, objective, solution):
     return objective[structure.unit_id] - (solution.objective_value + solution.duality_gap)
 
 
+def test_compiled_orbit_problems_pass_verify():
+    """Each orbit representative's problem at the certify reference cell
+    (0.3, 0.97), as the orbit loop compiles it, solves to a point that
+    `verify` accepts: X PSD, the moment matrix (the dual slack) PSD,
+    residuals and gap within 1e-7."""
+    relaxation = Relaxation.canonical(0.3)
+    structure = relaxation.structure
+    for target, stabilizer in relaxation.orbits:
+        marginal = marginal_functional(structure, *target)
+        problem = compile_problem(structure, marginal, invariant_moments(structure, stabilizer),
+                                  relaxation.success, 0.97)
+        report = verify(problem, solve(problem), 1e-7)
+        assert report["passed"], (target, report)
+
+
 def test_critical_success_form_matches_its_orbit_representative():
     """max{ win(M) : P_t(M) >= 1/2 + eps' } agrees across each orbit
     within the solver tolerance."""
@@ -741,7 +764,7 @@ def test_critical_success_raises_on_a_stalled_target_solve(monkeypatch):
     failure comes from the per-target solves."""
     def stall_full(problem, settings):
         solution = solve(problem, settings)
-        return stall(solution) if problem.constraints else solution
+        return stall(solution) if len(problem.constraints) else solution
 
     monkeypatch.setattr(npa, "solve", stall_full)
     with pytest.raises(SolverFailureError, match="max_iterations for target"):

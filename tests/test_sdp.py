@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from analytic_problems import analytic_problems, infeasible_problem, unbounded_problem
 from randamp.sdp import (
-    Constraint,
     SdpProblem,
     SolverSettings,
     STATUS_INFEASIBLE,
@@ -33,11 +32,11 @@ def test_analytic_optimum(name, problem, optimum):
 @pytest.mark.parametrize("name,problem,optimum", BATTERY, ids=IDS)
 def test_optimal_solution_invariants(name, problem, optimum):
     settings = SolverSettings(tolerance=1e-8)
-    sol = solve(problem, settings)
-    assert sol.min_eigenvalue >= -settings.tolerance
-    assert sol.max_constraint_residual <= settings.tolerance
+    report = verify(problem, solve(problem, settings), settings.tolerance)
+    assert report["min_eigenvalue"] >= -settings.tolerance
+    assert report["max_constraint_residual"] <= settings.tolerance
     # weak duality: the dual bound never undercuts the primal value
-    assert sol.duality_gap >= -settings.tolerance
+    assert report["duality_gap"] >= -settings.tolerance
 
 
 @pytest.mark.parametrize("name,problem,optimum", BATTERY, ids=IDS)
@@ -82,35 +81,49 @@ def test_unbounded_problem_is_flagged():
 
 
 def test_non_symmetric_inputs_rejected():
-    with pytest.raises(ValueError):
-        SdpProblem(np.array([[0.0, 1.0], [0.0, 0.0]]), ())
-    with pytest.raises(ValueError):
-        Constraint(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, "eq")
-    with pytest.raises(ValueError):
-        Constraint(np.eye(2), 1.0, "le")
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        SdpProblem(skew, np.zeros((0, 2, 2)), [], ())
+    with pytest.raises(ValueError, match="not symmetric"):
+        SdpProblem(np.eye(2), np.array([np.eye(2), skew]), [1.0, 1.0], ("eq", "eq"))
+    with pytest.raises(ValueError, match="relations"):
+        SdpProblem(np.eye(2), np.array([np.eye(2)]), [1.0], ("le",))
 
 
 def test_constraint_owns_the_symmetrized_matrix():
-    """An asymmetry up to SYMMETRY_TOL in either triangle is accepted and
-    averaged away into a fresh array; one beyond it is rejected."""
+    """An asymmetry up to SYMMETRY_TOL in either triangle of a constraint
+    slice is accepted and averaged away into a fresh array; one beyond
+    it is rejected."""
     rng = np.random.default_rng(5)
     M = rng.standard_normal((6, 6))
     M = M + M.T
     for i, j in ((1, 4), (4, 1)):
-        A = M.copy()
-        A[i, j] += 0.9 * SYMMETRY_TOL
-        con = Constraint(A, 1.0, "eq")
-        assert np.array_equal(con.A, (A + A.T) / 2.0)
-        assert np.array_equal(con.A, con.A.T)
-        assert not np.shares_memory(con.A, A)
-        A[i, j] += 0.2 * SYMMETRY_TOL
+        A = np.array([np.eye(6), M])
+        A[1, i, j] += 0.9 * SYMMETRY_TOL
+        problem = SdpProblem(np.eye(6), A, [1.0, 1.0], ("eq", "leq"))
+        assert np.array_equal(problem.constraints, (A + A.transpose(0, 2, 1)) / 2.0)
+        assert np.array_equal(problem.constraints[1], problem.constraints[1].T)
+        assert not np.shares_memory(problem.constraints, A)
+        A[1, i, j] += 0.2 * SYMMETRY_TOL
         with pytest.raises(ValueError, match="not symmetric"):
-            Constraint(A, 1.0, "eq")
+            SdpProblem(np.eye(6), A, [1.0, 1.0], ("eq", "leq"))
 
 
 def test_constraint_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        SdpProblem(np.eye(2), (Constraint(np.eye(3), 1.0, "eq"),))
+    with pytest.raises(ValueError, match="shape"):
+        SdpProblem(np.eye(2), np.array([np.eye(3)]), [1.0], ("eq",))
+    with pytest.raises(ValueError, match="as many"):
+        SdpProblem(np.eye(2), np.array([np.eye(2)]), [1.0, 2.0], ("eq",))
+    with pytest.raises(ValueError, match="as many"):
+        SdpProblem(np.eye(2), np.array([np.eye(2)]), [1.0], ("eq", "eq"))
+
+
+def test_residuals_are_one_sided_for_inequalities():
+    """<A_k, X> = 2 for every row: an equality misses b by |2 - b|, an
+    inequality only on its violated side."""
+    problem = SdpProblem(np.eye(2), np.array([np.eye(2)] * 6), [1.0, 3.0, 1.0, 3.0, 1.0, 3.0],
+                         ("eq", "eq", "leq", "leq", "geq", "geq"))
+    assert problem.residuals(np.eye(2)).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 1.0]
 
 
 def test_verify_flags_corrupted_solution():

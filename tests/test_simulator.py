@@ -159,15 +159,21 @@ def loop_run_protocol(params, device, seed):
                 dist[(a, b, a ^ b)] = pa * pb
         return dist
 
-    stream = sim._SourceStream(source, rng)
+    history = []
+
+    def draw():
+        p0 = source.next_bit_probability(history)
+        history.append(0 if rng.random() < p0 else 1)
+        return history[-1]
+
     inputs, outputs, wins = [], [], []
     p_avg_sum = 0.0
     for j in range(n):
         k = int(round_block[j])
-        dist_j = round_input_distribution(stream.history)
+        dist_j = round_input_distribution(history)
         p_avg_sum += sum(p * win_prob[k][x] for x, p in dist_j.items())
-        a = stream.draw()
-        b = stream.draw()
+        a = draw()
+        b = draw()
         x = (a, b, a ^ b)
         row = flat_rows[k][x]
         flat_idx = int(np.searchsorted(row, rng.random(), side="right"))
@@ -185,7 +191,7 @@ def loop_run_protocol(params, device, seed):
     if p_est <= params.p_threshold:
         return ProtocolRun(
             aborted=True, selected_round=None, output_bit=None,
-            source_bits_used=stream.count, selection_draws=0, **transcript,
+            source_bits_used=len(history), selection_draws=0, **transcript,
         )
     n_bits = (n - 1).bit_length()
     draws = 0
@@ -193,12 +199,12 @@ def loop_run_protocol(params, device, seed):
         draws += 1
         idx = 0
         for _ in range(n_bits):
-            idx = (idx << 1) | stream.draw()
+            idx = (idx << 1) | draw()
         if idx < n:
             break
     return ProtocolRun(
         aborted=False, selected_round=idx, output_bit=outputs[idx][0],
-        source_bits_used=stream.count, selection_draws=draws, **transcript,
+        source_bits_used=len(history), selection_draws=draws, **transcript,
     )
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from randamp.simulator import _SourceStream
 from randamp.sources import (
     ExtremalSource,
     canonical_mermin_source,
@@ -61,9 +60,13 @@ def test_conditional_probability_saturates_band(eps, sign, history):
 
 
 def sample_bits(source, n, seed):
-    """`n` bits drawn by the protocol's sequential source sampler."""
-    stream = _SourceStream(source, np.random.default_rng(seed))
-    return np.array([stream.draw() for _ in range(n)], dtype=np.uint8)
+    """`n` bits drawn in sequence, each 0 with the source's conditional
+    probability given the bits before it."""
+    rng = np.random.default_rng(seed)
+    history = []
+    for _ in range(n):
+        history.append(0 if rng.random() < source.next_bit_probability(history) else 1)
+    return np.array(history, dtype=np.uint8)
 
 
 def test_empirical_frequency_matches_conditional_probability():
