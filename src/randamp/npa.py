@@ -1,26 +1,29 @@
 """Moment-matrix relaxations bounding outcome predictability in games.
 
 The quantum set is relaxed by a hierarchy of moment matrices indexed by
-a list of operator words.  Binary outcomes are represented by a single
-outcome-0 projector per (party, input); the outcome-1 operator is
-identity minus it.  A word is a product of projectors, stored as one
-subword per party (parties commute, same-party factors do not).
+a list of operator words.  Binary outcomes are represented by one +-1
+observable A = P0 - P1 per (party, input), the standard form of
+Navascues, Pironio and Acin (New J. Phys. 10, 073013, 2008).  A word is
+a product of observables, stored as one subword per party (parties
+commute, same-party factors do not); A A = 1, so adjacent duplicates
+cancel in pairs.
 
 The moment matrix M[i,j] = <w_i^dagger w_j> is real symmetric positive
-semidefinite.  Algebraically equal entries (idempotence, commutation,
-adjoint symmetry) share one moment variable, so M(m) = sum_k m_k B_k is
-linear in the distinct moments m, with the unit moment fixed to 1.  A
-linear functional of the moments (an outcome probability, a marginal,
-the win probability) is a dense coefficient vector c over the moment
-ids, with value c @ m.  Maximizing a functional subject to a
-success-probability floor gives an upper bound on how predictable any
-single party's outcome can be, which is the quantity that drives all
-the amplification curves.  Each problem is solved over the moments
-themselves (the standard form of the NPA hierarchy): they are the dual
-variables of an `sdp.solve` problem, see `compile_problem`.
+semidefinite with unit diagonal (each word is unitary).  Algebraically
+equal entries (A A = 1, commutation, adjoint symmetry) share one moment
+variable, so M(m) = sum_k m_k B_k is linear in the distinct moments m,
+with the unit moment fixed to 1.  A linear functional of the moments (an
+outcome probability, a marginal (1 +- <A>)/2, the win probability) is a
+dense coefficient vector c over the moment ids, with value c @ m.
+Maximizing a functional subject to a success-probability floor gives an
+upper bound on how predictable any single party's outcome can be, which
+is the quantity that drives all the amplification curves.  Each problem
+is solved over the moments themselves (the standard form of the NPA
+hierarchy): they are the dual variables of an `sdp.solve` problem, see
+`compile_problem`.
 
-Levels: Q1 (identity + single projectors), Q1+AB (plus cross-party
-pairs), Q1+ABC (cross-party pairs plus one-projector-per-party
+Levels: Q1 (identity + single observables), Q1+AB (plus cross-party
+pairs), Q1+ABC (cross-party pairs plus one-observable-per-party
 triples), Q2 (all words of length <= 2), Q2+ABC (Q2 plus the triples).
 Q1+ABC must include the pair words: without them the relaxation admits
 pseudo-moment matrices whose "win probability" exceeds 1, and the
@@ -40,13 +43,15 @@ the symmetry group of (game, dist), enumerated once (`symmetry_group`),
 each with its representative's stabilizer; its face is built on the
 first floor-1 query.  Its one orbit loop solves one representative per
 orbit, below floor 1 over the moments its stabilizer fixes
-(`invariant_moments`), again an affine set m0 + N z, and takes the
-largest bound.  `p_max` runs it with the target's marginal as objective
-and the floor on the win probability, `critical_success` with the two
-swapped.  Objective and floor functional are fixed by the stabilizer,
-so averaging an optimum over it keeps the value (Gatermann & Parrilo,
-J. Pure Appl. Algebra 192, 2004).  For the Mermin game under the
-canonical source at Q1+ABC that leaves 14 to 19 free moments of 75.
+(`invariant_moments`: a symmetry maps each basis word to +- a basis
+word, so the fixed moments are spanned by the unit vector and signed
+orbit sums), and takes the largest bound.  `p_max` runs it with the
+target's marginal as objective and the floor on the win probability,
+`critical_success` with the two swapped.  Objective and floor functional
+are fixed by the stabilizer, so averaging an optimum over it keeps the
+value (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).  For the
+Mermin game under the canonical source at Q1+ABC that leaves 14 to 19
+free moments of 75.
 
 Q2 and Q2+ABC exceed the smallest useful level and exist for
 cross-checking that bounds tighten down the hierarchy.
@@ -56,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -80,12 +85,12 @@ LEVEL_Q2_ABC = "Q2+ABC"
 LEVELS = (LEVEL_Q1, LEVEL_Q1_AB, LEVEL_Q1_ABC, LEVEL_Q2, LEVEL_Q2_ABC)
 
 # A word is a tuple over parties; each per-party subword is an ordered
-# tuple of input indices (outcome-0 projectors), adjacent-duplicate free.
+# tuple of input indices (+-1 observables), adjacent-duplicate free.
 Word = tuple[tuple[int, ...], ...]
 
 
 class UnsupportedScenarioError(ValueError):
-    """Scenario outside the projector-per-input representation."""
+    """Scenario outside the observable-per-input representation."""
 
 
 class MomentNotAvailableError(ValueError):
@@ -154,7 +159,7 @@ def build_basis(scenario: Scenario, level: str) -> MonomialBasis:
         raise ValueError(f"unknown level {level!r}, expected one of {LEVELS}")
     if any(c != 2 for c in scenario.output_cardinalities):
         raise UnsupportedScenarioError(
-            "moment bases use one outcome-0 projector per (party, input); "
+            "moment bases use one +-1 observable per (party, input); "
             f"outputs {scenario.output_cardinalities} are not binary"
         )
     n = scenario.n_parties
@@ -202,11 +207,13 @@ def build_basis(scenario: Scenario, level: str) -> MonomialBasis:
     return MonomialBasis(scenario, level, tuple(words))
 
 
-def _collapse(seq: Iterable[int]) -> tuple[int, ...]:
-    # projector^2 = projector: merge adjacent duplicates in one pass
+def _cancel(seq: Iterable[int]) -> tuple[int, ...]:
+    # A A = 1: adjacent duplicates cancel in pairs, innermost first
     out: list[int] = []
     for s in seq:
-        if not out or out[-1] != s:
+        if out and out[-1] == s:
+            out.pop()
+        else:
             out.append(s)
     return tuple(out)
 
@@ -218,7 +225,7 @@ def _word_adjoint(word: Word) -> Word:
 def _cell_word(w_i: Word, w_j: Word) -> Word:
     """Reduced word of w_i^dagger w_j, party by party."""
     return tuple(
-        _collapse(tuple(reversed(si)) + sj) for si, sj in zip(w_i, w_j)
+        _cancel(tuple(reversed(si)) + sj) for si, sj in zip(w_i, w_j)
     )
 
 
@@ -263,23 +270,18 @@ def _moment_id(structure: MomentMatrixStructure, word: Word) -> int:
     return idx
 
 
-def _outcome_words(
-    n_parties: int, outputs: tuple[int, ...], inputs: tuple[int, ...]
-) -> Iterator[tuple[Word, float]]:
-    """Signed projector words summing to the joint outcome operator.
-
-    The product of per-party outcome operators (projector for outcome 0,
-    identity minus projector for outcome 1) expands by inclusion-exclusion
-    over the parties that answered 1: one word per subset of them, with
-    sign (-1)^(subset size)."""
-    if len(outputs) != n_parties or len(inputs) != n_parties:
+def _outcome_expansion(
+    n_parties: int, outputs, inputs: tuple[int, ...]
+) -> tuple[list[Word], np.ndarray]:
+    """The joint outcome operator prod_p (1 + (-1)^o_p A[p, x_p]) / 2 of
+    input cell `inputs`, expanded over the subsets s of the parties as
+    sum_s (-1)^(o . s) / 2^n times the word of A[p, x_p] for p in s: the
+    2^n words, and the coefficients of each row o of `outputs`."""
+    if np.shape(outputs)[-1] != n_parties or len(inputs) != n_parties:
         raise ValueError("outputs and inputs must have one entry per party")
-    zeros = [p for p in range(n_parties) if outputs[p] == 0]
-    ones = [p for p in range(n_parties) if outputs[p] == 1]
-    for k in range(len(ones) + 1):
-        for subset in itertools.combinations(ones, k):
-            parties = sorted(zeros + list(subset))
-            yield tuple((inputs[p],) if p in parties else () for p in range(n_parties)), (-1.0) ** k
+    subsets = (np.arange(2 ** n_parties)[:, None] >> np.arange(n_parties)) & 1
+    words = [tuple((x,) if bit else () for x, bit in zip(inputs, s)) for s in subsets.tolist()]
+    return words, (-1.0) ** (np.asarray(outputs) @ subsets.T) / 2 ** n_parties
 
 
 def outcome_probability_functional(
@@ -287,37 +289,38 @@ def outcome_probability_functional(
 ) -> np.ndarray:
     """Coefficients over moment ids expressing P(outputs | inputs)."""
     c = np.zeros(len(structure.id_cells))
-    for word, sign in _outcome_words(structure.basis.scenario.n_parties, outputs, inputs):
-        c[_moment_id(structure, word)] += sign
+    for word, coef in zip(*_outcome_expansion(structure.basis.scenario.n_parties, outputs, inputs)):
+        c[_moment_id(structure, word)] += coef
     return c
 
 
 def marginal_functional(
     structure: MomentMatrixStructure, party: int, x: int, outcome: int
 ) -> np.ndarray:
-    """P(party answers `outcome` on input x), as moment coefficients."""
+    """P(party answers `outcome` on input x) = (1 +- <A>)/2, as moment
+    coefficients."""
     c = np.zeros(len(structure.id_cells))
     single = _moment_id(structure, _single(structure.basis.scenario.n_parties, party, x))
-    if outcome == 0:
-        c[single] += 1.0
-    else:
-        c[structure.unit_id] += 1.0
-        c[single] -= 1.0
+    c[structure.unit_id] += 0.5
+    c[single] += 0.5 if outcome == 0 else -0.5
     return c
 
 
 def success_functional(
     structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution
 ) -> np.ndarray:
-    """Win probability under `dist` as moment coefficients."""
+    """Win probability under `dist` as moment coefficients: per input
+    cell, the winning outputs' coefficients are summed before they are
+    placed on the moments."""
     c = np.zeros(len(structure.id_cells))
     for x in game.admissible_inputs():
         px = dist.prob(x)
-        if px == 0.0:
+        wins = [o for o in game.all_outputs() if game.win(x, o)]
+        if px == 0.0 or not wins:
             continue
-        for o in game.all_outputs():
-            if game.win(x, o):
-                c += px * outcome_probability_functional(structure, o, x)
+        words, coefs = _outcome_expansion(game.n_parties, wins, x)
+        for word, coef in zip(words, px * coefs.sum(axis=0)):
+            c[_moment_id(structure, word)] += coef
     return c
 
 
@@ -388,12 +391,12 @@ def outcome_operator_vector(
     """
     index = {w: i for i, w in enumerate(structure.basis.words)}
     vec = np.zeros(len(structure.basis.words))
-    for word, sign in _outcome_words(structure.basis.scenario.n_parties, outputs, inputs):
+    for word, coef in zip(*_outcome_expansion(structure.basis.scenario.n_parties, outputs, inputs)):
         if word not in index:
             raise MomentNotAvailableError(
                 f"word {word} is not a basis word at level {structure.basis.level}"
             )
-        vec[index[word]] += sign
+        vec[index[word]] += coef
     return vec
 
 
@@ -533,17 +536,17 @@ def symmetry_group(game: GameSpec, dist: InputDistribution) -> tuple[Symmetry, .
     DIST_TOL and keeps game.win on every admissible (x, o).  The kept
     candidates are closed under composition, so they form a group.
 
-    A symmetry acts on the projectors by P[p, x] -> P[perm[p], x], or
-    1 - P[perm[p], x] when flipped, which is an automorphism of the
-    operator algebra: projectors stay projectors and parties still
-    commute, so algebraically equal moments stay equal.  It keeps the
-    span of every level's word set, because each level contains every
-    word obtained by dropping factors from one of its words (so the
-    expansion of 1 - P stays inside) and permuting parties of equal
-    cardinality permutes its words.  It therefore acts on the basis by an
-    invertible matrix T, and M -> T M T^T maps feasible moment matrices
-    to feasible ones (PSD, tied, normalized) with the same win
-    probability, sending the marginal of a target to that of its image.
+    A symmetry acts on the observables by A[p, x] -> A[perm[p], x], or
+    -A[perm[p], x] when flipped, which is an automorphism of the operator
+    algebra: observables stay +-1 valued and parties still commute, so
+    algebraically equal moments stay equal.  Permuting parties of equal
+    cardinality permutes every level's words, so the symmetry maps each
+    basis word to +- a basis word (`_signed_permutation`; Tavakoli,
+    Rosset & Renou, Phys. Rev. Lett. 122, 070501, 2019).  It therefore
+    acts on the basis by a signed permutation matrix T, and M -> T M T^T
+    maps feasible moment matrices to feasible ones (PSD, tied,
+    normalized) with the same win probability, sending the marginal of a
+    target to that of its image.
     """
     n = game.n_parties
     admissible = game.admissible_inputs()
@@ -599,80 +602,57 @@ def orbit_stabilizers(
     ]
 
 
-def _basis_action(structure: MomentMatrixStructure, g: Symmetry) -> np.ndarray:
-    """T with w_i(P') = sum_a T[i, a] w_a(P) for the projectors P' that
-    `g` makes of P (P'[p, x] is P[perm[p], x], or 1 - P[perm[p], x] when
-    flipped), so the moment matrix of P' is T M T^T."""
+def _signed_permutation(
+    structure: MomentMatrixStructure, g: Symmetry
+) -> tuple[np.ndarray, np.ndarray]:
+    """sigma and s with w_i(A') = s_i w_sigma(i)(A) for the observables A'
+    that `g` makes of A (A'[p, x] is A[perm[p], x], negated when flipped),
+    so the moment matrix of A' is T M T^T with T[i, sigma(i)] = s_i."""
     words = structure.basis.words
     index = {w: i for i, w in enumerate(words)}
-    T = np.zeros((len(words), len(words)))
+    sigma = np.empty(len(words), dtype=int)
+    flipped = np.zeros(len(words), dtype=int)
     for i, word in enumerate(words):
-        per_party: list = [None] * len(word)
+        image: list = [()] * len(word)
         for p, sub in enumerate(word):
-            terms = [((), 1.0)]
+            image[g.perm[p]] = sub
             for x in sub:
-                grown = [(s + (x,), -c if g.flips[p][x] else c) for s, c in terms]
-                terms = terms + grown if g.flips[p][x] else grown
-            per_party[g.perm[p]] = [(_collapse(s), c) for s, c in terms]
-        for combo in itertools.product(*per_party):
-            T[i, index[tuple(s for s, _ in combo)]] += np.prod([c for _, c in combo])
-    return T
-
-
-def _moment_action(structure: MomentMatrixStructure, g: Symmetry) -> np.ndarray:
-    """G with M(G m) = T M(m) T^T (see `_basis_action`): moment j of the
-    image is the entry of T M T^T on a cell of moment j."""
-    T = _basis_action(structure, g)
-    rows, cols = np.array([cells[0] for cells in structure.id_cells]).T
-    n = len(rows)
-    image = T[rows][:, :, None] * T[cols][:, None, :]
-    return image.reshape(n, -1) @ _cell_indicators(structure).reshape(n, -1).T
-
-
-def _orthonormal_span(columns: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the span of `columns`, by Gram-Schmidt in
-    column order with each projection applied twice.  A unit column
-    orthogonal to the earlier ones is kept as it is, so identity columns
-    come back unchanged."""
-    basis = np.zeros((len(columns), 0))
-    for v in columns.T:
-        for _ in range(2):
-            v = v - basis @ (basis.T @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            basis = np.column_stack([basis, v / norm])
-    return basis
-
-
-_INVARIANT_MOMENTS: dict = {}
+                flipped[i] ^= g.flips[p][x]
+        sigma[i] = index[tuple(image)]
+    return sigma, 1.0 - 2.0 * flipped
 
 
 def invariant_moments(
     structure: MomentMatrixStructure, stabilizer: tuple[Symmetry, ...] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """The moments fixed by every symmetry of the group `stabilizer`, with
-    unit 1, as an affine set m = m0 + N z; the empty tuple stands for the
-    trivial group, whose set is every moment vector (m0 the unit vector,
-    N the identity columns of the other moments).
+    unit 1, as m = m0 + N z: m0 is the unit vector and the columns of N
+    the normalized signed orbit sums of the other moments.  The empty
+    tuple stands for the trivial group, whose N is the identity columns
+    of the other moments.
 
-    Each symmetry acts on the moments by a matrix G (`_moment_action`),
-    linear in the whole vector but affine in the free moments, since a
-    flip sends P to 1 - P.  The average of the G over the group projects
-    onto the fixed vectors, so m0 is the average image of the unit
-    vector and N an orthonormal basis of the average's other columns,
-    whose unit coordinate is 0.  A problem whose objective, success
-    functional and floor are all fixed by the group has the same optimum
-    over this set as over every moment vector: averaging an optimum over
-    the group gives a fixed optimum of the same value.  Cached per
-    (basis, stabilizer); neither depends on the input distribution."""
-    key = (structure.basis, stabilizer)
-    if key not in _INVARIANT_MOMENTS:
-        n = len(structure.id_cells)
-        actions = [_moment_action(structure, g) for g in stabilizer] or [np.eye(n)]
-        average = sum(actions) / len(actions)
-        N = _orthonormal_span(np.delete(average, structure.unit_id, axis=1))
-        _INVARIANT_MOMENTS[key] = (average[:, structure.unit_id], N)
-    return _INVARIANT_MOMENTS[key]
+    A symmetry maps moment k, at cell (i, j), to s_i s_j times moment
+    cell_ids[sigma(i), sigma(j)] (`_signed_permutation`), so a fixed
+    vector is constant up to sign on each orbit; an orbit that meets its
+    own negation sums to zero and is forced to 0.  The columns have
+    disjoint supports, so N is orthonormal.  A problem whose objective,
+    success functional and floor are all fixed by the group has the same
+    optimum over this set as over every moment vector: averaging an
+    optimum over the group gives a fixed optimum of the same value."""
+    n = len(structure.id_cells)
+    ids = np.arange(n)
+    rows, cols = np.array([cells[0] for cells in structure.id_cells]).T
+    sums = np.zeros((n, n)) if stabilizer else np.eye(n)
+    orbit = sums != 0
+    for g in stabilizer:
+        sigma, s = _signed_permutation(structure, g)
+        image = structure.cell_ids[sigma[rows], sigma[cols]]
+        sums[image, ids] += s[rows] * s[cols]
+        orbit[image, ids] = True
+    # one column per orbit, its smallest member's; the unit's and zero sums are left out
+    keep = (orbit.argmax(axis=0) == ids) & (ids != structure.unit_id) & sums.any(axis=0)
+    N = sums[:, keep]
+    return np.eye(n)[structure.unit_id], N / np.linalg.norm(N, axis=0)
 
 
 def _upper_value(

@@ -57,14 +57,14 @@ SWEEP_SETTINGS = SolverSettings(tolerance=1e-6)
 
 def moment_matrix_of_deterministic(structure, strategy):
     """Rank-1 PSD moment matrix embedding a deterministic strategy: the
-    outer product of its basis-word values, where a projector is 1 when
-    the strategy answers 0 on that input, else 0."""
+    outer product of its basis-word values, where an observable is +1
+    when the strategy answers 0 on that input, else -1."""
 
     def word_value(word):
         v = 1.0
         for party, sub in enumerate(word):
             for x in sub:
-                v *= 1.0 if strategy.output(party, x) == 0 else 0.0
+                v *= 1.0 if strategy.output(party, x) == 0 else -1.0
         return v
 
     v = np.array([word_value(w) for w in structure.basis.words])
@@ -110,7 +110,7 @@ def test_basis_words_are_canonical():
         for w in words:
             assert len(w) == 3
             for sub in w:
-                # no adjacent repeats survive projector idempotence
+                # no adjacent repeats survive A A = 1
                 assert all(a != b for a, b in zip(sub, sub[1:]))
 
 
@@ -130,6 +130,23 @@ def test_moment_structure_is_symmetric_with_unit():
     assert np.array_equal(ids, ids.T)
     i0, j0 = structure.id_cells[structure.unit_id][0]
     assert (i0, j0) == (0, 0)
+
+
+MOMENT_COUNTS = [
+    (mermin_game, {LEVEL_Q1: 22, LEVEL_Q1_AB: 60, LEVEL_Q1_ABC: 76, LEVEL_Q2: 93, LEVEL_Q2_ABC: 133}),
+    (chsh_game, {LEVEL_Q1: 11, LEVEL_Q1_AB: 17, LEVEL_Q2: 31}),
+]
+
+
+def test_moment_counts_and_unit_diagonal():
+    """Observable words span the same operators as outcome-0 projector
+    words, so every level keeps the projector form's count of distinct
+    moments; each diagonal cell w^dagger w reduces to the unit moment."""
+    for make_game, counts in MOMENT_COUNTS:
+        for level, count in counts.items():
+            structure = structure_for(make_game(), level)
+            assert len(structure.id_cells) == count, level
+            assert np.all(np.diag(structure.cell_ids) == structure.unit_id), level
 
 
 def test_query_validation():
@@ -197,7 +214,8 @@ def ghz_moment_matrix(structure):
     def party_op(party, sub):
         op = eye
         for x in sub:
-            op = op @ strat.measurements[party][x][0]
+            outcome_0, outcome_1 = strat.measurements[party][x]
+            op = op @ (outcome_0 - outcome_1)
         return op
 
     def word_op(word):
@@ -405,10 +423,29 @@ def test_canonical_symmetries_hold_exactly(epsilon):
     structure = structure_for(game, LEVEL_Q1_ABC)
     success = success_functional(structure, game, dist)
     for target, stabilizer in orbit_stabilizers(game, group):
-        average = sum(npa._moment_action(structure, g) for g in stabilizer) / len(stabilizer)
+        average = sum(moment_action(structure, g) for g in stabilizer) / len(stabilizer)
         marginal = marginal_functional(structure, *target)
         assert np.max(np.abs(success @ average - success)) <= 1e-15
         assert np.max(np.abs(marginal @ average - marginal)) <= 1e-15
+
+
+def signed_permutation_matrix(structure, g):
+    """T with T[i, sigma(i)] = s_i, from `npa._signed_permutation`."""
+    sigma, s = npa._signed_permutation(structure, g)
+    T = np.zeros((len(sigma), len(sigma)))
+    T[np.arange(len(sigma)), sigma] = s
+    return T
+
+
+def moment_action(structure, g):
+    """G with moment k of the image s_i s_j times moment
+    cell_ids[sigma(i), sigma(j)], read at k's first cell (i, j)."""
+    sigma, s = npa._signed_permutation(structure, g)
+    G = np.zeros((len(structure.id_cells),) * 2)
+    for k, cells in enumerate(structure.id_cells):
+        i, j = cells[0]
+        G[k, structure.cell_ids[sigma[i], sigma[j]]] = s[i] * s[j]
+    return G
 
 
 def compose(g, h):
@@ -438,16 +475,18 @@ def test_symmetry_group_is_closed_under_composition(epsilon):
 
 @pytest.mark.parametrize("level", [LEVEL_Q1, LEVEL_Q1_AB, LEVEL_Q1_ABC, LEVEL_Q2, LEVEL_Q2_ABC])
 def test_symmetries_act_on_moment_matrices_by_congruence(level):
-    """The moment map G of a symmetry is the congruence M -> T M T^T of
-    its basis map T: M(G m) = T M(m) T^T for any moments m, so it keeps
-    the cell ties, PSD matrices and the unit moment."""
+    """The moment map G of a symmetry, read off one cell per moment, is
+    the congruence M -> T M T^T of its signed permutation T of the basis
+    words on every cell: M(G m) = T M(m) T^T for any moments m, so it
+    keeps the cell ties, PSD matrices and the unit moment."""
     game, dist = canonical_distribution(0.0)
     structure = structure_for(game, level)
     B = npa._cell_indicators(structure)
     m = np.random.default_rng(7).normal(size=len(structure.id_cells))
     for g in symmetry_group(game, dist):
-        T = npa._basis_action(structure, g)
-        G = npa._moment_action(structure, g)
+        T = signed_permutation_matrix(structure, g)
+        assert np.array_equal(np.abs(T).sum(axis=0), np.ones(len(T)))
+        G = moment_action(structure, g)
         lhs = np.tensordot(G @ m, B, axes=1)
         assert np.max(np.abs(lhs - T @ np.tensordot(m, B, axes=1) @ T.T)) <= 1e-13
         assert np.array_equal(G[structure.unit_id], np.eye(len(m))[structure.unit_id])
@@ -456,9 +495,9 @@ def test_symmetries_act_on_moment_matrices_by_congruence(level):
 def test_invariant_moments_of_the_canonical_source():
     """At epsilon 0.3 the group has order 16 and the representatives'
     stabilizers 4, 4, 8 and 8, leaving 19, 19, 14 and 14 free moments of
-    75.  Each set is fixed by its stabilizer, with unit 1 and orthonormal
-    directions of unit coordinate 0; the trivial group gives the unit
-    vector and the identity columns."""
+    75.  Each set is fixed by its stabilizer, with m0 the unit vector and
+    orthonormal directions of unit coordinate 0; the trivial group gives
+    the unit vector and the identity columns."""
     game, dist = canonical_distribution(0.3)
     structure = structure_for(game, LEVEL_Q1_ABC)
     group = symmetry_group(game, dist)
@@ -470,10 +509,10 @@ def test_invariant_moments_of_the_canonical_source():
     for target, stabilizer in stabilizers:
         m0, N = invariant_moments(structure, stabilizer)
         free.append(N.shape[1])
-        assert m0[unit] == 1.0 and not N[unit].any()
+        assert np.array_equal(m0, np.eye(len(m0))[unit]) and not N[unit].any()
         assert np.max(np.abs(N.T @ N - np.eye(N.shape[1]))) <= 1e-14
         for g in stabilizer:
-            G = npa._moment_action(structure, g)
+            G = moment_action(structure, g)
             assert np.max(np.abs(G @ m0 - m0)) <= 1e-15
             assert np.max(np.abs(G @ N - N)) <= 1e-14
     assert [len(s) for _, s in stabilizers] == [4, 4, 8, 8]
@@ -524,12 +563,38 @@ def test_reduced_critical_success_matches_unreduced_on_the_figure2_grid(epsilon)
 
 
 def test_cells_that_failed_unreduced_solve_reduced():
-    """(0.45, 0.998), (0.45, 0.999) and (0.45, 0.9995) stalled on the
-    unreduced problem; reduced, they give finite bounds, non-increasing
-    in the floor and no lower than the floor-1 bound."""
+    """(0.45, 0.998), (0.45, 0.999) and (0.45, 0.9995) stalled unreduced
+    in the outcome-0 projector basis; reduced, they give finite bounds,
+    non-increasing in the floor and no lower than the floor-1 bound."""
     values = [eps_prime(0.45, p_s) for p_s in (0.998, 0.999, 0.9995)]
     assert all(np.isfinite(v) for v in values)
     assert values[0] >= values[1] >= values[2] >= eps_prime(0.45, 1.0)
+
+
+def unreduced_solution(epsilon, floor, target):
+    """One target's p_max solve over every moment vector."""
+    relaxation = Relaxation.canonical(epsilon)
+    structure = relaxation.structure
+    problem = compile_problem(structure, marginal_functional(structure, *target),
+                              invariant_moments(structure), relaxation.success, floor)
+    return solve(problem, SolverSettings())
+
+
+@pytest.mark.parametrize("floor", [0.998, 0.999, 0.9995])
+def test_unreduced_solves_near_floor_one_reach_optimal(floor):
+    """Solved over every moment vector, with no stabilizer, each orbit
+    representative at epsilon 0.45 ends optimal; in the outcome-0
+    projector coordinates one or two of them stopped at max_iterations."""
+    for target, _ in Relaxation.canonical(0.45).orbits:
+        assert unreduced_solution(0.45, floor, target).status == STATUS_OPTIMAL, target
+
+
+def test_unreduced_solve_on_the_certify_lattice_converges_quickly():
+    """At (0.28, 0.985) target (0, 1, 0) takes at most 25 iterations
+    unreduced (47 in the outcome-0 projector coordinates)."""
+    solution = unreduced_solution(0.28, 0.985, (0, 1, 0))
+    assert solution.status == STATUS_OPTIMAL
+    assert solution.iterations <= 25
 
 
 def test_critical_success_builds_one_structure(monkeypatch):
