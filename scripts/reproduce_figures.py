@@ -2,8 +2,9 @@
 """Regenerate the three amplification curves as CSV files.
 
 Every grid cell costs a few semidefinite solves, one per target orbit
-(a critical-curve cell adds a face-reduced check at success floor 1), so
-the full grids take a few minutes.  --fast coarsens the grids for a
+(a cell at success floor 1 makes none: it is read off the exact
+success-1 face, which a critical-curve cell also checks first), so the
+full grids take a few minutes.  --fast coarsens the grids for a
 quick smoke run; the CSV schemas are identical either way.
 """
 

@@ -31,11 +31,10 @@ success floor loses all force.  With them, every outcome probability is
 a PSD quadratic form of the moment matrix, so win probabilities stay in
 [0, 1] and a success floor of exactly 1 pins the matrix to the face
 where every losing outcome has probability zero.  Queries at floor 1
-are solved on that face directly (facial reduction): the unreduced
-problem has no interior there and interior-point accuracy collapses.
-The moments whose matrix lies on the face form an affine set m0 + N z,
-solved for once per `SuccessFaceContext`; under the canonical source it
-is a single point, and the face solve only checks that its matrix is PSD.
+are answered on that face with no solve (`SuccessFaceContext`): the
+face condition is linear in the moments, and under the canonical
+source, at every epsilon < 1/2, it leaves one integer moment point,
+checked exactly, at which every marginal is 1/2.
 
 A `Relaxation` holds what one (game, dist, level) needs, built once per
 call: the structure, the success functional and the target orbits of
@@ -61,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -284,16 +284,6 @@ def _outcome_expansion(
     return words, (-1.0) ** (np.asarray(outputs) @ subsets.T) / 2 ** n_parties
 
 
-def outcome_probability_functional(
-    structure: MomentMatrixStructure, outputs: tuple[int, ...], inputs: tuple[int, ...]
-) -> np.ndarray:
-    """Coefficients over moment ids expressing P(outputs | inputs)."""
-    c = np.zeros(len(structure.id_cells))
-    for word, coef in zip(*_outcome_expansion(structure.basis.scenario.n_parties, outputs, inputs)):
-        c[_moment_id(structure, word)] += coef
-    return c
-
-
 def marginal_functional(
     structure: MomentMatrixStructure, party: int, x: int, outcome: int
 ) -> np.ndarray:
@@ -336,19 +326,17 @@ def compile_problem(
     moments: tuple[np.ndarray, np.ndarray],
     floor_functional: Optional[np.ndarray] = None,
     floor: float = 0.0,
-    V: Optional[np.ndarray] = None,
 ) -> SdpProblem:
     """The relaxation over the moments m = m0 + N z of `moments` (from
-    `invariant_moments`, or a face's), as an `sdp.solve` problem:
+    `invariant_moments`), as an `sdp.solve` problem:
 
-        maximize c.m  subject to  V^T M(m) V >= 0  and, with a floor
+        maximize c.m  subject to  M(m) >= 0  and, with a floor
         functional f, f.m >= floor,
 
-    where M(m) = sum_k m_k B_k, B_k has a 1 on each cell of moment k and
-    V None stands for the identity, which is not multiplied through.
+    where M(m) = sum_k m_k B_k and B_k has a 1 on each cell of moment k.
     It is stated as the dual of the returned problem, whose y are the
-    free coordinates z: with A_j = blockdiag(V^T M(N_j) V, f.N_j),
-    b_j = -c.N_j and C = -blockdiag(V^T M(m0) V, f.m0 - floor), the dual
+    free coordinates z: with A_j = blockdiag(M(N_j), f.N_j),
+    b_j = -c.N_j and C = -blockdiag(M(m0), f.m0 - floor), the dual
     slack sum_j z_j A_j - C is the constrained block and the floor's
     slack.  C and the A_j come out of one stack of blocks, one per
     column of [m0, N], whose tail is passed on as the problem's
@@ -362,8 +350,6 @@ def compile_problem(
     m0, N = moments
     coords = np.column_stack([m0, N])
     blocks = np.tensordot(coords.T, _cell_indicators(structure), axes=1)
-    if V is not None:
-        blocks = V.T @ blocks @ V
     rhs = -(objective @ N)
     if floor_functional is not None:
         d = blocks.shape[1]
@@ -405,47 +391,35 @@ def _numerical_rank(s: np.ndarray) -> int:
     return int(np.sum(s > max(1.0, s[0]) * 1e-10))
 
 
-def success_face_basis(
+def _losing_vectors(
     structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution
 ) -> np.ndarray:
-    """Orthonormal basis V of the face where the win probability is 1.
-
-    Win probabilities cannot exceed 1 on this relaxation (each losing
-    probability is a PSD quadratic form), so success = 1 forces
-    M v = 0 for every losing outcome vector v; feasible matrices are
-    exactly M = V Y V^T with Y PSD.  Columns of V span the orthogonal
-    complement of the losing vectors.
-    """
-    rows = []
-    for x in game.admissible_inputs():
-        if dist.prob(x) <= 0.0:
-            continue
-        for o in game.all_outputs():
-            if not game.win(x, o):
-                rows.append(outcome_operator_vector(structure, o, x))
-    if not rows:
-        return np.eye(structure.dimension)
-    N = np.vstack(rows)
-    _, s, vt = np.linalg.svd(N)
-    return vt[_numerical_rank(s):].T.copy()
+    """One row per losing (outputs, inputs) whose inputs have positive
+    probability: its outcome operator vector (`outcome_operator_vector`)."""
+    rows = [
+        outcome_operator_vector(structure, o, x)
+        for x in game.admissible_inputs() if dist.prob(x) > 0.0
+        for o in game.all_outputs() if not game.win(x, o)
+    ]
+    return np.array(rows).reshape(len(rows), structure.dimension)
 
 
 def _face_moments(
-    structure: MomentMatrixStructure, V: np.ndarray
+    structure: MomentMatrixStructure, losing: np.ndarray
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Affine parameterization m = m0 + N z of the moments whose matrix
-    lives on the face: M(m) (I - V V^T) = 0 with unit normalization, a
-    linear system A m = rhs.  N is an orthonormal basis of its null
-    space; None when the system is inconsistent (no moment matrix lies on
-    the face), that is when [A | rhs] has a larger numerical rank than A.
+    lives on the face: M(m) v = 0 for each row v of `losing`, with unit
+    normalization, a linear system A m = rhs.  N is an orthonormal basis
+    of its null space; None when the system is inconsistent, that is when
+    [A | rhs] has a larger numerical rank than A.
 
     [A | rhs] = Q [R_A | q] is factored once; A and [A | rhs] share their
     singular values with the small triangular R_A and [R_A | q], whose
     SVDs give both ranks and the least-squares solution."""
-    n, d = len(structure.id_cells), structure.dimension
-    P = np.eye(d) - V @ V.T
-    MP = _cell_indicators(structure) @ P
-    A = np.vstack([MP.reshape(n, d * d).T, np.eye(n)[structure.unit_id]])
+    n = len(structure.id_cells)
+    # row (i, v) holds (B_k v)_i over the moments k, so A m stacks the M(m) v
+    face = (_cell_indicators(structure) @ losing.T).reshape(n, -1).T
+    A = np.vstack([face, np.eye(n)[structure.unit_id]])
     rhs = np.zeros(len(A))
     rhs[-1] = 1.0
     R = np.linalg.qr(np.column_stack([A, rhs]), mode="r")
@@ -457,38 +431,59 @@ def _face_moments(
     return m0, vt[rank:].T.copy()
 
 
-class SuccessFaceContext:
-    """Reusable facial reduction data for success-floor-1 queries: the
-    face basis V and the moments m = m0 + N z whose matrix lies on it,
-    with m0 and N None when no moment matrix does.
+def _is_psd(matrix: np.ndarray) -> bool:
+    """Exact PSD test of an integer symmetric matrix by LDL^T elimination
+    in Fractions over the upper triangle: no pivot may be negative, and a
+    zero pivot's row must be zero."""
+    a = [[Fraction(int(v)) for v in row] for row in matrix]
+    for k, row in enumerate(a):
+        if row[k] < 0 or (row[k] == 0 and any(row[k + 1:])):
+            return False
+        for i in range(k + 1, len(a)):
+            if row[k] and row[i]:
+                factor = row[i] / row[k]
+                for j in range(i, len(a)):
+                    a[i][j] -= factor * row[j]
+    return True
 
-    When N has no columns the face problem has no constraints and its
-    objective matrix -V^T M(m0) V does not depend on the queried
-    functional, so it is solved once per settings and its solution
-    shared by every query through this context."""
+
+class SuccessFaceContext:
+    """The success-1 face of (game, dist), decided in exact arithmetic.
+
+    Each losing probability is the PSD quadratic form v^T M v of its
+    outcome operator vector v, so win 1 forces M(m) v = 0 for every
+    losing v (`_face_moments`).  Under the canonical source that leaves
+    one point at every epsilon < 1/2, the GHZ strategy's moments
+    (Kaniewski, Phys. Rev. Lett. 117, 070402, 2016).  Its m0 is rounded
+    to the integer `point` and checked exactly: unit moment 1, 2^n L
+    M(point) == 0 for the losing vectors L of n parties (entries in
+    2^-n Z) and M(point) PSD.  `point` is None when no PSD moment matrix
+    lies on the face; free moments or a rounded point off the face raise
+    UnsupportedScenarioError."""
 
     def __init__(self, structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution):
         self.structure = structure
-        self.V = success_face_basis(structure, game, dist)
-        self.m0, self.N = _face_moments(structure, self.V) or (None, None)
-        self._point_solutions: dict[SolverSettings, SdpSolution] = {}
+        self.point: Optional[np.ndarray] = None
+        losing = _losing_vectors(structure, game, dist)
+        moments = _face_moments(structure, losing)
+        if moments is None:
+            return
+        m0, N = moments
+        if N.shape[1]:
+            raise UnsupportedScenarioError(f"the success-1 face has {N.shape[1]} free moments, not one point")
+        point = np.rint(m0).astype(np.int64)
+        matrix = point[structure.cell_ids]
+        scaled = np.rint(losing * 2 ** structure.basis.scenario.n_parties).astype(np.int64)
+        if point[structure.unit_id] != 1 or (scaled @ matrix).any():
+            raise UnsupportedScenarioError("the success-1 face point is not an integer point")
+        if _is_psd(matrix):
+            self.point = point
 
-    def bound(self, objective: np.ndarray, settings: SolverSettings) -> Optional[float]:
-        """The bound on max objective @ m over the face (`_upper_value`),
-        or None when no PSD moment matrix lies on it."""
-        if self.m0 is None:
-            return None
-        solution = self._point_solutions.get(settings)
-        if solution is None:
-            problem = compile_problem(self.structure, objective, (self.m0, self.N), V=self.V)
-            solution = solve(problem, settings)
-            if not self.N.shape[1]:
-                self._point_solutions[settings] = solution
-        return _upper_value(solution, objective, self.m0, "the success-1 face",
-                            floor_may_be_infeasible=True)
-
-
-FULL_SUCCESS_FLOOR = 1.0 - 1e-12
+    def bound(self, objective: np.ndarray) -> Optional[float]:
+        """max objective @ m over the face, objective @ point (exact for
+        the dyadic coefficients of a marginal), or None when no PSD moment
+        matrix lies on the face."""
+        return None if self.point is None else float(objective @ self.point)
 
 
 def max_success_probability(
@@ -728,17 +723,16 @@ class Relaxation:
         (`_upper_value`) on max c.m subject to f.m >= floor over the
         moments t's stabilizer fixes, and the largest of these.  With
         `floor_on_success`, c is t's marginal and f the success
-        functional, and a floor at 1 is solved on the face instead
-        (floors at 1 leave the full problem no interior, and the
-        interior-point method loses several digits there); otherwise the
+        functional, and a floor of exactly 1 is answered on the face
+        instead (it leaves the full problem no interior); otherwise the
         two are swapped.  Both are fixed by the stabilizer, so the
         reduction keeps each value (see `invariant_moments`)."""
-        on_face = floor_on_success and floor >= FULL_SUCCESS_FLOOR
+        on_face = floor_on_success and floor == 1.0
         best = -np.inf
         for target, stabilizer in self.orbits:
             marginal = marginal_functional(self.structure, *target)
             if on_face:
-                value = self.face.bound(marginal, settings)
+                value = self.face.bound(marginal)
             else:
                 objective, floored = marginal, self.success
                 if not floor_on_success:
@@ -789,9 +783,9 @@ def critical_success(
     contributes the larger of the values read from its primal and dual
     objective, so inexact-solve error lands on the larger, safe side.
 
-    Floor 1 is checked first on the face-reduced problem, which decides
-    win = 1 where an interior-point solve cannot: if the bias bound there
-    is not below the target, BracketingError is raised.  A p_crit within
+    Floor 1 is checked first, exactly and with no solve, on the success-1
+    face (`SuccessFaceContext`): if the bias bound there is not below the
+    target, BracketingError is raised.  A p_crit within
     tol of 1 cannot be separated from 1 and raises BracketingError too.
     """
     if not 0.0 <= epsilon < 0.5:

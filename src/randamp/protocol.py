@@ -206,8 +206,8 @@ def plan_protocol(
     """Derive a full parameter set from the triplet (eps, eps', delta).
 
     The critical success probability is `critical_success` at solver
-    tolerance tol: one direct moment-matrix solve per target after a
-    face-reduced check at floor 1, raising BracketingError when tol
+    tolerance tol: one direct moment-matrix solve per target after an
+    exact check at floor 1 on the success-1 face, raising BracketingError when tol
     cannot separate it from 1.  The threshold and round count follow
     from the closed forms above.
     When x is omitted, half the maximal feasible slack is used.  The

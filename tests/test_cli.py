@@ -153,6 +153,18 @@ def test_figure1_shares_one_relaxation_per_epsilon_row(monkeypatch):
     assert [r["eps_prime"] for r in rows] == [npa.eps_prime(0.3, ps) for ps in (0.97, 0.98, 1.0)]
 
 
+def test_figure1_near_floor_one_is_not_answered_on_the_face(tmp_path):
+    """A floor 5e-13 below 1 is solved in full, where the solver stalls
+    and the cell says so; it once printed the face's 3.88469811874e-09,
+    below the relaxation's value there.  Floor 1 itself prints 0."""
+    code, text = run_cli(["figure1", "--grid", "0.45:0.45:1", "--ps", "0.9999999999995:1:2"], tmp_path)
+    assert code == 0
+    near, one = csv_rows(text)
+    assert (near["eps_prime"], near["status"]) == ("", "solver_failure")
+    assert (one["eps_prime"], one["status"]) == ("0", "ok")
+    assert "3.88469811874e-09" not in text
+
+
 def test_figure1_marks_out_of_domain_cells_failed(tmp_path, capsys):
     """An out-of-domain cell carries a failed: status and the sweep goes
     on; a grid of only such cells exits 2."""
@@ -366,15 +378,15 @@ def test_figure3_coarse_tolerance_marks_row_failed(tmp_path):
 
 
 def test_figures_mark_stalled_solves_as_failed_cells(monkeypatch, tmp_path):
-    """Every solve stops at max_iterations: each figure1 cell reads
-    solver_failure, each figure2 cell failed:, and a grid of only failed
-    cells exits 2."""
+    """Every solve stops at max_iterations: each figure1 cell below floor
+    1 reads solver_failure (floor 1 makes no solve), each figure2 cell
+    failed:, and a grid of only failed cells exits 2."""
     def stalled(problem, settings):
         return dataclasses.replace(solve(problem, settings), status=STATUS_MAX_ITERATIONS)
 
     monkeypatch.setattr(npa, "solve", stalled)
     rows, _ = cmd_figure1([0.3], [0.97, 1.0], 1e-8)
-    assert [(r["eps_prime"], r["status"]) for r in rows] == [(None, "solver_failure")] * 2
+    assert [(r["eps_prime"], r["status"]) for r in rows] == [(None, "solver_failure"), (0.0, "ok")]
     (row,) = cmd_figure2([0.3], 1e-4)
     assert row["p_crit"] is None
     assert row["status"].startswith("failed: solver returned max_iterations")

@@ -36,11 +36,9 @@ from randamp.npa import (
     invariant_moments,
     marginal_functional,
     max_success_probability,
-    outcome_probability_functional,
     orbit_stabilizers,
     outcome_operator_vector,
     structure_for,
-    success_face_basis,
     success_functional,
     symmetry_group,
 )
@@ -76,14 +74,22 @@ def moments_of_matrix(structure, M):
     return np.array([M[cells[0]] for cells in structure.id_cells])
 
 
+def outcome_probability_functional(structure, outputs, inputs):
+    """Coefficients over moment ids expressing P(outputs | inputs)."""
+    c = np.zeros(len(structure.id_cells))
+    for word, coef in zip(*npa._outcome_expansion(structure.basis.scenario.n_parties, outputs, inputs)):
+        c[npa._moment_id(structure, word)] += coef
+    return c
+
+
 def target_bound(game, dist, floor, target, stabilizer=(), face=None, settings=SolverSettings()):
     """One target's bound at a success floor: on the success-1 face at
     floor 1 (a fresh face unless one is given), else over the moments
     `stabilizer` fixes, every moment vector by default."""
     structure = structure_for(game, LEVEL_Q1_ABC)
     objective = marginal_functional(structure, *target)
-    if floor >= npa.FULL_SUCCESS_FLOOR:
-        return (face or SuccessFaceContext(structure, game, dist)).bound(objective, settings)
+    if floor == 1.0:
+        return (face or SuccessFaceContext(structure, game, dist)).bound(objective)
     success = success_functional(structure, game, dist)
     moments = invariant_moments(structure, stabilizer)
     problem = compile_problem(structure, objective, moments, success, floor)
@@ -244,28 +250,98 @@ def test_perfect_strategy_lies_on_success_face():
     ]
     worst = max(float(np.max(np.abs(M @ u))) for u in losing)
     assert worst <= 1e-9
-
-    V = success_face_basis(structure, game, dist)
-    assert V.shape == (27, 11)
-    # M reconstructs exactly from its face coordinates
-    Y = V.T @ M @ V
-    assert np.max(np.abs(V @ Y @ V.T - M)) <= 1e-9
+    # the face's one point is the GHZ strategy's moments
+    point = SuccessFaceContext(structure, game, dist).point
+    assert np.max(np.abs(point[structure.cell_ids] - M)) <= 1e-9
 
 
 def test_face_bound_of_marginal_is_half():
     """On the success-1 face no outcome is predictable beyond 1/2."""
     game = mermin_game()
     dist = input_distribution_from_source(game, canonical_mermin_source(0.2))
-    value = target_bound(game, dist, 1.0, (0, 0, 0))
-    assert value is not None
-    assert abs(value - 0.5) <= 1e-6
+    assert target_bound(game, dist, 1.0, (0, 0, 0)) == 0.5
+
+
+def scaled_losing_vectors(structure, game, dist):
+    """The losing outcome vectors times 2^3, an integer matrix."""
+    scaled = 8 * npa._losing_vectors(structure, game, dist)
+    assert np.array_equal(scaled, np.rint(scaled))
+    return scaled.astype(np.int64)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.3, 0.45, 0.499])
+def test_face_point_is_exact(epsilon):
+    """The success-1 face point has entries in {-1, 0, 1}, every losing
+    vector annihilates its moment matrix in integer arithmetic, and
+    every target marginal is exactly 1/2 there."""
+    game, dist = canonical_distribution(epsilon)
+    face = Relaxation(game, dist).face
+    structure, point = face.structure, face.point
+    assert set(point.tolist()) <= {-1, 0, 1}
+    assert not (scaled_losing_vectors(structure, game, dist) @ point[structure.cell_ids]).any()
+    for target in npa._targets(game):
+        assert marginal_functional(structure, *target) @ point == 0.5, target
+
+
+def test_exact_psd_test():
+    """Negative pivots and zero pivots with a nonzero row are rejected;
+    a singular PSD matrix passes."""
+    assert npa._is_psd(np.array([[2, 1, 0], [1, 1, 1], [0, 1, 1]])) is False
+    assert npa._is_psd(np.array([[0, 1], [1, 0]])) is False
+    assert npa._is_psd(np.array([[1, 1, -1], [1, 1, -1], [-1, -1, 1]])) is True
+    assert npa._is_psd(np.array([[1, 0, 0], [0, 0, 0], [0, 0, 3]])) is True
+
+
+def rank_mod_p(matrix, p=2147483629):
+    """Rank over GF(p) by Gaussian elimination; every product of two
+    residues stays below 2^62, inside int64."""
+    a = np.asarray(matrix, dtype=np.int64) % p
+    rank = 0
+    for c in range(a.shape[1]):
+        rows = np.nonzero(a[rank:, c])[0]
+        if not len(rows):
+            continue
+        a[[rank, rank + rows[0]]] = a[[rank + rows[0], rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
+        a[rank + 1:] = (a[rank + 1:] - a[rank + 1:, c, None] * a[rank]) % p
+        rank += 1
+    return rank
+
+
+def test_face_point_is_unique_at_every_epsilon():
+    """The face system M(m) v = 0 over the losing vectors v, scaled by 8
+    to integers, is a 432x75 matrix over the non-unit moments of full
+    column rank: its rank modulo the prime 2147483629 is 75, and the rank
+    over the rationals is at least that.  The system depends only on the
+    support of the input distribution, which is every promise input at
+    each epsilon < 1/2, so the face is one point at every such epsilon."""
+    game, dist = canonical_distribution(0.3)
+    structure = structure_for(game, LEVEL_Q1_ABC)
+    scaled = scaled_losing_vectors(structure, game, dist)
+    for epsilon in (0.0, 0.499):
+        assert np.array_equal(scaled, scaled_losing_vectors(structure, *canonical_distribution(epsilon)))
+    n = len(structure.id_cells)
+    system = npa._cell_indicators(structure).astype(np.int64) @ scaled.T
+    system = np.delete(system.reshape(n, -1).T, structure.unit_id, axis=1)
+    assert system.shape == (432, 75)
+    assert rank_mod_p(system) == 75
+
+
+def test_face_with_free_moments_is_rejected():
+    """At Q2+ABC the face leaves 15 moments free, which the exact face
+    does not decide; it says so instead of returning a value."""
+    game, dist = canonical_distribution(0.3)
+    with pytest.raises(UnsupportedScenarioError, match="15 free moments"):
+        Relaxation(game, dist, LEVEL_Q2_ABC).p_max(1.0)
 
 
 def test_chsh_cannot_win_always():
+    """No moment matrix at Q2 or Q1+AB lies on the CHSH success-1 face."""
     game = chsh_game()
     dist = uniform_distribution(game)
-    with pytest.raises(InfeasibleSuccessError):
-        Relaxation(game, dist, LEVEL_Q2).p_max(1.0)
+    for level in (LEVEL_Q2, LEVEL_Q1_AB):
+        with pytest.raises(InfeasibleSuccessError):
+            Relaxation(game, dist, level).p_max(1.0)
 
 
 @pytest.mark.parametrize("level", [LEVEL_Q1_AB, LEVEL_Q2])
@@ -629,32 +705,51 @@ def test_a_relaxation_builds_its_face_on_the_first_floor_one_query(monkeypatch):
     assert len(built) == 1
 
 
-def test_point_face_is_solved_once_per_context(monkeypatch):
-    """Under the canonical source the face holds one moment matrix, so
-    p_max at floor 1 solves the face problem once for all four orbit
-    representatives, and each bound equals a fresh context's bit for bit."""
+def test_floor_one_makes_no_solve(monkeypatch):
+    """p_max at floor 1 is read off the face point with no sdp.solve
+    call, and each bound equals a fresh context's bit for bit."""
     game = mermin_game()
     dist = input_distribution_from_source(game, canonical_mermin_source(0.3))
-    dims = []
+    solves = []
 
     def counting_solve(problem, settings):
-        dims.append(problem.dimension)
+        solves.append(problem)
         return solve(problem, settings)
 
     monkeypatch.setattr(npa, "solve", counting_solve)
-    Relaxation(game, dist).p_max(1.0)
-    assert dims == [11]
+    assert Relaxation(game, dist).p_max(1.0) == 0.5
     shared = SuccessFaceContext(structure_for(game, LEVEL_Q1_ABC), game, dist)
     for orbit in target_orbits(game, dist):
         value = target_bound(game, dist, 1.0, orbit[0], face=shared)
         assert value == target_bound(game, dist, 1.0, orbit[0])
-    assert len(dims) == 1 + 1 + 4  # the shared context once, each fresh one once
+    assert solves == []
+
+
+def test_floors_below_one_never_reach_the_face(monkeypatch):
+    """Only a floor of exactly 1 is answered on the face.  Just below
+    it the full solves answer, or stall at max_iterations and say so:
+    the face's 1/2 would understate the relaxation there."""
+    calls = []
+    bound = SuccessFaceContext.bound
+
+    def counting_bound(self, objective):
+        calls.append(objective)
+        return bound(self, objective)
+
+    monkeypatch.setattr(SuccessFaceContext, "bound", counting_bound)
+    relaxation = Relaxation.canonical(0.3)
+    assert relaxation.p_max(1.0 - 1e-10) > 0.5
+    with pytest.raises(SolverFailureError, match="max_iterations"):
+        relaxation.p_max(1.0 - 5e-13)
+    assert calls == []
+    relaxation.p_max(1.0)
+    assert len(calls) == len(relaxation.orbits)
 
 
 @pytest.mark.parametrize("epsilon,floor", [(0.2, 0.97), (0.3, 0.975), (0.05, 0.95), (0.3, 1.0)])
 def test_every_target_matches_its_orbit_representative(epsilon, floor):
     """The relaxation shares the symmetry: all 12 target bounds equal
-    their representative's, full and face-reduced alike."""
+    their representative's, below floor 1 and on the success-1 face alike."""
     game = mermin_game()
     dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
     face = SuccessFaceContext(structure_for(game, LEVEL_Q1_ABC), game, dist) if floor == 1.0 else None
@@ -753,8 +848,9 @@ def test_cells_that_stalled_in_the_tie_form_solve(epsilon, floor):
 
 
 def test_perfect_success_gives_unbiased_outputs():
-    for eps in (0.1, 0.45):
-        assert eps_prime(eps, 1.0) <= 1e-6
+    """Exactly, at the acceptance battery's epsilons and next to 1/2."""
+    for eps in (0.1, 0.3, 0.45, 0.499):
+        assert eps_prime(eps, 1.0) == 0.0
 
 
 def test_classical_floor_gives_full_bias():
@@ -811,26 +907,20 @@ def stall(solution):
 
 
 def test_stalled_solves_raise_solver_failure(monkeypatch):
-    """A solve without a verdict is never read as a bound, at full and
-    face-reduced floors alike."""
+    """A solve without a verdict is never read as a bound.  Floor 1 makes
+    no solve, so only floors below it can stall."""
     monkeypatch.setattr(npa, "solve", lambda problem, settings: stall(solve(problem, settings)))
-    for floor in (0.97, 1.0):
-        with pytest.raises(SolverFailureError):
-            eps_prime(0.3, floor)
+    with pytest.raises(SolverFailureError):
+        eps_prime(0.3, 0.97)
     game = chsh_game()
     with pytest.raises(SolverFailureError, match="game value"):
         max_success_probability(game, uniform_distribution(game), LEVEL_Q2)
-    with pytest.raises(SolverFailureError):
-        critical_success(0.3, 0.29)
 
 
 def test_critical_success_raises_on_a_stalled_target_solve(monkeypatch):
-    """Only the full-form solves stall, so the floor-1 check passes and the
-    failure comes from the per-target solves."""
-    def stall_full(problem, settings):
-        solution = solve(problem, settings)
-        return stall(solution) if len(problem.constraints) else solution
-
-    monkeypatch.setattr(npa, "solve", stall_full)
+    """Every solve stalls, yet floor 1 makes no solve, so critical_success's
+    floor-1 check passes and the failure comes from the per-target solves."""
+    monkeypatch.setattr(npa, "solve", lambda problem, settings: stall(solve(problem, settings)))
     with pytest.raises(SolverFailureError, match="max_iterations for target"):
         critical_success(0.3, 0.29)
+
