@@ -52,15 +52,25 @@ value (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).  For the
 Mermin game under the canonical source at Q1+ABC that leaves 14 to 19
 free moments of 75.
 
+What does not depend on the input probabilities is built once per
+process and shared read-only: the basis and structure per (scenario,
+level), each stabilizer's invariant moments with their block stack per
+(basis, stabilizer), and the face point per (basis, losing vectors).
+No key holds epsilon, so every relaxation after the first at a level
+reuses them, and a value never depends on what the process computed
+before.
+
 Q2 and Q2+ABC exceed the smallest useful level and exist for
 cross-checking that bounds tighten down the hierarchy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -134,11 +144,15 @@ class MonomialBasis:
 
 @dataclass(frozen=True)
 class MomentMatrixStructure:
+    """The moment ids of a basis's cells.  `indicators[k]` has a 1 on
+    each cell of moment k, so M(m) = sum_k m_k indicators[k]."""
+
     basis: MonomialBasis
     moment_index: Mapping[Word, int]
     cell_ids: np.ndarray
     id_cells: tuple[tuple[tuple[int, int], ...], ...]
     unit_id: int
+    indicators: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -153,8 +167,15 @@ def _single(n_parties: int, party: int, x: int) -> Word:
     return tuple((x,) if p == party else () for p in range(n_parties))
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@functools.cache
 def build_basis(scenario: Scenario, level: str) -> MonomialBasis:
-    """Canonical ordered word list for the requested hierarchy level."""
+    """Canonical ordered word list for the requested hierarchy level,
+    built once per (scenario, level)."""
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}, expected one of {LEVELS}")
     if any(c != 2 for c in scenario.output_cardinalities):
@@ -236,7 +257,10 @@ def canonical_moment(word: Word) -> Word:
     return word if word <= adj else adj
 
 
+@functools.cache
 def build_moment_structure(basis: MonomialBasis) -> MomentMatrixStructure:
+    """The basis's moment structure, built once per basis; its arrays are
+    read-only, since every caller shares them."""
     m = len(basis.words)
     moment_index: dict[Word, int] = {}
     cells_of: list[list[tuple[int, int]]] = []
@@ -252,12 +276,15 @@ def build_moment_structure(basis: MonomialBasis) -> MomentMatrixStructure:
             cells_of[idx].append((i, j))
             cell_ids[i, j] = cell_ids[j, i] = idx
     unit = moment_index[_identity_word(basis.scenario.n_parties)]
+    indicators = (cell_ids == np.arange(len(cells_of))[:, None, None]).astype(float)
+    _read_only(cell_ids, indicators)
     return MomentMatrixStructure(
         basis=basis,
-        moment_index=dict(moment_index),
+        moment_index=MappingProxyType(moment_index),
         cell_ids=cell_ids,
         id_cells=tuple(tuple(c) for c in cells_of),
         unit_id=unit,
+        indicators=indicators,
     )
 
 
@@ -314,42 +341,36 @@ def success_functional(
     return c
 
 
-def _cell_indicators(structure: MomentMatrixStructure) -> np.ndarray:
-    """B[k] has a 1 on each cell of moment k, so M(m) = sum_k m_k B[k]."""
-    ids = np.arange(len(structure.id_cells))
-    return (structure.cell_ids == ids[:, None, None]).astype(float)
-
-
 def compile_problem(
     structure: MomentMatrixStructure,
     objective: np.ndarray,
-    moments: tuple[np.ndarray, np.ndarray],
+    stabilizer: tuple[Symmetry, ...] = (),
     floor_functional: Optional[np.ndarray] = None,
     floor: float = 0.0,
 ) -> SdpProblem:
-    """The relaxation over the moments m = m0 + N z of `moments` (from
-    `invariant_moments`), as an `sdp.solve` problem:
+    """The relaxation over the moments m = m0 + N z that `stabilizer`
+    fixes (`invariant_moments`; every moment vector for the empty
+    tuple), as an `sdp.solve` problem:
 
         maximize c.m  subject to  M(m) >= 0  and, with a floor
         functional f, f.m >= floor,
 
-    where M(m) = sum_k m_k B_k and B_k has a 1 on each cell of moment k.
-    It is stated as the dual of the returned problem, whose y are the
-    free coordinates z: with A_j = blockdiag(M(N_j), f.N_j),
-    b_j = -c.N_j and C = -blockdiag(M(m0), f.m0 - floor), the dual
-    slack sum_j z_j A_j - C is the constrained block and the floor's
-    slack.  C and the A_j come out of one stack of blocks, one per
-    column of [m0, N], whose tail is passed on as the problem's
-    (K, d, d) constraint stack, every row an equality.  The
-    relaxation's maximum is c.m0 minus the dual optimum, so
-    c.m0 - objective_value bounds it from above (weak duality) and
-    c.m0 - (objective_value + duality_gap) is the objective at the
-    moments m0 + N y the solve reached.  An unbounded sdp form means no
-    moments are feasible.
+    where M(m) = sum_k m_k B_k and B_k has a 1 on each cell of moment k
+    (`MomentMatrixStructure.indicators`).  It is stated as the dual of
+    the returned problem, whose y are the free coordinates z: with
+    A_j = blockdiag(M(N_j), f.N_j), b_j = -c.N_j and
+    C = -blockdiag(M(m0), f.m0 - floor), the dual slack
+    sum_j z_j A_j - C is the constrained block and the floor's slack.
+    C and the A_j come out of one stack of blocks, one per column of
+    [m0, N], built with the moments once per (basis, stabilizer), whose
+    tail is passed on as the problem's (K, d, d) constraint stack, every
+    row an equality.  The relaxation's maximum is c.m0 minus the dual
+    optimum, so c.m0 - objective_value bounds it from above (weak
+    duality) and c.m0 - (objective_value + duality_gap) is the objective
+    at the moments m0 + N y the solve reached.  An unbounded sdp form
+    means no moments are feasible.
     """
-    m0, N = moments
-    coords = np.column_stack([m0, N])
-    blocks = np.tensordot(coords.T, _cell_indicators(structure), axes=1)
+    _, N, coords, blocks = _invariant_moments(structure.basis, stabilizer)
     rhs = -(objective @ N)
     if floor_functional is not None:
         d = blocks.shape[1]
@@ -418,7 +439,7 @@ def _face_moments(
     SVDs give both ranks and the least-squares solution."""
     n = len(structure.id_cells)
     # row (i, v) holds (B_k v)_i over the moments k, so A m stacks the M(m) v
-    face = (_cell_indicators(structure) @ losing.T).reshape(n, -1).T
+    face = (structure.indicators @ losing.T).reshape(n, -1).T
     A = np.vstack([face, np.eye(n)[structure.unit_id]])
     rhs = np.zeros(len(A))
     rhs[-1] = 1.0
@@ -447,6 +468,29 @@ def _is_psd(matrix: np.ndarray) -> bool:
     return True
 
 
+@functools.cache
+def _face_point(basis: MonomialBasis, losing_bytes: bytes) -> Optional[np.ndarray]:
+    """`SuccessFaceContext.point` for the losing vectors whose float64
+    bytes are `losing_bytes`, read-only."""
+    structure = build_moment_structure(basis)
+    losing = np.frombuffer(losing_bytes).reshape(-1, structure.dimension)
+    moments = _face_moments(structure, losing)
+    if moments is None:
+        return None
+    m0, N = moments
+    if N.shape[1]:
+        raise UnsupportedScenarioError(f"the success-1 face has {N.shape[1]} free moments, not one point")
+    point = np.rint(m0).astype(np.int64)
+    matrix = point[structure.cell_ids]
+    scaled = np.rint(losing * 2 ** basis.scenario.n_parties).astype(np.int64)
+    if point[structure.unit_id] != 1 or (scaled @ matrix).any():
+        raise UnsupportedScenarioError("the success-1 face point is not an integer point")
+    if not _is_psd(matrix):
+        return None
+    _read_only(point)
+    return point
+
+
 class SuccessFaceContext:
     """The success-1 face of (game, dist), decided in exact arithmetic.
 
@@ -459,25 +503,15 @@ class SuccessFaceContext:
     M(point) == 0 for the losing vectors L of n parties (entries in
     2^-n Z) and M(point) PSD.  `point` is None when no PSD moment matrix
     lies on the face; free moments or a rounded point off the face raise
-    UnsupportedScenarioError."""
+    UnsupportedScenarioError.
+
+    The face depends on dist only through which inputs have positive
+    probability, so the point is found once per (basis, losing vectors),
+    the same key at every epsilon < 1/2, and shared read-only."""
 
     def __init__(self, structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution):
         self.structure = structure
-        self.point: Optional[np.ndarray] = None
-        losing = _losing_vectors(structure, game, dist)
-        moments = _face_moments(structure, losing)
-        if moments is None:
-            return
-        m0, N = moments
-        if N.shape[1]:
-            raise UnsupportedScenarioError(f"the success-1 face has {N.shape[1]} free moments, not one point")
-        point = np.rint(m0).astype(np.int64)
-        matrix = point[structure.cell_ids]
-        scaled = np.rint(losing * 2 ** structure.basis.scenario.n_parties).astype(np.int64)
-        if point[structure.unit_id] != 1 or (scaled @ matrix).any():
-            raise UnsupportedScenarioError("the success-1 face point is not an integer point")
-        if _is_psd(matrix):
-            self.point = point
+        self.point = _face_point(structure.basis, _losing_vectors(structure, game, dist).tobytes())
 
     def bound(self, objective: np.ndarray) -> Optional[float]:
         """max objective @ m over the face, objective @ point (exact for
@@ -495,9 +529,8 @@ def max_success_probability(
     """Upper bound on the quantum game value under `dist`."""
     structure = structure_for(game, level)
     success = success_functional(structure, game, dist)
-    moments = invariant_moments(structure)
-    solution = solve(compile_problem(structure, success, moments), settings)
-    return _upper_value(solution, success, moments[0], "game value")
+    solution = solve(compile_problem(structure, success), settings)
+    return _upper_value(solution, success, invariant_moments(structure)[0], "game value")
 
 
 def _targets(game: GameSpec) -> Iterable[tuple[int, int, int]]:
@@ -633,7 +666,20 @@ def invariant_moments(
     disjoint supports, so N is orthonormal.  A problem whose objective,
     success functional and floor are all fixed by the group has the same
     optimum over this set as over every moment vector: averaging an
-    optimum over the group gives a fixed optimum of the same value."""
+    optimum over the group gives a fixed optimum of the same value.
+
+    Both arrays are built once per (basis, stabilizer) and read-only."""
+    m0, N, _, _ = _invariant_moments(structure.basis, stabilizer)
+    return m0, N
+
+
+@functools.cache
+def _invariant_moments(
+    basis: MonomialBasis, stabilizer: tuple[Symmetry, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """m0 and N of `invariant_moments`, their columns [m0, N] and the
+    block stack M([m0, N]) of `compile_problem`, all read-only."""
+    structure = build_moment_structure(basis)
     n = len(structure.id_cells)
     ids = np.arange(n)
     rows, cols = np.array([cells[0] for cells in structure.id_cells]).T
@@ -647,7 +693,11 @@ def invariant_moments(
     # one column per orbit, its smallest member's; the unit's and zero sums are left out
     keep = (orbit.argmax(axis=0) == ids) & (ids != structure.unit_id) & sums.any(axis=0)
     N = sums[:, keep]
-    return np.eye(n)[structure.unit_id], N / np.linalg.norm(N, axis=0)
+    m0, N = np.eye(n)[structure.unit_id], N / np.linalg.norm(N, axis=0)
+    coords = np.column_stack([m0, N])
+    blocks = np.tensordot(coords.T, structure.indicators, axes=1)
+    _read_only(m0, N, coords, blocks)
+    return m0, N, coords, blocks
 
 
 def _upper_value(
@@ -676,9 +726,10 @@ def _upper_value(
 
 class Relaxation:
     """The relaxation of (game, dist) at one level, built once per call:
-    the moment structure, the success functional and each target orbit's
-    representative with its stabilizer (`orbit_stabilizers`).  The
-    success-1 face is built on the first floor-1 query and kept.
+    the moment structure (shared per level), the success functional and
+    each target orbit's representative with its stabilizer
+    (`orbit_stabilizers`).  The success-1 face is built on the first
+    floor-1 query and kept.
 
     `p_max` and `critical_success` run the one orbit loop, `_orbit_max`:
     the first with each target's marginal as objective and the floor on
@@ -737,9 +788,9 @@ class Relaxation:
                 objective, floored = marginal, self.success
                 if not floor_on_success:
                     objective, floored = floored, objective
-                moments = invariant_moments(self.structure, stabilizer)
-                problem = compile_problem(self.structure, objective, moments, floored, floor)
-                value = _upper_value(solve(problem, settings), objective, moments[0], f"target {target}",
+                m0, _ = invariant_moments(self.structure, stabilizer)
+                problem = compile_problem(self.structure, objective, stabilizer, floored, floor)
+                value = _upper_value(solve(problem, settings), objective, m0, f"target {target}",
                                      floor_may_be_infeasible=floor_on_success)
             if value is None:
                 raise InfeasibleSuccessError(f"success floor {floor} exceeds the quantum maximum")

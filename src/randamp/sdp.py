@@ -209,12 +209,18 @@ def _cholesky_step(
     return 0.0, M, L
 
 
-def _farkas_certificate(lifted: _Lifted, y: np.ndarray) -> Optional[dict]:
+def _farkas_certificate(lifted: _Lifted, y: np.ndarray, X: np.ndarray) -> Optional[dict]:
     """Normalized dual ray proving primal infeasibility, if y encodes one.
 
     A vector y with A*(y) <= 0 and b.y > 0 certifies that no PSD Xh can
     satisfy A(Xh) = b.  Quality is judged by lambda_max(A*(yhat))
     relative to b.yhat on the normalized ray.
+
+    The eigensolve is skipped when the PSD iterate X rules a certificate
+    out: <A*(yhat), X> <= lambda_max(A*(yhat)) tr X, so a lower bound
+    above the threshold by more than 1e-9 ||A*(yhat)||_F, far more than
+    the rounding of the bound or of the eigenvalue, leaves lambda_max
+    above it too.
     """
     ynorm = float(np.linalg.norm(y))
     if ynorm < 1.0:
@@ -223,7 +229,12 @@ def _farkas_certificate(lifted: _Lifted, y: np.ndarray) -> Optional[dict]:
     by = float(lifted.b @ yhat)
     if by <= 0.0:
         return None
-    lam_max = float(np.linalg.eigvalsh(_sym(lifted.adjoint(yhat))).max())
+    adjoint = _sym(lifted.adjoint(yhat))
+    threshold = (CERT_WEAK_QUALITY if ynorm > DIVERGENCE_LIMIT else CERT_QUALITY) * by
+    lower = float(np.sum(adjoint * X)) / float(np.trace(X))
+    if lower - threshold > 1e-9 * float(np.linalg.norm(adjoint)):
+        return None
+    lam_max = float(np.linalg.eigvalsh(adjoint).max())
     if lam_max <= CERT_QUALITY * by:
         return {
             "kind": "primal_infeasible",
@@ -298,7 +309,7 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
             status = STATUS_OPTIMAL
             break
 
-        cert = _farkas_certificate(lifted, y)
+        cert = _farkas_certificate(lifted, y, X)
         if cert is not None:
             status = STATUS_INFEASIBLE
             certificate = cert

@@ -91,9 +91,9 @@ def target_bound(game, dist, floor, target, stabilizer=(), face=None, settings=S
     if floor == 1.0:
         return (face or SuccessFaceContext(structure, game, dist)).bound(objective)
     success = success_functional(structure, game, dist)
-    moments = invariant_moments(structure, stabilizer)
-    problem = compile_problem(structure, objective, moments, success, floor)
-    return npa._upper_value(solve(problem, settings), objective, moments[0], str(target))
+    problem = compile_problem(structure, objective, stabilizer, success, floor)
+    m0, _ = invariant_moments(structure, stabilizer)
+    return npa._upper_value(solve(problem, settings), objective, m0, str(target))
 
 
 def test_basis_word_counts():
@@ -321,7 +321,7 @@ def test_face_point_is_unique_at_every_epsilon():
     for epsilon in (0.0, 0.499):
         assert np.array_equal(scaled, scaled_losing_vectors(structure, *canonical_distribution(epsilon)))
     n = len(structure.id_cells)
-    system = npa._cell_indicators(structure).astype(np.int64) @ scaled.T
+    system = structure.indicators.astype(np.int64) @ scaled.T
     system = np.delete(system.reshape(n, -1).T, structure.unit_id, axis=1)
     assert system.shape == (432, 75)
     assert rank_mod_p(system) == 75
@@ -557,7 +557,7 @@ def test_symmetries_act_on_moment_matrices_by_congruence(level):
     keeps the cell ties, PSD matrices and the unit moment."""
     game, dist = canonical_distribution(0.0)
     structure = structure_for(game, level)
-    B = npa._cell_indicators(structure)
+    B = structure.indicators
     m = np.random.default_rng(7).normal(size=len(structure.id_cells))
     for g in symmetry_group(game, dist):
         T = signed_permutation_matrix(structure, g)
@@ -621,13 +621,13 @@ def unreduced_critical_success(epsilon, target_eps_prime, tol):
     game, dist = canonical_distribution(epsilon)
     structure = structure_for(game, LEVEL_Q1_ABC)
     success = success_functional(structure, game, dist)
-    full = invariant_moments(structure)
+    m0, _ = invariant_moments(structure)
     best = -np.inf
     for target, _ in orbit_stabilizers(game, symmetry_group(game, dist)):
         floor = marginal_functional(structure, *target)
-        problem = compile_problem(structure, success, full, floor, 0.5 + target_eps_prime)
+        problem = compile_problem(structure, success, (), floor, 0.5 + target_eps_prime)
         solution = solve(problem, SolverSettings(tolerance=tol))
-        best = max(best, npa._upper_value(solution, success, full[0], str(target)))
+        best = max(best, npa._upper_value(solution, success, m0, str(target)))
     return best
 
 
@@ -651,8 +651,8 @@ def unreduced_solution(epsilon, floor, target):
     """One target's p_max solve over every moment vector."""
     relaxation = Relaxation.canonical(epsilon)
     structure = relaxation.structure
-    problem = compile_problem(structure, marginal_functional(structure, *target),
-                              invariant_moments(structure), relaxation.success, floor)
+    problem = compile_problem(structure, marginal_functional(structure, *target), (),
+                              relaxation.success, floor)
     return solve(problem, SolverSettings())
 
 
@@ -684,6 +684,44 @@ def test_critical_success_builds_one_structure(monkeypatch):
     monkeypatch.setattr(npa, "structure_for", counting_structure_for)
     critical_success(0.3, 0.29)
     assert calls == [LEVEL_Q1_ABC]
+
+
+SHARED_SET_UP = (npa.build_basis, npa.build_moment_structure, npa._invariant_moments, npa._face_point)
+
+
+def test_shared_set_up_never_changes_a_value():
+    """The set-up built once per process (structures, invariant moments
+    with their block stacks, face points) gives the values a cold process
+    gives: eps_prime and critical_success at epsilon 0.3, then at 0, whose
+    symmetry group has order 48 and other stabilizers, then at 0.3 again
+    equal the values computed after every cache is cleared."""
+    def values(epsilon):
+        return eps_prime(epsilon, 0.97), eps_prime(epsilon, 1.0), critical_success(epsilon, 0.2)
+
+    assert len(symmetry_group(*canonical_distribution(0.0))) == 48
+    warm = [values(epsilon) for epsilon in (0.3, 0.0, 0.3)]
+    cold = []
+    for epsilon in (0.3, 0.0, 0.3):
+        for cached in SHARED_SET_UP:
+            cached.cache_clear()
+        cold.append(values(epsilon))
+    assert warm == cold
+
+
+def test_shared_set_up_is_read_only():
+    """Every shared array refuses writes, and a CHSH face at Q2 still has
+    no point once Mermin faces are shared."""
+    game, dist = canonical_distribution(0.3)
+    relaxation = Relaxation(game, dist)
+    structure, face = relaxation.structure, relaxation.face
+    m0, N = invariant_moments(structure, relaxation.orbits[0][1])
+    for array in (structure.cell_ids, structure.indicators, m0, N, face.point):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(TypeError):
+        structure.moment_index[()] = 0
+    chsh = chsh_game()
+    assert SuccessFaceContext(structure_for(chsh, LEVEL_Q2), chsh, uniform_distribution(chsh)).point is None
 
 
 def test_a_relaxation_builds_its_face_on_the_first_floor_one_query(monkeypatch):
@@ -773,8 +811,7 @@ def test_compiled_orbit_problems_pass_verify():
     structure = relaxation.structure
     for target, stabilizer in relaxation.orbits:
         marginal = marginal_functional(structure, *target)
-        problem = compile_problem(structure, marginal, invariant_moments(structure, stabilizer),
-                                  relaxation.success, 0.97)
+        problem = compile_problem(structure, marginal, stabilizer, relaxation.success, 0.97)
         report = verify(problem, solve(problem), 1e-7)
         assert report["passed"], (target, report)
 
@@ -787,12 +824,11 @@ def test_critical_success_form_matches_its_orbit_representative():
     dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
     structure = structure_for(game, LEVEL_Q1_ABC)
     success = success_functional(structure, game, dist)
-    full = invariant_moments(structure)
     for orbit in target_orbits(game, dist):
         values = []
         for t in orbit:
             floor = marginal_functional(structure, *t)
-            problem = compile_problem(structure, success, full, floor, 0.5 + target)
+            problem = compile_problem(structure, success, (), floor, 0.5 + target)
             solution = solve(problem, SolverSettings(tolerance=tol))
             assert solution.status == STATUS_OPTIMAL
             values.append(achieved_value(structure, success, solution))
@@ -885,10 +921,9 @@ def test_critical_success_is_the_threshold_floor(epsilon, target):
     dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
     structure = structure_for(game, LEVEL_Q1_ABC)
     success = success_functional(structure, game, dist)
-    full = invariant_moments(structure)
     for party, x, outcome in itertools.product(range(3), range(2), range(2)):
         floor = marginal_functional(structure, party, x, outcome)
-        problem = compile_problem(structure, success, full, floor, 0.5 + target)
+        problem = compile_problem(structure, success, (), floor, 0.5 + target)
         solution = solve(problem, SWEEP_SETTINGS)
         assert solution.status == STATUS_OPTIMAL
         assert p >= achieved_value(structure, success, solution)

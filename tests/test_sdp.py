@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -16,7 +17,16 @@ from randamp.sdp import (
     solve,
     verify,
 )
-from randamp.sdp import SYMMETRY_TOL, _nt_scaling, _scaled_step
+from randamp.sdp import (
+    CERT_QUALITY,
+    CERT_WEAK_QUALITY,
+    DIVERGENCE_LIMIT,
+    SYMMETRY_TOL,
+    _Lifted,
+    _farkas_certificate,
+    _nt_scaling,
+    _scaled_step,
+)
 
 BATTERY = analytic_problems()
 IDS = [name for name, _, _ in BATTERY]
@@ -181,3 +191,47 @@ def test_scaled_step_matches_the_cholesky_step_bound(mats, scale):
     lam, r, rti = _nt_scaling(np.linalg.cholesky(X), np.linalg.cholesky(Z))
     assert _scaled_step(lam, rti.T @ dM @ rti) == pytest.approx(cholesky_step_bound(X, dM), rel=1e-9, abs=0)
     assert _scaled_step(lam, r.T @ dM @ r) == pytest.approx(cholesky_step_bound(Z, dM), rel=1e-9, abs=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(-2.0, 2.0),
+    st.integers(-14, 0),
+    st.sampled_from([2.0, 1e3, 2e6]),
+)
+def test_farkas_check_skips_its_eigensolve_only_without_a_certificate(seed, ratio, mix, scale):
+    """The Farkas check skips its eigensolve only when the eigensolve
+    would find lambda_max(A*(yhat)) above the certificate threshold.
+
+    The ray y is close to `scale` times the first unit vector, so A*(yhat)
+    is close to the first constraint matrix, whose largest eigenvalue is
+    `ratio` times the quality the threshold asks for (1e-6, or 1e-3 for a
+    ray longer than 1e6) and b.yhat ~ 1.  X is that eigenvector's
+    projector plus 10^`mix` times a random PSD matrix, so the lower bound
+    <A*(yhat), X> / tr X reaches from far below to just under
+    lambda_max."""
+    rng = np.random.default_rng(seed)
+    n, k = 5, 3
+    quality = CERT_WEAK_QUALITY if scale > DIVERGENCE_LIMIT else CERT_QUALITY
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    first = q @ np.diag([ratio * quality, *-rng.uniform(0.1, 1.0, n - 1)]) @ q.T
+    rest = rng.normal(size=(k - 1, n, n))
+    constraints = np.concatenate([first[None], rest + np.swapaxes(rest, 1, 2)])
+    b = np.array([1.0, *rng.normal(size=k - 1)])
+    lifted = _Lifted(SdpProblem(np.zeros((n, n)), constraints, b, ("eq",) * k))
+    y = scale * (np.eye(k)[0] + 1e-7 * rng.normal(size=k))
+    g = rng.normal(size=(n, n))
+    X = np.outer(q[:, 0], q[:, 0]) + 10.0 ** mix * g @ g.T
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        certificate = _farkas_certificate(lifted, y, X)
+    yhat = y / np.linalg.norm(y)
+    adjoint = np.tensordot(yhat, constraints, axes=1)
+    threshold = quality * (b @ yhat)
+    lam_max = np.linalg.eigvalsh((adjoint + adjoint.T) / 2.0).max()
+    assert b @ yhat > 0.0  # past the checks that need no eigenvalue
+    if eigvalsh.call_count == 0:
+        assert certificate is None
+        assert lam_max > threshold
+    else:
+        assert (certificate is not None) == (lam_max <= threshold)
