@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands reproduce the amplification curves and run the planning and
-simulation workflows, emitting CSV (grids, transcripts) or JSON
+simulation workflows, emitting CSV (grids, runs) or JSON
 (structured plans).  Every command is deterministic given its flags and
 seed; CSV output is byte-stable and starts with a versioned schema
 comment line.
@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import io
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import npa
+from . import npa, sdp
 from .games import (
     chsh_game,
     input_distribution_from_source,
@@ -80,14 +83,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(
-    rows: list[dict],
-    fieldnames: list[str],
-    schema: str,
-    fmt: str,
-    out,
-    comments: Optional[list[str]] = None,
-) -> None:
+def _emit(rows: list[dict], schema: str, fmt: str, out, comments: Optional[list[str]] = None) -> None:
+    """Rows as JSON, or as CSV whose columns are the keys of the first
+    row: every row of a command has the same keys, in column order."""
     if fmt == "json":
         payload = {"schema": schema, "rows": rows}
         if comments:
@@ -95,15 +93,15 @@ def _emit(
         out.write(json.dumps(payload, indent=2, default=_fmt) + "\n")
         return
     out.write(f"# schema: {schema}\n")
-    writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: _fmt(row.get(k)) for k in fieldnames})
+        writer.writerow({k: _fmt(v) for k, v in row.items()})
     for line in comments or []:
         out.write(f"# {line}\n")
 
 
-def cmd_game_value(name: str, epsilon: float, tolerance: float) -> list[dict]:
+def cmd_game_value(name: str, epsilon: float, tol: float) -> list[dict]:
     """Classical value by enumeration and a quantum reference value under
     the source-induced input distribution."""
     if name == "chsh":
@@ -114,7 +112,7 @@ def cmd_game_value(name: str, epsilon: float, tolerance: float) -> list[dict]:
             else input_distribution_from_source(game, ExtremalSource(epsilon, constant_sign(+1)))
         )
         c, _ = classical_value(game, dist)
-        q = npa.max_success_probability(game, dist, npa.LEVEL_Q2, npa.SolverSettings(tolerance=tolerance))
+        q = npa.max_success_probability(game, dist, npa.LEVEL_Q2, tol)
     elif name == "mermin":
         game = mermin_game()
         dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
@@ -132,10 +130,9 @@ def cmd_game_value(name: str, epsilon: float, tolerance: float) -> list[dict]:
     return [{"game": name, "epsilon": epsilon, "classical": c, "quantum": q}]
 
 
-def cmd_figure1(eps_grid: list[float], ps_grid: list[float], tolerance: float) -> tuple[list[dict], list[str]]:
+def cmd_figure1(eps_grid: list[float], ps_grid: list[float], tol: float) -> tuple[list[dict], list[str]]:
     """Output-bias bound over an (epsilon, success floor) grid, from one
     relaxation per epsilon row."""
-    settings = npa.SolverSettings(tolerance=tolerance)
     rows = []
     for eps in eps_grid:
         relaxation = None
@@ -144,7 +141,7 @@ def cmd_figure1(eps_grid: list[float], ps_grid: list[float], tolerance: float) -
             try:
                 if relaxation is None:
                     relaxation = npa.Relaxation.canonical(eps)
-                row["eps_prime"] = npa.eps_prime(eps, ps, settings=settings, relaxation=relaxation)
+                row["eps_prime"] = npa.eps_prime(eps, ps, tol=tol, relaxation=relaxation)
             except npa.InfeasibleSuccessError:
                 row["status"] = "infeasible"
             except npa.SolverFailureError:
@@ -162,20 +159,20 @@ def cmd_figure1(eps_grid: list[float], ps_grid: list[float], tolerance: float) -
     return rows, [f"monotonicity_violations_in_p_s: {violations}"]
 
 
-def cmd_figure2(eps_grid: list[float], tolerance: float) -> list[dict]:
+def cmd_figure2(eps_grid: list[float], tol: float) -> list[dict]:
     """Critical success probability for amplification at target eps'=eps."""
     rows = []
     for eps in eps_grid:
         row = {"epsilon": eps, "p_crit": None, "status": "ok"}
         try:
-            row["p_crit"] = npa.critical_success(eps, eps, tolerance)
+            row["p_crit"] = npa.critical_success(eps, eps, tol)
         except (npa.BracketingError, npa.SolverFailureError, ValueError) as exc:
             row["status"] = f"failed: {exc}"
         rows.append(row)
     return rows
 
 
-def cmd_figure3(eps_grid: list[float], delta: float, x: float, tolerance: float) -> list[dict]:
+def cmd_figure3(eps_grid: list[float], delta: float, x: float, tol: float) -> list[dict]:
     """Sufficient success threshold chained from the critical curve.
 
     threshold_margin is 1 - p_threshold computed without cancellation;
@@ -183,7 +180,7 @@ def cmd_figure3(eps_grid: list[float], delta: float, x: float, tolerance: float)
     threshold itself rounds to 1 in double precision.
     """
     rows = []
-    for base in cmd_figure2(eps_grid, tolerance):
+    for base in cmd_figure2(eps_grid, tol):
         row = {
             "epsilon": base["epsilon"],
             "p_crit": base["p_crit"],
@@ -198,20 +195,14 @@ def cmd_figure3(eps_grid: list[float], delta: float, x: float, tolerance: float)
     return rows
 
 
-def cmd_plan(
-    epsilon: float, eps_prime: float, delta: float, x: Optional[float], tolerance: float
-) -> dict:
-    params = plan_protocol(epsilon, eps_prime, delta, x, tolerance)
-    return {
-        "epsilon": params.epsilon,
-        "eps_prime_target": params.eps_prime_target,
-        "delta": params.delta,
-        "x": params.x,
-        "n_rounds": params.n_rounds,
-        "p_crit": params.p_crit,
-        "p_threshold": params.p_threshold,
-        "confidence": params.delta**2,
-    }
+def cmd_plan(epsilon: float, eps_prime: float, delta: float, x: Optional[float], tol: float) -> dict:
+    params = plan_protocol(epsilon, eps_prime, delta, x, tol)
+    return {**dataclasses.asdict(params), "confidence": params.delta**2}
+
+
+# The ProtocolRun fields a simulate row reports, after the run index.
+SIMULATE_FIELDS = ("p_est", "p_avg", "aborted", "selected_round", "output_bit",
+                   "source_bits_used", "selection_draws", "aggregated")
 
 
 def cmd_simulate(
@@ -223,7 +214,7 @@ def cmd_simulate(
     visibility: float,
     runs: int,
     seed: int,
-    tolerance: float,
+    tol: float,
 ) -> tuple[list[dict], list[str]]:
     if runs < 1:
         raise UsageError(f"--runs must be at least 1, got {runs}")
@@ -237,25 +228,13 @@ def cmd_simulate(
             known = ", ".join(["honest", *suite])
             raise UsageError(f"unknown device {device_name!r} (known: {known})")
         device = AdversarialDevice(suite[device_name])
-    params = plan_protocol(epsilon, eps_prime, delta, x, tolerance)
+    params = plan_protocol(epsilon, eps_prime, delta, x, tol)
 
     rows = []
     seeds = np.random.SeedSequence(seed).spawn(runs)
     for i, s in enumerate(seeds):
         run = run_protocol(params, device, np.random.default_rng(s))
-        rows.append(
-            {
-                "run": i,
-                "p_est": run.p_est,
-                "p_avg": run.p_avg,
-                "aborted": run.aborted,
-                "selected_round": run.selected_round,
-                "output_bit": run.output_bit,
-                "source_bits_used": run.source_bits_used,
-                "selection_draws": run.selection_draws,
-                "aggregated": run.aggregated,
-            }
-        )
+        rows.append({"run": i, **{name: getattr(run, name) for name in SIMULATE_FIELDS}})
     est = summarize_output_bits([row["output_bit"] for row in rows])
     summary = [
         f"n_rounds: {params.n_rounds}",
@@ -270,41 +249,52 @@ def cmd_simulate(
     return rows, summary
 
 
-def _build_parser() -> _Parser:
+def positive_finite(text: str) -> float:
+    """The type of --tolerance: a float in (0, inf)."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError(text)
+    return value
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The command line parser, built on first use."""
     parser = _Parser(prog="randamp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
+    def common(p: _Parser, tol: float, fmt: str = "csv") -> None:
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--tolerance", type=float, default=None)
+        p.add_argument("--format", choices=("csv", "json"), default=fmt)
+        p.add_argument("--tolerance", type=positive_finite, default=tol,
+                       help="solver tolerance, positive and finite (default %(default)s)")
 
     p = sub.add_parser("game-value", help="classical and quantum values of one game")
     p.add_argument("game", choices=("chsh", "mermin", "magic-square"))
     p.add_argument("--epsilon", type=float, default=0.0)
-    common(p)
+    common(p, sdp.TOLERANCE)
 
     p = sub.add_parser("figure1", help="output-bias bound over (epsilon, success floor)")
     p.add_argument("--grid", default="0.1:0.45:3", help="epsilon grid a:b:n")
     p.add_argument("--ps", default="0.96:1.0:3", help="success floor grid a:b:n or value")
-    common(p)
+    common(p, sdp.TOLERANCE)
 
     p = sub.add_parser("figure2", help="critical success probability curve")
     p.add_argument("--grid", default="0.1:0.45:3", help="epsilon grid a:b:n")
-    common(p)
+    common(p, npa.CURVE_TOLERANCE)
 
     p = sub.add_parser("figure3", help="sufficient success threshold curve")
     p.add_argument("--grid", default="0.1:0.45:3", help="epsilon grid a:b:n")
     p.add_argument("--delta", type=float, default=0.99)
     p.add_argument("--x", type=float, default=0.0)
-    common(p)
+    common(p, npa.CURVE_TOLERANCE)
 
     p = sub.add_parser("plan", help="derive full protocol parameters")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--eps-prime", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--x", type=float, default=None)
-    common(p)
+    common(p, npa.CURVE_TOLERANCE, "json")
 
     p = sub.add_parser("simulate", help="plan and execute protocol runs")
     p.add_argument("--epsilon", type=float, required=True)
@@ -315,61 +305,44 @@ def _build_parser() -> _Parser:
     p.add_argument("--visibility", type=float, default=1.0)
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, npa.CURVE_TOLERANCE)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    tolerance = args.tolerance
+    command, tol = args.command, args.tolerance
     buffer = io.StringIO()
     try:
-        if args.command == "game-value":
-            rows = cmd_game_value(args.game, args.epsilon, tolerance or 1e-8)
-            _emit(rows, ["game", "epsilon", "classical", "quantum"], "randamp-game-value v1",
-                  args.format or "csv", buffer)
-        elif args.command == "figure1":
-            rows, notes = cmd_figure1(parse_grid(args.grid), parse_grid(args.ps), tolerance or 1e-8)
-            if all(r["status"] != "ok" for r in rows):
-                raise npa.SolverFailureError("every grid cell failed")
-            _emit(rows, ["epsilon", "p_s", "eps_prime", "status"], "randamp-figure1 v1",
-                  args.format or "csv", buffer, notes)
-        elif args.command == "figure2":
-            rows = cmd_figure2(parse_grid(args.grid), tolerance or 1e-4)
-            if all(r["status"] != "ok" for r in rows):
-                raise npa.SolverFailureError("every grid cell failed")
-            _emit(rows, ["epsilon", "p_crit", "status"], "randamp-figure2 v1",
-                  args.format or "csv", buffer)
-        elif args.command == "figure3":
-            rows = cmd_figure3(parse_grid(args.grid), args.delta, args.x, tolerance or 1e-4)
-            if all(r["status"] != "ok" for r in rows):
-                raise npa.SolverFailureError("every grid cell failed")
-            _emit(rows, ["epsilon", "p_crit", "p_threshold", "threshold_margin", "status"],
-                  "randamp-figure3 v1", args.format or "csv", buffer)
-        elif args.command == "plan":
-            plan = cmd_plan(args.epsilon, args.eps_prime, args.delta, args.x, tolerance or 1e-4)
-            if (args.format or "json") == "json":
-                buffer.write(json.dumps({"schema": "randamp-plan v1", **plan}, indent=2) + "\n")
-            else:
-                _emit([plan], list(plan.keys()), "randamp-plan v1", "csv", buffer)
-        elif args.command == "simulate":
-            rows, summary = cmd_simulate(
+        notes = None
+        if command == "game-value":
+            rows = cmd_game_value(args.game, args.epsilon, tol)
+        elif command == "figure1":
+            rows, notes = cmd_figure1(parse_grid(args.grid), parse_grid(args.ps), tol)
+        elif command == "figure2":
+            rows = cmd_figure2(parse_grid(args.grid), tol)
+        elif command == "figure3":
+            rows = cmd_figure3(parse_grid(args.grid), args.delta, args.x, tol)
+        elif command == "plan":
+            rows = [cmd_plan(args.epsilon, args.eps_prime, args.delta, args.x, tol)]
+        else:
+            rows, notes = cmd_simulate(
                 args.epsilon, args.eps_prime, args.delta, args.x,
-                args.device, args.visibility, args.runs, args.seed, tolerance or 1e-4,
+                args.device, args.visibility, args.runs, args.seed, tol,
             )
-            _emit(
-                rows,
-                ["run", "p_est", "p_avg", "aborted", "selected_round", "output_bit",
-                 "source_bits_used", "selection_draws", "aggregated"],
-                "randamp-simulate v1", args.format or "csv", buffer, summary,
-            )
+        if command in ("figure1", "figure2", "figure3") and all(r["status"] != "ok" for r in rows):
+            raise npa.SolverFailureError("every grid cell failed")
+        schema = f"randamp-{command} v1"
+        if command == "plan" and args.format == "json":
+            buffer.write(json.dumps({"schema": schema, **rows[0]}, indent=2) + "\n")
+        else:
+            _emit(rows, schema, args.format, buffer, notes)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

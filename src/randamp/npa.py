@@ -79,9 +79,9 @@ from .games import DIST_TOL, GameSpec, InputDistribution
 from .sdp import (
     SdpProblem,
     SdpSolution,
-    SolverSettings,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
+    TOLERANCE,
     solve,
 )
 from .sources import canonical_mermin_source
@@ -93,6 +93,10 @@ LEVEL_Q1_ABC = "Q1+ABC"
 LEVEL_Q2 = "Q2"
 LEVEL_Q2_ABC = "Q2+ABC"
 LEVELS = (LEVEL_Q1, LEVEL_Q1_AB, LEVEL_Q1_ABC, LEVEL_Q2, LEVEL_Q2_ABC)
+
+# The default solver tolerance of the critical curve (`critical_success`),
+# coarser than `sdp.TOLERANCE`: the curve is what planning waits on.
+CURVE_TOLERANCE = 1e-4
 
 # A word is a tuple over parties; each per-party subword is an ordered
 # tuple of input indices (+-1 observables), adjacent-duplicate free.
@@ -387,26 +391,6 @@ def structure_for(game: GameSpec, level: str) -> MomentMatrixStructure:
     return build_moment_structure(build_basis(Scenario.from_game(game), level))
 
 
-def outcome_operator_vector(
-    structure: MomentMatrixStructure, outputs: tuple[int, ...], inputs: tuple[int, ...]
-) -> np.ndarray:
-    """Expansion of the joint outcome operator over the basis words.
-
-    The joint outcome operator is itself a projector Q, and
-    P(outputs|inputs) = <Q> = v^T M v with this vector v, provided every
-    word of its expansion is a basis word.
-    """
-    index = {w: i for i, w in enumerate(structure.basis.words)}
-    vec = np.zeros(len(structure.basis.words))
-    for word, coef in zip(*_outcome_expansion(structure.basis.scenario.n_parties, outputs, inputs)):
-        if word not in index:
-            raise MomentNotAvailableError(
-                f"word {word} is not a basis word at level {structure.basis.level}"
-            )
-        vec[index[word]] += coef
-    return vec
-
-
 def _numerical_rank(s: np.ndarray) -> int:
     """Number of singular values above the relative cut-off, largest first."""
     return int(np.sum(s > max(1.0, s[0]) * 1e-10))
@@ -416,13 +400,27 @@ def _losing_vectors(
     structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution
 ) -> np.ndarray:
     """One row per losing (outputs, inputs) whose inputs have positive
-    probability: its outcome operator vector (`outcome_operator_vector`)."""
-    rows = [
-        outcome_operator_vector(structure, o, x)
-        for x in game.admissible_inputs() if dist.prob(x) > 0.0
-        for o in game.all_outputs() if not game.win(x, o)
-    ]
-    return np.array(rows).reshape(len(rows), structure.dimension)
+    probability: its outcome operator vector v over the basis words.
+
+    The joint outcome operator is itself a projector Q, and
+    P(outputs|inputs) = <Q> = v^T M v, provided every word of its
+    expansion (`_outcome_expansion`) is a basis word.  The words of one
+    input cell are distinct, so each row holds one coefficient per word."""
+    basis = structure.basis
+    index = {w: i for i, w in enumerate(basis.words)}
+    blocks = []
+    for x in game.admissible_inputs():
+        losing = [o for o in game.all_outputs() if not game.win(x, o)]
+        if dist.prob(x) <= 0.0 or not losing:
+            continue
+        words, coefs = _outcome_expansion(basis.scenario.n_parties, losing, x)
+        missing = [w for w in words if w not in index]
+        if missing:
+            raise MomentNotAvailableError(f"word {missing[0]} is not a basis word at level {basis.level}")
+        block = np.zeros((len(losing), len(basis.words)))
+        block[:, [index[w] for w in words]] = coefs
+        blocks.append(block)
+    return np.vstack(blocks) if blocks else np.zeros((0, len(basis.words)))
 
 
 def _face_moments(
@@ -524,12 +522,12 @@ def max_success_probability(
     game: GameSpec,
     dist: InputDistribution,
     level: str = LEVEL_Q1_ABC,
-    settings: SolverSettings = SolverSettings(),
+    tol: float = TOLERANCE,
 ) -> float:
     """Upper bound on the quantum game value under `dist`."""
     structure = structure_for(game, level)
     success = success_functional(structure, game, dist)
-    solution = solve(compile_problem(structure, success), settings)
+    solution = solve(compile_problem(structure, success), tol)
     return _upper_value(solution, success, invariant_moments(structure)[0], "game value")
 
 
@@ -756,20 +754,20 @@ class Relaxation:
             self._face = SuccessFaceContext(self.structure, self.game, self.dist)
         return self._face
 
-    def p_max(self, success_floor: float, settings: SolverSettings = SolverSettings()) -> float:
+    def p_max(self, success_floor: float, tol: float = TOLERANCE) -> float:
         """Worst-case single-outcome predictability at the given success
         floor: the max over targets t of max{ P_t(M) : win(M) >= floor }.
         Raises InfeasibleSuccessError when the floor exceeds the quantum
         maximum."""
         if not 0.0 <= success_floor <= 1.0:
             raise ValueError(f"success floor must lie in [0, 1], got {success_floor}")
-        return self._orbit_max(success_floor, settings, floor_on_success=True)
+        return self._orbit_max(success_floor, tol, floor_on_success=True)
 
-    def critical_success(self, target_eps_prime: float, settings: SolverSettings) -> float:
+    def critical_success(self, target_eps_prime: float, tol: float) -> float:
         """The max over targets t of max{ win(M) : P_t(M) >= 1/2 + target_eps_prime }."""
-        return self._orbit_max(0.5 + target_eps_prime, settings, floor_on_success=False)
+        return self._orbit_max(0.5 + target_eps_prime, tol, floor_on_success=False)
 
-    def _orbit_max(self, floor: float, settings: SolverSettings, floor_on_success: bool) -> float:
+    def _orbit_max(self, floor: float, tol: float, floor_on_success: bool) -> float:
         """The one orbit loop: for each orbit representative t, the bound
         (`_upper_value`) on max c.m subject to f.m >= floor over the
         moments t's stabilizer fixes, and the largest of these.  With
@@ -790,7 +788,7 @@ class Relaxation:
                     objective, floored = floored, objective
                 m0, _ = invariant_moments(self.structure, stabilizer)
                 problem = compile_problem(self.structure, objective, stabilizer, floored, floor)
-                value = _upper_value(solve(problem, settings), objective, m0, f"target {target}",
+                value = _upper_value(solve(problem, tol), objective, m0, f"target {target}",
                                      floor_may_be_infeasible=floor_on_success)
             if value is None:
                 raise InfeasibleSuccessError(f"success floor {floor} exceeds the quantum maximum")
@@ -802,7 +800,7 @@ def eps_prime(
     epsilon: float,
     success_floor: float,
     level: str = LEVEL_Q1_ABC,
-    settings: SolverSettings = SolverSettings(),
+    tol: float = TOLERANCE,
     relaxation: Optional[Relaxation] = None,
 ) -> float:
     """Output bias bound for the tripartite protocol at the given
@@ -810,15 +808,14 @@ def eps_prime(
     `relaxation`, when given, is `Relaxation.canonical(epsilon, level)`."""
     if relaxation is None:
         relaxation = Relaxation.canonical(epsilon, level)
-    bound = relaxation.p_max(success_floor, settings)
+    bound = relaxation.p_max(success_floor, tol)
     return float(min(0.5, max(0.0, bound - 0.5)))
 
 
 def critical_success(
     epsilon: float,
     target_eps_prime: float,
-    tol: float = 1e-4,
-    level: str = LEVEL_Q1_ABC,
+    tol: float = CURVE_TOLERANCE,
 ) -> float:
     """Smallest success floor whose output-bias bound is below target.
 
@@ -843,13 +840,12 @@ def critical_success(
         raise ValueError(f"epsilon must lie in [0, 1/2), got {epsilon}")
     if not 0.0 < target_eps_prime <= 0.5:
         raise ValueError(f"target bias must lie in (0, 1/2], got {target_eps_prime}")
-    settings = SolverSettings(tolerance=tol)
-    relaxation = Relaxation.canonical(epsilon, level)
-    if eps_prime(epsilon, 1.0, level, settings, relaxation) >= target_eps_prime:
+    relaxation = Relaxation.canonical(epsilon)
+    if eps_prime(epsilon, 1.0, tol=tol, relaxation=relaxation) >= target_eps_prime:
         raise BracketingError(
             f"output bias bound at success floor 1 is not below {target_eps_prime}"
         )
-    best = relaxation.critical_success(target_eps_prime, settings)
+    best = relaxation.critical_success(target_eps_prime, tol)
     if 1.0 - best <= tol:
         raise BracketingError(
             f"tolerance {tol} cannot certify a critical success below 1 "

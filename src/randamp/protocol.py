@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .npa import critical_success
+from .npa import CURVE_TOLERANCE, critical_success
 from .strategies import biased_mermin_classical_value
 
 __all__ = [
@@ -201,7 +201,7 @@ def plan_protocol(
     eps_prime_target: float,
     delta: float,
     x: float | None = None,
-    tol: float = 1e-4,
+    tol: float = CURVE_TOLERANCE,
 ) -> ProtocolParams:
     """Derive a full parameter set from the triplet (eps, eps', delta).
 

@@ -44,6 +44,11 @@ HARD_DIVERGENCE_LIMIT = 1e9
 CERT_QUALITY = 1e-6
 CERT_WEAK_QUALITY = 1e-3
 
+# The default relative gap and residual tolerance of `solve`, and its
+# iteration cap.
+TOLERANCE = 1e-8
+MAX_ITERATIONS = 200
+
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
@@ -102,18 +107,6 @@ class SdpProblem:
         d = np.tensordot(self.constraints, X, axes=2) - self.b
         rel = np.array(self.relations, dtype=str)
         return np.where(rel == "eq", np.abs(d), np.maximum(np.where(rel == "leq", d, -d), 0.0))
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    tolerance: float = 1e-8
-    max_iterations: int = 200
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -266,8 +259,12 @@ def _unbounded_certificate(lifted: _Lifted, X: np.ndarray) -> Optional[dict]:
     return None
 
 
-def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> SdpSolution:
-    """Solve the SDP; see module docstring for the algorithm outline."""
+def solve(problem: SdpProblem, tol: float = TOLERANCE) -> SdpSolution:
+    """Solve the SDP to relative gap and residuals of at most `tol`, a
+    positive finite float; see module docstring for the algorithm
+    outline."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"solver tolerance must be positive and finite, got {tol}")
     lifted = _Lifted(problem)
     nhat, K = lifted.nhat, lifted.K
     eye = np.eye(nhat)
@@ -288,7 +285,7 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
     best_merit = np.inf
     best_X, best_y = X, y
 
-    for it in range(settings.max_iterations):
+    for it in range(MAX_ITERATIONS):
         iterations = it + 1
         r_p = lifted.b - lifted.apply(X)
         R_d = lifted.C0 - lifted.adjoint(y) - Z
@@ -305,7 +302,7 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
             best_merit = merit
             best_X, best_y = X.copy(), y.copy()
 
-        if rel_gap <= settings.tolerance and pinf <= settings.tolerance and dinf <= settings.tolerance:
+        if rel_gap <= tol and pinf <= tol and dinf <= tol:
             status = STATUS_OPTIMAL
             break
 
@@ -360,7 +357,7 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         # allows: a smaller mu only grows the scaling W, and the rounding
         # error of the Schur solve, ~eps*||S||*|dy| with ||S|| ~ ||W||^2,
         # then keeps the primal residual above the tolerance.
-        mu_floor = 0.5 * settings.tolerance * max(1.0, abs(obj)) / nhat
+        mu_floor = 0.5 * tol * max(1.0, abs(obj)) / nhat
         sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, mu_floor / mu)) if mu > 0 else 0.0
 
         # Corrector pass reuses the Schur factorization.

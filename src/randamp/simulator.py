@@ -66,7 +66,6 @@ __all__ = [
     "ProtocolRun",
     "BiasEstimate",
     "run_protocol",
-    "transcript_lines",
     "summarize_output_bits",
     "estimate_output_bias",
     "attack_suite",
@@ -406,18 +405,6 @@ def _run_aggregated(
         source_bits_used=base_bits + draws * _selection_bit_count(n), selection_draws=draws,
         aggregated=True,
     )
-
-
-def transcript_lines(run: ProtocolRun) -> list[str]:
-    """Line-oriented record per round: index, inputs, outputs, win flag."""
-    if run.aggregated:
-        raise ValueError("aggregated runs carry no per-round transcript")
-    lines = []
-    for j, (x, o, w) in enumerate(zip(run.inputs, run.outputs, run.wins)):
-        xs = "".join(str(v) for v in x)
-        os_ = "".join(str(v) for v in o)
-        lines.append(f"{j} {xs} {os_} {int(w)}")
-    return lines
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from randamp.protocol import (
     threshold_gap,
     threshold_success,
 )
-from randamp.sdp import STATUS_INFEASIBLE, STATUS_OPTIMAL, SolverSettings, solve, verify
+from randamp.sdp import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve, verify
 from randamp.simulator import (
     MATERIALIZE_LIMIT,
     AdversarialDevice,
@@ -113,12 +113,11 @@ def test_criterion_04_perfect_success_kills_the_bias():
 
 
 def test_criterion_05_classical_floor_certifies_nothing():
-    settings = SolverSettings(tolerance=1e-6)
     t0 = time.perf_counter()
     bounds = {}
     for eps in EPS_SET:
         floor = biased_mermin_classical_value(eps)
-        bounds[eps] = eps_prime(eps, floor, settings=settings)
+        bounds[eps] = eps_prime(eps, floor, tol=1e-6)
     elapsed = time.perf_counter() - t0
     print(f"criterion 5: output bias at the classical floor: {bounds} in {elapsed:.3f}s")
     for eps, bound in bounds.items():

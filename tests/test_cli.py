@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from randamp import npa
+from randamp import cli, npa, sdp
 from randamp.cli import UsageError, _fmt, cmd_figure1, cmd_figure2, main, parse_grid
 from randamp.protocol import plan_protocol
 from randamp.sdp import STATUS_MAX_ITERATIONS, solve
@@ -381,8 +381,8 @@ def test_figures_mark_stalled_solves_as_failed_cells(monkeypatch, tmp_path):
     """Every solve stops at max_iterations: each figure1 cell below floor
     1 reads solver_failure (floor 1 makes no solve), each figure2 cell
     failed:, and a grid of only failed cells exits 2."""
-    def stalled(problem, settings):
-        return dataclasses.replace(solve(problem, settings), status=STATUS_MAX_ITERATIONS)
+    def stalled(problem, tol):
+        return dataclasses.replace(solve(problem, tol), status=STATUS_MAX_ITERATIONS)
 
     monkeypatch.setattr(npa, "solve", stalled)
     rows, _ = cmd_figure1([0.3], [0.97, 1.0], 1e-8)
@@ -392,3 +392,45 @@ def test_figures_mark_stalled_solves_as_failed_cells(monkeypatch, tmp_path):
     assert row["status"].startswith("failed: solver returned max_iterations")
     code, text = run_cli(["figure2", "--grid", "0.3"], tmp_path)
     assert (code, text) == (2, "")
+
+
+PLAN_FLAGS = ["--epsilon", "0.3", "--eps-prime", "0.29", "--delta", "0.9"]
+COMMANDS = {
+    "game-value": ["game-value", "chsh"],
+    "figure1": ["figure1"],
+    "figure2": ["figure2"],
+    "figure3": ["figure3"],
+    "plan": ["plan", *PLAN_FLAGS],
+    "simulate": ["simulate", *PLAN_FLAGS, "--runs", "2"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_tolerance_not_positive_finite_is_usage_error(value, monkeypatch, tmp_path, capsys):
+    """Each command rejects the value before any solve."""
+    def no_solve(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(sdp, "solve", no_solve)
+    monkeypatch.setattr(npa, "solve", no_solve)
+    for command, argv in COMMANDS.items():
+        code, text = run_cli([*argv, "--tolerance", value], tmp_path)
+        assert (code, text) == (1, ""), command
+        assert capsys.readouterr().err.startswith("usage error: argument --tolerance"), command
+
+
+@pytest.mark.parametrize("command,tolerance", [
+    ("game-value", "1e-8"), ("figure1", "1e-8"), ("figure2", "1e-4"), ("figure3", "1e-4"), ("plan", "1e-4"),
+])
+def test_default_tolerance_output_is_explicit_default_output(command, tolerance, tmp_path):
+    default = run_cli(COMMANDS[command], tmp_path, "default.txt")
+    explicit = run_cli([*COMMANDS[command], "--tolerance", tolerance], tmp_path, "explicit.txt")
+    assert default[0] == 0
+    assert default == explicit
+
+
+def test_main_builds_the_parser_once(tmp_path):
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(["game-value", "mermin"], tmp_path)[0] == 0
+    assert cli._parser.cache_info().misses == 1

@@ -37,12 +37,11 @@ from randamp.npa import (
     marginal_functional,
     max_success_probability,
     orbit_stabilizers,
-    outcome_operator_vector,
     structure_for,
     success_functional,
     symmetry_group,
 )
-from randamp.sdp import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, SolverSettings, solve, verify
+from randamp.sdp import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, TOLERANCE, solve, verify
 from randamp.sources import canonical_mermin_source
 from randamp.strategies import (
     behavior_of_deterministic,
@@ -50,7 +49,7 @@ from randamp.strategies import (
     ghz_mermin_strategy,
 )
 
-SWEEP_SETTINGS = SolverSettings(tolerance=1e-6)
+SWEEP_TOL = 1e-6
 
 
 def moment_matrix_of_deterministic(structure, strategy):
@@ -82,7 +81,17 @@ def outcome_probability_functional(structure, outputs, inputs):
     return c
 
 
-def target_bound(game, dist, floor, target, stabilizer=(), face=None, settings=SolverSettings()):
+def outcome_operator_vector(structure, outputs, inputs):
+    """The joint outcome operator's expansion over the basis words, for
+    one (outputs, inputs) at a time."""
+    index = {w: i for i, w in enumerate(structure.basis.words)}
+    vec = np.zeros(len(structure.basis.words))
+    for word, coef in zip(*npa._outcome_expansion(structure.basis.scenario.n_parties, outputs, inputs)):
+        vec[index[word]] += coef
+    return vec
+
+
+def target_bound(game, dist, floor, target, stabilizer=(), face=None, tol=TOLERANCE):
     """One target's bound at a success floor: on the success-1 face at
     floor 1 (a fresh face unless one is given), else over the moments
     `stabilizer` fixes, every moment vector by default."""
@@ -93,7 +102,7 @@ def target_bound(game, dist, floor, target, stabilizer=(), face=None, settings=S
     success = success_functional(structure, game, dist)
     problem = compile_problem(structure, objective, stabilizer, success, floor)
     m0, _ = invariant_moments(structure, stabilizer)
-    return npa._upper_value(solve(problem, settings), objective, m0, str(target))
+    return npa._upper_value(solve(problem, tol), objective, m0, str(target))
 
 
 def test_basis_word_counts():
@@ -262,6 +271,29 @@ def test_face_bound_of_marginal_is_half():
     assert target_bound(game, dist, 1.0, (0, 0, 0)) == 0.5
 
 
+@pytest.mark.parametrize("game,epsilon,level", [
+    (mermin_game(), 0.0, LEVEL_Q1_ABC),
+    (mermin_game(), 0.3, LEVEL_Q1_ABC),
+    (mermin_game(), 0.45, LEVEL_Q1_ABC),
+    (chsh_game(), None, LEVEL_Q2),
+], ids=["mermin-0", "mermin-0.3", "mermin-0.45", "chsh-Q2"])
+def test_losing_vectors_match_one_vector_per_outcome(game, epsilon, level):
+    """The losing vectors, built per input cell, have the bytes of one
+    `outcome_operator_vector` per losing (outputs, inputs); the bytes
+    key the shared face point."""
+    if epsilon is None:
+        dist = uniform_distribution(game)
+    else:
+        dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
+    structure = structure_for(game, level)
+    reference = np.array([
+        outcome_operator_vector(structure, o, x)
+        for x in game.admissible_inputs() if dist.prob(x) > 0.0
+        for o in game.all_outputs() if not game.win(x, o)
+    ])
+    assert npa._losing_vectors(structure, game, dist).tobytes() == reference.tobytes()
+
+
 def scaled_losing_vectors(structure, game, dist):
     """The losing outcome vectors times 2^3, an integer matrix."""
     scaled = 8 * npa._losing_vectors(structure, game, dist)
@@ -370,9 +402,9 @@ def test_mermin_relaxation_value_is_one():
 def test_hierarchy_levels_never_loosen():
     """Tighter moment bases can only shrink the feasible set."""
     floor = 0.97
-    loose = eps_prime(0.3, floor, LEVEL_Q1_AB, SWEEP_SETTINGS)
-    mid = eps_prime(0.3, floor, LEVEL_Q1_ABC, SWEEP_SETTINGS)
-    tight = eps_prime(0.3, floor, LEVEL_Q2_ABC, SWEEP_SETTINGS)
+    loose = eps_prime(0.3, floor, LEVEL_Q1_AB, SWEEP_TOL)
+    mid = eps_prime(0.3, floor, LEVEL_Q1_ABC, SWEEP_TOL)
+    tight = eps_prime(0.3, floor, LEVEL_Q2_ABC, SWEEP_TOL)
     assert mid <= loose + 1e-5
     assert tight <= mid + 1e-5
 
@@ -390,7 +422,7 @@ def test_symmetry_of_targets_under_party_permutation():
     dist = uniform_distribution(game)
     for x, outcome in ((0, 0), (1, 1)):
         bounds = [
-            target_bound(game, dist, 0.9, (party, x, outcome), settings=SWEEP_SETTINGS)
+            target_bound(game, dist, 0.9, (party, x, outcome), tol=SWEEP_TOL)
             for party in range(3)
         ]
         assert max(bounds) - min(bounds) <= 2e-4
@@ -403,8 +435,8 @@ def test_symmetry_of_first_two_parties_under_source_distribution():
     dist = input_distribution_from_source(game, canonical_mermin_source(0.3))
     for x in (0, 1):
         for outcome in (0, 1):
-            r0 = target_bound(game, dist, 0.97, (0, x, outcome), settings=SWEEP_SETTINGS)
-            r1 = target_bound(game, dist, 0.97, (1, x, outcome), settings=SWEEP_SETTINGS)
+            r0 = target_bound(game, dist, 0.97, (0, x, outcome), tol=SWEEP_TOL)
+            r1 = target_bound(game, dist, 0.97, (1, x, outcome), tol=SWEEP_TOL)
             assert abs(r0 - r1) <= 2e-4
 
 
@@ -626,7 +658,7 @@ def unreduced_critical_success(epsilon, target_eps_prime, tol):
     for target, _ in orbit_stabilizers(game, symmetry_group(game, dist)):
         floor = marginal_functional(structure, *target)
         problem = compile_problem(structure, success, (), floor, 0.5 + target_eps_prime)
-        solution = solve(problem, SolverSettings(tolerance=tol))
+        solution = solve(problem, tol)
         best = max(best, npa._upper_value(solution, success, m0, str(target)))
     return best
 
@@ -653,7 +685,7 @@ def unreduced_solution(epsilon, floor, target):
     structure = relaxation.structure
     problem = compile_problem(structure, marginal_functional(structure, *target), (),
                               relaxation.success, floor)
-    return solve(problem, SolverSettings())
+    return solve(problem)
 
 
 @pytest.mark.parametrize("floor", [0.998, 0.999, 0.9995])
@@ -750,9 +782,9 @@ def test_floor_one_makes_no_solve(monkeypatch):
     dist = input_distribution_from_source(game, canonical_mermin_source(0.3))
     solves = []
 
-    def counting_solve(problem, settings):
+    def counting_solve(problem, tol):
         solves.append(problem)
-        return solve(problem, settings)
+        return solve(problem, tol)
 
     monkeypatch.setattr(npa, "solve", counting_solve)
     assert Relaxation(game, dist).p_max(1.0) == 0.5
@@ -829,7 +861,7 @@ def test_critical_success_form_matches_its_orbit_representative():
         for t in orbit:
             floor = marginal_functional(structure, *t)
             problem = compile_problem(structure, success, (), floor, 0.5 + target)
-            solution = solve(problem, SolverSettings(tolerance=tol))
+            solution = solve(problem, tol)
             assert solution.status == STATUS_OPTIMAL
             values.append(achieved_value(structure, success, solution))
         assert max(abs(v - values[0]) for v in values) <= tol, orbit
@@ -843,7 +875,7 @@ def test_output_bias_bound_monotone_on_grid():
     table = np.empty((10, 10))
     for i, eps in enumerate(eps_grid):
         for j, ps in enumerate(ps_grid):
-            table[i, j] = eps_prime(float(eps), float(ps), settings=SWEEP_SETTINGS)
+            table[i, j] = eps_prime(float(eps), float(ps), tol=SWEEP_TOL)
     for i in range(10):
         col = table[i]
         assert all(col[j + 1] <= col[j] + 1e-5 for j in range(9)), f"eps={eps_grid[i]}"
@@ -894,7 +926,7 @@ def test_classical_floor_gives_full_bias():
 
     eps = 0.2
     floor = biased_mermin_classical_value(eps)
-    assert eps_prime(eps, floor, settings=SWEEP_SETTINGS) >= 0.5 - 1e-4
+    assert eps_prime(eps, floor, tol=SWEEP_TOL) >= 0.5 - 1e-4
 
 
 def test_critical_success_validation():
@@ -915,8 +947,8 @@ def test_critical_success_is_the_threshold_floor(epsilon, target):
     sits at or above the value every target's solve achieved (the safe side)."""
     p = critical_success(epsilon, target, tol=1e-6)
     if p + 1e-3 < 1.0:
-        assert eps_prime(epsilon, p + 1e-3, settings=SWEEP_SETTINGS) < target
-    assert target <= eps_prime(epsilon, p - 1e-3, settings=SWEEP_SETTINGS)
+        assert eps_prime(epsilon, p + 1e-3, tol=SWEEP_TOL) < target
+    assert target <= eps_prime(epsilon, p - 1e-3, tol=SWEEP_TOL)
     game = mermin_game()
     dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
     structure = structure_for(game, LEVEL_Q1_ABC)
@@ -924,7 +956,7 @@ def test_critical_success_is_the_threshold_floor(epsilon, target):
     for party, x, outcome in itertools.product(range(3), range(2), range(2)):
         floor = marginal_functional(structure, party, x, outcome)
         problem = compile_problem(structure, success, (), floor, 0.5 + target)
-        solution = solve(problem, SWEEP_SETTINGS)
+        solution = solve(problem, SWEEP_TOL)
         assert solution.status == STATUS_OPTIMAL
         assert p >= achieved_value(structure, success, solution)
 
@@ -944,7 +976,7 @@ def stall(solution):
 def test_stalled_solves_raise_solver_failure(monkeypatch):
     """A solve without a verdict is never read as a bound.  Floor 1 makes
     no solve, so only floors below it can stall."""
-    monkeypatch.setattr(npa, "solve", lambda problem, settings: stall(solve(problem, settings)))
+    monkeypatch.setattr(npa, "solve", lambda problem, tol: stall(solve(problem, tol)))
     with pytest.raises(SolverFailureError):
         eps_prime(0.3, 0.97)
     game = chsh_game()
@@ -955,7 +987,7 @@ def test_stalled_solves_raise_solver_failure(monkeypatch):
 def test_critical_success_raises_on_a_stalled_target_solve(monkeypatch):
     """Every solve stalls, yet floor 1 makes no solve, so critical_success's
     floor-1 check passes and the failure comes from the per-target solves."""
-    monkeypatch.setattr(npa, "solve", lambda problem, settings: stall(solve(problem, settings)))
+    monkeypatch.setattr(npa, "solve", lambda problem, tol: stall(solve(problem, tol)))
     with pytest.raises(SolverFailureError, match="max_iterations for target"):
         critical_success(0.3, 0.29)
 

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from analytic_problems import analytic_problems, infeasible_problem, unbounded_problem
 from randamp.sdp import (
     SdpProblem,
-    SolverSettings,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
@@ -41,19 +40,19 @@ def test_analytic_optimum(name, problem, optimum):
 
 @pytest.mark.parametrize("name,problem,optimum", BATTERY, ids=IDS)
 def test_optimal_solution_invariants(name, problem, optimum):
-    settings = SolverSettings(tolerance=1e-8)
-    report = verify(problem, solve(problem, settings), settings.tolerance)
-    assert report["min_eigenvalue"] >= -settings.tolerance
-    assert report["max_constraint_residual"] <= settings.tolerance
+    tol = 1e-8
+    report = verify(problem, solve(problem, tol), tol)
+    assert report["min_eigenvalue"] >= -tol
+    assert report["max_constraint_residual"] <= tol
     # weak duality: the dual bound never undercuts the primal value
-    assert report["duality_gap"] >= -settings.tolerance
+    assert report["duality_gap"] >= -tol
 
 
 @pytest.mark.parametrize("name,problem,optimum", BATTERY, ids=IDS)
 def test_verify_passes_at_ten_times_tolerance(name, problem, optimum):
-    settings = SolverSettings(tolerance=1e-8)
-    sol = solve(problem, settings)
-    report = verify(problem, sol, 10 * settings.tolerance)
+    tol = 1e-8
+    sol = solve(problem, tol)
+    report = verify(problem, sol, 10 * tol)
     assert report["passed"], report
 
 
@@ -158,11 +157,11 @@ def test_verify_feasible_but_suboptimal_has_gap():
     assert report["duality_gap"] > 0.5
 
 
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(max_iterations=0)
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+def test_solve_rejects_tolerance_not_positive_finite(tol):
+    _, problem, _ = BATTERY[0]
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve(problem, tol)
 
 
 def cholesky_step_bound(M, dM):

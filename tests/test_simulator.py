@@ -1,5 +1,4 @@
 import math
-import re
 from functools import reduce
 
 import numpy as np
@@ -17,7 +16,6 @@ from randamp.simulator import (
     attack_suite,
     estimate_output_bias,
     run_protocol,
-    transcript_lines,
 )
 from randamp.games import mermin_game
 from randamp.sources import constant_sign, parity_sign, table_sign
@@ -32,7 +30,6 @@ from randamp.strategies import (
 from reference_behaviors import dipping_product_strategy, loop_behavior_of_quantum, random_qubit_strategy
 
 GHZ = ghz_mermin_strategy()
-LINE_SHAPE = re.compile(r"^\d+ [01]{3} [01]{3} [01]$")
 
 
 def make_params(n_rounds, p_threshold, epsilon=0.3, x=0.01, p_crit=0.97):
@@ -289,18 +286,6 @@ def test_behavior_rows_are_nonnegative_with_monotone_cumulative_sums():
         assert np.all(np.diff(np.cumsum(row)) >= 0.0)
 
 
-def test_transcript_lines_shape():
-    params = make_params(50, 0.9)
-    run = run_protocol(params, HonestDevice(GHZ), seed=5)
-    lines = transcript_lines(run)
-    assert len(lines) == 50
-    for j, line in enumerate(lines):
-        assert LINE_SHAPE.match(line)
-        assert line.split()[0] == str(j)
-    parsed_wins = tuple(bool(int(line.split()[3])) for line in lines)
-    assert parsed_wins == run.wins
-
-
 def test_steered_deterministic_attack_quality():
     """Best classical strategy plus steering that starves its one losing
     input cell: per-round quality is exactly 0.96 at bias 0.3."""
@@ -412,8 +397,6 @@ def test_aggregated_run_keeps_bit_accounting(monkeypatch):
     assert run.aggregated
     n_bits = (100 - 1).bit_length()
     assert run.source_bits_used == 200 + run.selection_draws * n_bits
-    with pytest.raises(ValueError):
-        transcript_lines(run)
 
 
 def test_aggregation_requires_round_local_steering(monkeypatch):
