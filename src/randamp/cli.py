@@ -19,7 +19,7 @@ import io
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -249,12 +249,26 @@ def cmd_simulate(
     return rows, summary
 
 
-def positive_finite(text: str) -> float:
-    """The type of --tolerance: a float in (0, inf)."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise ValueError(text)
-    return value
+def _float_in(name: str, domain: str, inside: Callable[[float], bool]) -> Callable[[str], float]:
+    """An argparse type: the float of the text, which `inside` must accept
+    (nan never is), else a usage error naming `domain`."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not inside(value):
+            raise argparse.ArgumentTypeError(f"must lie in {domain}, got {text}")
+        return value
+
+    parse.__name__ = name
+    return parse
+
+
+# The types of the flags whose domain is known before any solve.
+positive_finite = _float_in("positive_finite", "(0, inf)", lambda v: 0.0 < v < math.inf)
+nonnegative_finite = _float_in("nonnegative_finite", "[0, inf)", lambda v: 0.0 <= v < math.inf)
+source_bias = _float_in("source_bias", "[0, 1/2]", lambda v: 0.0 <= v <= 0.5)
+protocol_bias = _float_in("protocol_bias", "[0, 1/2)", lambda v: 0.0 <= v < 0.5)
+target_bias = _float_in("target_bias", "(0, 1/2]", lambda v: 0.0 < v <= 0.5)
+confidence = _float_in("confidence", "[0, 1)", lambda v: 0.0 <= v < 1.0)
 
 
 @functools.cache
@@ -271,7 +285,7 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("game-value", help="classical and quantum values of one game")
     p.add_argument("game", choices=("chsh", "mermin", "magic-square"))
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--epsilon", type=source_bias, default=0.0)
     common(p, sdp.TOLERANCE)
 
     p = sub.add_parser("figure1", help="output-bias bound over (epsilon, success floor)")
@@ -285,22 +299,22 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("figure3", help="sufficient success threshold curve")
     p.add_argument("--grid", default="0.1:0.45:3", help="epsilon grid a:b:n")
-    p.add_argument("--delta", type=float, default=0.99)
-    p.add_argument("--x", type=float, default=0.0)
+    p.add_argument("--delta", type=confidence, default=0.99)
+    p.add_argument("--x", type=nonnegative_finite, default=0.0)
     common(p, npa.CURVE_TOLERANCE)
 
     p = sub.add_parser("plan", help="derive full protocol parameters")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--eps-prime", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--x", type=float, default=None)
+    p.add_argument("--epsilon", type=protocol_bias, required=True)
+    p.add_argument("--eps-prime", type=target_bias, required=True)
+    p.add_argument("--delta", type=confidence, required=True)
+    p.add_argument("--x", type=positive_finite, default=None)
     common(p, npa.CURVE_TOLERANCE, "json")
 
     p = sub.add_parser("simulate", help="plan and execute protocol runs")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--eps-prime", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--x", type=float, default=None)
+    p.add_argument("--epsilon", type=protocol_bias, required=True)
+    p.add_argument("--eps-prime", type=target_bias, required=True)
+    p.add_argument("--delta", type=confidence, required=True)
+    p.add_argument("--x", type=positive_finite, default=None)
     p.add_argument("--device", default="honest")
     p.add_argument("--visibility", type=float, default=1.0)
     p.add_argument("--runs", type=int, default=100)

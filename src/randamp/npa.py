@@ -44,9 +44,11 @@ first floor-1 query.  Its one orbit loop solves one representative per
 orbit, below floor 1 over the moments its stabilizer fixes
 (`invariant_moments`: a symmetry maps each basis word to +- a basis
 word, so the fixed moments are spanned by the unit vector and signed
-orbit sums), and takes the largest bound.  `p_max` runs it with the
-target's marginal as objective and the floor on the win probability,
-`critical_success` with the two swapped.  Objective and floor functional
+orbit sums), and takes the largest bound; a solve after the first stops
+as soon as it shows that its orbit cannot beat the largest bound so far
+(`Relaxation._orbit_max`).  `p_max` runs it with the target's marginal
+as objective and the floor on the win probability, `critical_success`
+with the two swapped.  Objective and floor functional
 are fixed by the stabilizer, so averaging an optimum over it keeps the
 value (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).  For the
 Mermin game under the canonical source at Q1+ABC that leaves 14 to 19
@@ -79,6 +81,7 @@ from .games import DIST_TOL, GameSpec, InputDistribution
 from .sdp import (
     SdpProblem,
     SdpSolution,
+    STATUS_CUTOFF,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     TOLERANCE,
@@ -373,8 +376,16 @@ def compile_problem(
     duality) and c.m0 - (objective_value + duality_gap) is the objective
     at the moments m0 + N y the solve reached.  An unbounded sdp form
     means no moments are feasible.
+
+    The problem's y_bound is the column l1 norms ||N_j||_1: N is
+    orthonormal and orthogonal to m0, so z_j = N_j.m, and every moment
+    lies in [-1, 1] (M(m) is PSD with unit diagonal), so |z_j| <=
+    ||N_j||_1.  That is sqrt(|orbit|) for a signed orbit sum, 1 for the
+    trivial group.  For PSD X with residuals r, c.m0 - <C, X> + sum_j
+    ||N_j||_1 |r_j| then bounds the relaxation's maximum from above
+    (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46, 2007).
     """
-    _, N, coords, blocks = _invariant_moments(structure.basis, stabilizer)
+    _, N, coords, blocks, weights = _invariant_moments(structure.basis, stabilizer)
     rhs = -(objective @ N)
     if floor_functional is not None:
         d = blocks.shape[1]
@@ -384,7 +395,7 @@ def compile_problem(
         lmi[:, :d, :d] = blocks
         lmi[:, d, d] = slack
         blocks = lmi
-    return SdpProblem(-blocks[0], blocks[1:], rhs, ("eq",) * len(rhs))
+    return SdpProblem(-blocks[0], blocks[1:], rhs, ("eq",) * len(rhs), weights)
 
 
 def structure_for(game: GameSpec, level: str) -> MomentMatrixStructure:
@@ -667,16 +678,17 @@ def invariant_moments(
     optimum over the group gives a fixed optimum of the same value.
 
     Both arrays are built once per (basis, stabilizer) and read-only."""
-    m0, N, _, _ = _invariant_moments(structure.basis, stabilizer)
+    m0, N, _, _, _ = _invariant_moments(structure.basis, stabilizer)
     return m0, N
 
 
 @functools.cache
 def _invariant_moments(
     basis: MonomialBasis, stabilizer: tuple[Symmetry, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """m0 and N of `invariant_moments`, their columns [m0, N] and the
-    block stack M([m0, N]) of `compile_problem`, all read-only."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """m0 and N of `invariant_moments`, their columns [m0, N], the block
+    stack M([m0, N]) of `compile_problem` and the column l1 norms
+    ||N_j||_1 (`compile_problem`'s y_bound), all read-only."""
     structure = build_moment_structure(basis)
     n = len(structure.id_cells)
     ids = np.arange(n)
@@ -694,8 +706,9 @@ def _invariant_moments(
     m0, N = np.eye(n)[structure.unit_id], N / np.linalg.norm(N, axis=0)
     coords = np.column_stack([m0, N])
     blocks = np.tensordot(coords.T, structure.indicators, axes=1)
-    _read_only(m0, N, coords, blocks)
-    return m0, N, coords, blocks
+    weights = np.abs(N).sum(axis=0)
+    _read_only(m0, N, coords, blocks, weights)
+    return m0, N, coords, blocks, weights
 
 
 def _upper_value(
@@ -731,7 +744,9 @@ class Relaxation:
 
     `p_max` and `critical_success` run the one orbit loop, `_orbit_max`:
     the first with each target's marginal as objective and the floor on
-    the success functional, the second with the two swapped."""
+    the success functional, the second with the two swapped.  An orbit
+    that cannot beat the largest bound found before it stops at a
+    cutoff instead of being solved to the tolerance."""
 
     def __init__(self, game: GameSpec, dist: InputDistribution, level: str = LEVEL_Q1_ABC):
         self.game = game
@@ -775,7 +790,19 @@ class Relaxation:
         functional, and a floor of exactly 1 is answered on the face
         instead (it leaves the full problem no interior); otherwise the
         two are swapped.  Both are fixed by the stabilizer, so the
-        reduction keeps each value (see `invariant_moments`)."""
+        reduction keeps each value (see `invariant_moments`).
+
+        Orbits are taken in sorted order, so (0, 0, 0) comes first.  Once
+        there is a bound `best`, each later solve gets the cutoff c.m0 -
+        best and ends as soon as an iterate shows, by `compile_problem`'s
+        residual charge, that its orbit's value is at most `best`; that
+        orbit is then skipped.  The answer stays an upper bound: a
+        skipped orbit's value is at most its charged bound, which is at
+        most `best`.  It is the maximum full solves give unless a cut
+        orbit's full solve would have read above `best`.
+        The cutting iterate is PSD only up to the rounding of a plain
+        Cholesky factorization, so, like every value here, a cut is not
+        rigorously certified."""
         on_face = floor_on_success and floor == 1.0
         best = -np.inf
         for target, stabilizer in self.orbits:
@@ -788,7 +815,11 @@ class Relaxation:
                     objective, floored = floored, objective
                 m0, _ = invariant_moments(self.structure, stabilizer)
                 problem = compile_problem(self.structure, objective, stabilizer, floored, floor)
-                value = _upper_value(solve(problem, tol), objective, m0, f"target {target}",
+                offset = float(objective @ m0)
+                solution = solve(problem, tol, None if best == -np.inf else offset - best)
+                if solution.status == STATUS_CUTOFF:
+                    continue
+                value = _upper_value(solution, objective, m0, f"target {target}",
                                      floor_may_be_infeasible=floor_on_success)
             if value is None:
                 raise InfeasibleSuccessError(f"success floor {floor} exceeds the quantum maximum")

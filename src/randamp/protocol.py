@@ -83,7 +83,7 @@ def deviation_confidence(x: float, n_rounds: int, epsilon: float) -> float:
 
     x = 0 gives the vacuous bound 1.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"slack x must be nonnegative, got {x}")
     if n_rounds < 1:
         raise ValueError(f"need at least one round, got {n_rounds}")
@@ -92,7 +92,7 @@ def deviation_confidence(x: float, n_rounds: int, epsilon: float) -> float:
 
 def rounds_needed(x: float, deviation_budget: float, epsilon: float) -> int:
     """Smallest N with deviation_confidence(x, N, epsilon) <= budget."""
-    if x <= 0:
+    if not x > 0:
         raise ValueError(f"slack x must be positive, got {x}")
     if not 0.0 < deviation_budget < 1.0:
         raise ValueError(f"deviation budget must lie in (0, 1), got {deviation_budget}")
@@ -149,7 +149,7 @@ def threshold_gap(p_crit: float, epsilon: float, delta: float, x: float) -> floa
     _check_epsilon(epsilon)
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"confidence delta must lie in [0, 1), got {delta}")
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"slack x must be nonnegative, got {x}")
     return (1.0 - p_crit) * 2.0 ** (-_selection_exponent(epsilon, delta)) - x
 
@@ -219,7 +219,7 @@ def plan_protocol(
     x_max = max_feasible_slack(p_crit, epsilon, delta)
     if x is None:
         x = x_max / 2.0
-    if x <= 0:
+    if not x > 0:
         raise ValueError(f"slack x must be positive, got {x}")
     if x >= x_max:
         raise InfeasibleSlackError(x, x_max)

@@ -13,7 +13,10 @@ Mehrotra predictor-corrector.  Step lengths are read in the scaled
 space, where both iterates are diag(lam), from one eigenvalue problem
 per direction; each step is then shortened until the new iterates pass
 a plain Cholesky, and the centering target never drops below what the
-gap tolerance needs.  Everything is dense double precision;
+gap tolerance needs.  A caller that only needs to know whether the
+optimum reaches some value can pass it as a `cutoff`: the solve then
+ends at the first iterate whose objective, less a charge for its
+residuals, proves it does.  Everything is dense double precision;
 intended scale is matrix dimension <= ~40 with <= ~100 constraints.
 
 The solver is deterministic: no randomness, no warm starts, fixed
@@ -35,6 +38,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_MAX_ITERATIONS = "max_iterations"
+STATUS_CUTOFF = "cutoff"
 
 RELATIONS = ("eq", "geq", "leq")
 
@@ -72,12 +76,20 @@ def _check_symmetric(M: np.ndarray, what: str) -> np.ndarray:
 @dataclass(frozen=True)
 class SdpProblem:
     """Maximize <C, X> over PSD X subject to <A_k, X> relations[k] b[k],
-    with the A_k stacked as `constraints`, shape (K, m, m)."""
+    with the A_k stacked as `constraints`, shape (K, m, m).
+
+    `y_bound`, when given, is a vector w with |y_k| <= w_k for every
+    dual-feasible y (sum_k y_k A_k - C PSD, with the relations' signs).
+    For PSD X it turns the primal objective into a lower bound on the
+    dual objective that charges the residuals r = residuals(X):
+    <sum_k y_k A_k - C, X> >= 0 gives b.y >= <C, X> - sum_k w_k r_k, and
+    `solve` uses it to stop at a `cutoff`."""
 
     C: np.ndarray
     constraints: np.ndarray
     b: np.ndarray
     relations: tuple[str, ...]
+    y_bound: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         C = _check_symmetric(self.C, "objective matrix")
@@ -93,6 +105,11 @@ class SdpProblem:
         bad = set(relations) - set(RELATIONS)
         if bad:
             raise ValueError(f"relations must be among {RELATIONS}, got {sorted(bad)}")
+        if self.y_bound is not None:
+            w = np.asarray(self.y_bound, dtype=float)
+            if w.shape != b.shape or not (np.isfinite(w) & (w >= 0)).all():
+                raise ValueError(f"y_bound must hold {len(b)} finite nonnegative entries")
+            object.__setattr__(self, "y_bound", w)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "constraints", A)
         object.__setattr__(self, "b", b)
@@ -259,12 +276,23 @@ def _unbounded_certificate(lifted: _Lifted, X: np.ndarray) -> Optional[dict]:
     return None
 
 
-def solve(problem: SdpProblem, tol: float = TOLERANCE) -> SdpSolution:
+def solve(problem: SdpProblem, tol: float = TOLERANCE, cutoff: Optional[float] = None) -> SdpSolution:
     """Solve the SDP to relative gap and residuals of at most `tol`, a
     positive finite float; see module docstring for the algorithm
-    outline."""
+    outline.
+
+    With a `cutoff` (which needs `problem.y_bound`), the solve also stops,
+    with STATUS_CUTOFF, at the first iterate X that is not optimal yet
+    whose charged objective <C, X> - sum_k y_bound_k |r_k| reaches the
+    cutoff, r being its residuals in the slack-lifted form (for an
+    equality-only problem, `residuals(X)`): then b.y >= cutoff for every
+    dual-feasible y (see `SdpProblem`), and that X is returned.  It is
+    PSD only up to the rounding of the plain Cholesky factorization it
+    passed, so a cutoff is not a rigorous certificate."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"solver tolerance must be positive and finite, got {tol}")
+    if cutoff is not None and problem.y_bound is None:
+        raise ValueError("a cutoff needs the problem's y_bound")
     lifted = _Lifted(problem)
     nhat, K = lifted.nhat, lifted.K
     eye = np.eye(nhat)
@@ -304,6 +332,9 @@ def solve(problem: SdpProblem, tol: float = TOLERANCE) -> SdpSolution:
 
         if rel_gap <= tol and pinf <= tol and dinf <= tol:
             status = STATUS_OPTIMAL
+            break
+        if cutoff is not None and -obj - float(problem.y_bound @ np.abs(r_p)) >= cutoff:
+            status = STATUS_CUTOFF
             break
 
         cert = _farkas_certificate(lifted, y, X)
@@ -383,7 +414,7 @@ def solve(problem: SdpProblem, tol: float = TOLERANCE) -> SdpSolution:
         y = y + ad * dy
         Z, Lz = Z_next, Lz_next
 
-    if status == STATUS_OPTIMAL:
+    if status in (STATUS_OPTIMAL, STATUS_CUTOFF):
         best_X, best_y = X, y
     return _build_solution(problem, best_X, best_y, status, iterations, certificate)
 

@@ -381,8 +381,8 @@ def test_figures_mark_stalled_solves_as_failed_cells(monkeypatch, tmp_path):
     """Every solve stops at max_iterations: each figure1 cell below floor
     1 reads solver_failure (floor 1 makes no solve), each figure2 cell
     failed:, and a grid of only failed cells exits 2."""
-    def stalled(problem, tol):
-        return dataclasses.replace(solve(problem, tol), status=STATUS_MAX_ITERATIONS)
+    def stalled(problem, tol, cutoff=None):
+        return dataclasses.replace(solve(problem, tol, cutoff), status=STATUS_MAX_ITERATIONS)
 
     monkeypatch.setattr(npa, "solve", stalled)
     rows, _ = cmd_figure1([0.3], [0.97, 1.0], 1e-8)
@@ -417,6 +417,34 @@ def test_tolerance_not_positive_finite_is_usage_error(value, monkeypatch, tmp_pa
         code, text = run_cli([*argv, "--tolerance", value], tmp_path)
         assert (code, text) == (1, ""), command
         assert capsys.readouterr().err.startswith("usage error: argument --tolerance"), command
+
+
+OUT_OF_DOMAIN = {
+    "game-value": [["--epsilon", v] for v in ("0.7", "-0.1", "nan")],
+    "figure3": [["--delta", v] for v in ("1.5", "1", "nan")] + [["--x", v] for v in ("-1", "nan", "inf")],
+    "plan": [["--epsilon", v] for v in ("nan", "0.5", "-0.1")]
+    + [["--eps-prime", v] for v in ("0", "0.6", "nan")]
+    + [["--delta", v] for v in ("1.5", "-0.1", "nan")]
+    + [["--x", v] for v in ("0", "nan", "inf")],
+}
+OUT_OF_DOMAIN["simulate"] = OUT_OF_DOMAIN["plan"]
+
+
+@pytest.mark.parametrize("command", sorted(OUT_OF_DOMAIN))
+def test_flag_out_of_its_domain_is_usage_error(command, monkeypatch, tmp_path, capsys):
+    """A value outside its flag's domain exits 1 before any solve,
+    naming the flag; in the library the same value would reach a solve
+    or a numerical failure."""
+    def no_solve(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(sdp, "solve", no_solve)
+    monkeypatch.setattr(npa, "solve", no_solve)
+    for flag, value in OUT_OF_DOMAIN[command]:
+        argv = [*COMMANDS[command], flag, value]
+        code, text = run_cli(argv, tmp_path)
+        assert (code, text) == (1, ""), argv
+        assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: must lie in"), argv
 
 
 @pytest.mark.parametrize("command,tolerance", [

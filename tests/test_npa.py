@@ -41,7 +41,7 @@ from randamp.npa import (
     success_functional,
     symmetry_group,
 )
-from randamp.sdp import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, TOLERANCE, solve, verify
+from randamp.sdp import STATUS_CUTOFF, STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, TOLERANCE, solve, verify
 from randamp.sources import canonical_mermin_source
 from randamp.strategies import (
     behavior_of_deterministic,
@@ -915,6 +915,99 @@ def test_cells_that_stalled_in_the_tie_form_solve(epsilon, floor):
     assert 0.0 <= eps_prime(epsilon, floor) <= 0.5
 
 
+def orbit_problems(relaxation, floor, floor_on_success=True):
+    """(target, objective, m0, problem) per orbit as `_orbit_max` compiles
+    them: with the floor on the success functional, or on the marginal."""
+    structure = relaxation.structure
+    for target, stabilizer in relaxation.orbits:
+        objective, floored = marginal_functional(structure, *target), relaxation.success
+        if not floor_on_success:
+            objective, floored = floored, objective
+        m0, _ = invariant_moments(structure, stabilizer)
+        yield target, objective, m0, compile_problem(structure, objective, stabilizer, floored, floor)
+
+
+def uncut_orbit_max(relaxation, floor, tol, floor_on_success=True):
+    """The orbit loop's maximum with every orbit solved to the tolerance."""
+    return max(npa._upper_value(solve(problem, tol), objective, m0, str(target))
+               for target, objective, m0, problem in orbit_problems(relaxation, floor, floor_on_success))
+
+
+FIGURE2_EPSILONS = [round(0.05 * k, 2) for k in range(1, 10)] + [0.275]
+
+
+def test_cut_orbit_solves_keep_every_value():
+    """eps_prime on the certify lattice and critical_success at the
+    figure2 epsilons equal, bit for bit, the maximum of solves that run
+    every orbit to the tolerance.  At 0.45 the two party-2 orbits tie."""
+    cut, uncut = [], []
+    for epsilon, floor in CERTIFY_LATTICE:
+        relaxation = Relaxation.canonical(epsilon)
+        cut.append(eps_prime(epsilon, floor, relaxation=relaxation))
+        uncut.append(min(0.5, max(0.0, uncut_orbit_max(relaxation, floor, TOLERANCE) - 0.5)))
+    for epsilon in FIGURE2_EPSILONS:
+        cut.append(critical_success(epsilon, epsilon))
+        uncut.append(uncut_orbit_max(Relaxation.canonical(epsilon), 0.5 + epsilon, npa.CURVE_TOLERANCE, False))
+    assert list(map(repr, cut)) == list(map(repr, uncut))
+
+
+@pytest.mark.parametrize("epsilon,floor,floor_on_success,tol", [
+    (0.2, 0.975, True, TOLERANCE), (0.3, 0.97, True, TOLERANCE), (0.45, 0.998, True, TOLERANCE),
+    (0.1, 0.6, False, 1e-4), (0.3, 0.79, False, 1e-4), (0.45, 0.95, False, 1e-4),
+])
+def test_no_false_cutoff(epsilon, floor, floor_on_success, tol):
+    """For every orbit, a cutoff claiming a value 3e-4 below the full
+    solve's is never returned, and the solve is the full one; a cutoff
+    claiming 1e-2 above it is returned, in fewer iterations."""
+    for target, objective, m0, problem in orbit_problems(Relaxation.canonical(epsilon), floor, floor_on_success):
+        full = solve(problem, tol)
+        value = npa._upper_value(full, objective, m0, str(target))
+        offset = float(objective @ m0)
+        kept = solve(problem, tol, offset - (value - 3e-4))
+        assert kept.status == STATUS_OPTIMAL, target
+        assert (kept.iterations, kept.objective_value) == (full.iterations, full.objective_value)
+        cut = solve(problem, tol, offset - (value + 1e-2))
+        assert cut.status == STATUS_CUTOFF, target
+        assert cut.iterations < full.iterations
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 0.0])
+def test_residual_charge_covers_the_face_point_at_zero(epsilon):
+    """At X = 0 each orbit's critical-success problem with floor 1/2 on
+    the marginal has residuals |b|, and c.m0 - <C, X> + y_bound . |r|
+    must bound the relaxation value from above.  That value is 1, the
+    GHZ face point's win probability, whose marginals are all 1/2.  The
+    bound is exactly 1 for the party-2 orbits at 0.3 and for both orbits
+    at 0; charging |r| without the ||N_j||_1 weights gives 0.9531 and
+    0.9268 there."""
+    relaxation = Relaxation.canonical(epsilon)
+    face_value = float(relaxation.success @ relaxation.face.point)
+    assert face_value == 1.0
+    bounds = {}
+    for target, objective, m0, problem in orbit_problems(relaxation, 0.5, floor_on_success=False):
+        X = np.zeros_like(problem.C)
+        assert np.array_equal(problem.residuals(X), np.abs(problem.b))
+        charge = problem.y_bound @ problem.residuals(X)
+        bounds[target] = float(objective @ m0) - float(np.sum(problem.C * X)) + charge
+        assert bounds[target] >= face_value, target
+    exact = [(2, 0, 0), (2, 1, 0)] if epsilon else list(bounds)
+    assert [bounds[t] for t in exact] == [1.0] * len(exact)
+
+
+def test_y_bound_is_the_column_l1_norms():
+    """sqrt(|orbit|) for each signed orbit sum, 1 for the trivial group."""
+    relaxation = Relaxation.canonical(0.3)
+    structure = relaxation.structure
+    for target, stabilizer in [((0, 0, 0), ()), *relaxation.orbits]:
+        _, N = invariant_moments(structure, stabilizer)
+        problem = compile_problem(structure, marginal_functional(structure, *target), stabilizer,
+                                  relaxation.success, 0.97)
+        assert np.array_equal(problem.y_bound, np.abs(N).sum(axis=0))
+        assert np.allclose(problem.y_bound ** 2, np.count_nonzero(N, axis=0), rtol=0, atol=1e-12)
+    trivial = compile_problem(structure, relaxation.success).y_bound
+    assert np.array_equal(trivial, np.ones(len(structure.id_cells) - 1))
+
+
 def test_perfect_success_gives_unbiased_outputs():
     """Exactly, at the acceptance battery's epsilons and next to 1/2."""
     for eps in (0.1, 0.3, 0.45, 0.499):
@@ -976,7 +1069,7 @@ def stall(solution):
 def test_stalled_solves_raise_solver_failure(monkeypatch):
     """A solve without a verdict is never read as a bound.  Floor 1 makes
     no solve, so only floors below it can stall."""
-    monkeypatch.setattr(npa, "solve", lambda problem, tol: stall(solve(problem, tol)))
+    monkeypatch.setattr(npa, "solve", lambda problem, tol, cutoff=None: stall(solve(problem, tol, cutoff)))
     with pytest.raises(SolverFailureError):
         eps_prime(0.3, 0.97)
     game = chsh_game()
@@ -987,7 +1080,7 @@ def test_stalled_solves_raise_solver_failure(monkeypatch):
 def test_critical_success_raises_on_a_stalled_target_solve(monkeypatch):
     """Every solve stalls, yet floor 1 makes no solve, so critical_success's
     floor-1 check passes and the failure comes from the per-target solves."""
-    monkeypatch.setattr(npa, "solve", lambda problem, tol: stall(solve(problem, tol)))
+    monkeypatch.setattr(npa, "solve", lambda problem, tol, cutoff=None: stall(solve(problem, tol, cutoff)))
     with pytest.raises(SolverFailureError, match="max_iterations for target"):
         critical_success(0.3, 0.29)
 

@@ -218,3 +218,16 @@ def test_plan_protocol_rejects_infeasible_slack():
     assert exc_info.value.x_max == pytest.approx(x_max, rel=0.2)
     with pytest.raises(ValueError):
         plan_protocol(0.3, 0.29, 0.5, x=-0.1, tol=5e-3)
+
+
+def test_nan_slack_is_rejected():
+    """nan passes x < 0 and x <= 0; each slack check rejects it."""
+    nan = float("nan")
+    with pytest.raises(ValueError, match="nonnegative"):
+        deviation_confidence(nan, 100, 0.3)
+    with pytest.raises(ValueError, match="positive"):
+        rounds_needed(nan, 0.1, 0.3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        threshold_gap(0.98, 0.3, 0.99, nan)
+    with pytest.raises(ValueError, match="positive"):
+        plan_protocol(0.3, 0.29, 0.5, x=nan, tol=5e-3)

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from analytic_problems import analytic_problems, infeasible_problem, unbounded_problem
 from randamp.sdp import (
     SdpProblem,
+    STATUS_CUTOFF,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
@@ -125,6 +126,49 @@ def test_constraint_dimension_mismatch_rejected():
         SdpProblem(np.eye(2), np.array([np.eye(2)]), [1.0, 2.0], ("eq",))
     with pytest.raises(ValueError, match="as many"):
         SdpProblem(np.eye(2), np.array([np.eye(2)]), [1.0], ("eq", "eq"))
+
+
+def off_diagonal_problem(y_bound=(10.0,)) -> SdpProblem:
+    """maximize -tr X subject to X_12 / 5 = 1, optimum -10 at X = 5 [[1, 1],
+    [1, 1]].  The dual slack y [[0, 1/10], [1/10, 0]] + I is PSD exactly
+    for |y| <= 10, the default y_bound."""
+    A = np.array([[[0.0, 0.1], [0.1, 0.0]]])
+    return SdpProblem(-np.eye(2), A, [1.0], ("eq",), y_bound)
+
+
+def charged_objective(problem, X):
+    return float(np.sum(problem.C * X)) - float(problem.y_bound @ problem.residuals(X))
+
+
+def test_cutoff_is_returned_only_once_the_charged_objective_reaches_it():
+    """The first iterate, X = I, reads -2 against the optimum -10 with
+    residual 1: only a charge of 10 per unit of residual keeps it from
+    claiming the false cutoff -9.99 (charging 1 per unit claims it).  A
+    true cutoff stops the solve early, at an iterate whose charged
+    objective reaches it; a false one leaves the solve as it was."""
+    problem = off_diagonal_problem()
+    full = solve(problem)
+    assert full.status == STATUS_OPTIMAL
+    assert abs(full.objective_value + 10.0) <= 1e-6
+    cut = solve(problem, cutoff=-10.01)
+    assert cut.status == STATUS_CUTOFF
+    assert cut.iterations < full.iterations
+    assert charged_objective(problem, cut.X) >= -10.01
+    kept = solve(problem, cutoff=-9.99)
+    assert kept.status == STATUS_OPTIMAL
+    assert (kept.iterations, kept.objective_value) == (full.iterations, full.objective_value)
+    assert np.array_equal(kept.X, full.X) and np.array_equal(kept.y, full.y)
+
+
+def test_cutoff_needs_a_y_bound():
+    with pytest.raises(ValueError, match="y_bound"):
+        solve(dataclasses.replace(off_diagonal_problem(), y_bound=None), cutoff=-20.0)
+
+
+@pytest.mark.parametrize("y_bound", [[10.0, 10.0], [[10.0]], [-1.0], [np.nan], [np.inf]])
+def test_malformed_y_bound_rejected(y_bound):
+    with pytest.raises(ValueError, match="y_bound"):
+        off_diagonal_problem(y_bound)
 
 
 def test_residuals_are_one_sided_for_inequalities():
