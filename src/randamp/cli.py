@@ -63,11 +63,13 @@ class _Parser(argparse.ArgumentParser):
 def parse_grid(text: str) -> list[float]:
     """Either a single value `v` or a sweep `a:b:n` (n points, inclusive)."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise UsageError(f"grid must be 'v' or 'a:b:n', got {text!r}")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        if len(parts) == 1:
+            return [float(text)]
+        a, b, n = parts
+        a, b, n = float(a), float(b), int(n)
+    except ValueError:  # a part that is not a number, or not three parts
+        raise UsageError(f"grid must be 'v' or 'a:b:n', got {text!r}") from None
     if n < 1:
         raise UsageError(f"grid needs at least one point, got {n}")
     return [float(v) for v in np.linspace(a, b, n)]
@@ -249,11 +251,11 @@ def cmd_simulate(
     return rows, summary
 
 
-def _float_in(name: str, domain: str, inside: Callable[[float], bool]) -> Callable[[str], float]:
-    """An argparse type: the float of the text, which `inside` must accept
+def _number_in(name: str, domain: str, inside: Callable[[float], bool], kind=float) -> Callable[[str], float]:
+    """An argparse type: the `kind` of the text, which `inside` must accept
     (nan never is), else a usage error naming `domain`."""
     def parse(text: str) -> float:
-        value = float(text)
+        value = kind(text)
         if not inside(value):
             raise argparse.ArgumentTypeError(f"must lie in {domain}, got {text}")
         return value
@@ -263,12 +265,13 @@ def _float_in(name: str, domain: str, inside: Callable[[float], bool]) -> Callab
 
 
 # The types of the flags whose domain is known before any solve.
-positive_finite = _float_in("positive_finite", "(0, inf)", lambda v: 0.0 < v < math.inf)
-nonnegative_finite = _float_in("nonnegative_finite", "[0, inf)", lambda v: 0.0 <= v < math.inf)
-source_bias = _float_in("source_bias", "[0, 1/2]", lambda v: 0.0 <= v <= 0.5)
-protocol_bias = _float_in("protocol_bias", "[0, 1/2)", lambda v: 0.0 <= v < 0.5)
-target_bias = _float_in("target_bias", "(0, 1/2]", lambda v: 0.0 < v <= 0.5)
-confidence = _float_in("confidence", "[0, 1)", lambda v: 0.0 <= v < 1.0)
+positive_finite = _number_in("positive_finite", "(0, inf)", lambda v: 0.0 < v < math.inf)
+nonnegative_finite = _number_in("nonnegative_finite", "[0, inf)", lambda v: 0.0 <= v < math.inf)
+source_bias = _number_in("source_bias", "[0, 1/2]", lambda v: 0.0 <= v <= 0.5)
+protocol_bias = _number_in("protocol_bias", "[0, 1/2)", lambda v: 0.0 <= v < 0.5)
+target_bias = _number_in("target_bias", "(0, 1/2]", lambda v: 0.0 < v <= 0.5)
+confidence = _number_in("confidence", "[0, 1)", lambda v: 0.0 <= v < 1.0)
+nonnegative_int = _number_in("nonnegative_int", "[0, inf)", lambda v: v >= 0, int)
 
 
 @functools.cache
@@ -277,38 +280,38 @@ def _parser() -> _Parser:
     parser = _Parser(prog="randamp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser, tol: float, fmt: str = "csv") -> None:
+    def common(p: _Parser, fmt: str = "csv") -> None:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=fmt)
-        p.add_argument("--tolerance", type=positive_finite, default=tol,
+        p.add_argument("--tolerance", type=positive_finite, default=sdp.TOLERANCE,
                        help="solver tolerance, positive and finite (default %(default)s)")
 
     p = sub.add_parser("game-value", help="classical and quantum values of one game")
     p.add_argument("game", choices=("chsh", "mermin", "magic-square"))
     p.add_argument("--epsilon", type=source_bias, default=0.0)
-    common(p, sdp.TOLERANCE)
+    common(p)
 
     p = sub.add_parser("figure1", help="output-bias bound over (epsilon, success floor)")
     p.add_argument("--grid", default="0.1:0.45:3", help="epsilon grid a:b:n")
     p.add_argument("--ps", default="0.96:1.0:3", help="success floor grid a:b:n or value")
-    common(p, sdp.TOLERANCE)
+    common(p)
 
     p = sub.add_parser("figure2", help="critical success probability curve")
     p.add_argument("--grid", default="0.1:0.45:3", help="epsilon grid a:b:n")
-    common(p, npa.CURVE_TOLERANCE)
+    common(p)
 
     p = sub.add_parser("figure3", help="sufficient success threshold curve")
     p.add_argument("--grid", default="0.1:0.45:3", help="epsilon grid a:b:n")
     p.add_argument("--delta", type=confidence, default=0.99)
     p.add_argument("--x", type=nonnegative_finite, default=0.0)
-    common(p, npa.CURVE_TOLERANCE)
+    common(p)
 
     p = sub.add_parser("plan", help="derive full protocol parameters")
     p.add_argument("--epsilon", type=protocol_bias, required=True)
     p.add_argument("--eps-prime", type=target_bias, required=True)
     p.add_argument("--delta", type=confidence, required=True)
     p.add_argument("--x", type=positive_finite, default=None)
-    common(p, npa.CURVE_TOLERANCE, "json")
+    common(p, "json")
 
     p = sub.add_parser("simulate", help="plan and execute protocol runs")
     p.add_argument("--epsilon", type=protocol_bias, required=True)
@@ -318,8 +321,8 @@ def _parser() -> _Parser:
     p.add_argument("--device", default="honest")
     p.add_argument("--visibility", type=float, default=1.0)
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    common(p, npa.CURVE_TOLERANCE)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
+    common(p)
 
     return parser
 

@@ -77,7 +77,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .games import DIST_TOL, GameSpec, InputDistribution
+from .games import DIST_TOL, GameSpec, InputDistribution, input_distribution_from_source, mermin_game
 from .sdp import (
     SdpProblem,
     SdpSolution,
@@ -88,7 +88,6 @@ from .sdp import (
     solve,
 )
 from .sources import canonical_mermin_source
-from .games import input_distribution_from_source, mermin_game
 
 LEVEL_Q1 = "Q1"
 LEVEL_Q1_AB = "Q1+AB"
@@ -96,10 +95,6 @@ LEVEL_Q1_ABC = "Q1+ABC"
 LEVEL_Q2 = "Q2"
 LEVEL_Q2_ABC = "Q2+ABC"
 LEVELS = (LEVEL_Q1, LEVEL_Q1_AB, LEVEL_Q1_ABC, LEVEL_Q2, LEVEL_Q2_ABC)
-
-# The default solver tolerance of the critical curve (`critical_success`),
-# coarser than `sdp.TOLERANCE`: the curve is what planning waits on.
-CURVE_TOLERANCE = 1e-4
 
 # A word is a tuple over parties; each per-party subword is an ordered
 # tuple of input indices (+-1 observables), adjacent-duplicate free.
@@ -759,7 +754,9 @@ class Relaxation:
     @classmethod
     def canonical(cls, epsilon: float, level: str = LEVEL_Q1_ABC) -> "Relaxation":
         """The tripartite protocol's relaxation: the Mermin game under the
-        canonical source of bias `epsilon`."""
+        canonical source of bias `epsilon`.  It stands for all eight
+        round-local extremal sources `round_position_sign(s1, s2|0, s2|1)`:
+        at epsilon 0.1 and 0.3 they give the same bounds within 1e-9."""
         game = mermin_game()
         return cls(game, input_distribution_from_source(game, canonical_mermin_source(epsilon)), level)
 
@@ -778,7 +775,7 @@ class Relaxation:
             raise ValueError(f"success floor must lie in [0, 1], got {success_floor}")
         return self._orbit_max(success_floor, tol, floor_on_success=True)
 
-    def critical_success(self, target_eps_prime: float, tol: float) -> float:
+    def critical_success(self, target_eps_prime: float, tol: float = TOLERANCE) -> float:
         """The max over targets t of max{ win(M) : P_t(M) >= 1/2 + target_eps_prime }."""
         return self._orbit_max(0.5 + target_eps_prime, tol, floor_on_success=False)
 
@@ -846,7 +843,7 @@ def eps_prime(
 def critical_success(
     epsilon: float,
     target_eps_prime: float,
-    tol: float = CURVE_TOLERANCE,
+    tol: float = TOLERANCE,
 ) -> float:
     """Smallest success floor whose output-bias bound is below target.
 
@@ -857,10 +854,11 @@ def critical_success(
         p_crit = max over targets t of max{ win(M) : P_t(M) >= 1/2 + eps' },
 
     one SDP per orbit representative of the symmetry group at solver
-    tolerance tol, over the moments its stabilizer fixes: the success
-    functional and the floor on P_t are fixed by it.  Each solve
-    contributes the larger of the values read from its primal and dual
-    objective, so inexact-solve error lands on the larger, safe side.
+    tolerance tol (by default `sdp.TOLERANCE`, as for every bound here),
+    over the moments its stabilizer fixes: the success functional and the
+    floor on P_t are fixed by it.  Each solve contributes the larger of
+    the values read from its primal and dual objective, so inexact-solve
+    error lands on the larger, safe side.
 
     Floor 1 is checked first, exactly and with no solve, on the success-1
     face (`SuccessFaceContext`): if the bias bound there is not below the

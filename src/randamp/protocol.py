@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .npa import CURVE_TOLERANCE, critical_success
+from .npa import critical_success
+from .sdp import TOLERANCE
 from .strategies import biased_mermin_classical_value
 
 __all__ = [
@@ -180,9 +181,7 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         _check_epsilon(self.epsilon)
         if not 0.0 < self.eps_prime_target <= 0.5:
-            raise ValueError(
-                f"target bias must lie in (0, 1/2], got {self.eps_prime_target}"
-            )
+            raise ValueError(f"target bias must lie in (0, 1/2], got {self.eps_prime_target}")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"confidence delta must lie in [0, 1), got {self.delta}")
         if self.n_rounds < 1:
@@ -191,9 +190,7 @@ class ProtocolParams:
             raise ValueError(f"threshold {self.p_threshold} outside [0, 1 + x]")
         classical = biased_mermin_classical_value(self.epsilon)
         if not classical < self.p_crit < 1.0:
-            raise ValueError(
-                f"critical success {self.p_crit} outside ({classical}, 1)"
-            )
+            raise ValueError(f"critical success {self.p_crit} outside ({classical}, 1)")
 
 
 def plan_protocol(
@@ -201,15 +198,15 @@ def plan_protocol(
     eps_prime_target: float,
     delta: float,
     x: float | None = None,
-    tol: float = CURVE_TOLERANCE,
+    tol: float = TOLERANCE,
 ) -> ProtocolParams:
     """Derive a full parameter set from the triplet (eps, eps', delta).
 
     The critical success probability is `critical_success` at solver
-    tolerance tol: one direct moment-matrix solve per target after an
-    exact check at floor 1 on the success-1 face, raising BracketingError when tol
-    cannot separate it from 1.  The threshold and round count follow
-    from the closed forms above.
+    tolerance tol, `sdp.TOLERANCE` by default: one direct moment-matrix
+    solve per target after an exact check at floor 1 on the success-1
+    face, raising BracketingError when tol cannot separate it from 1.
+    The threshold and round count follow from the closed forms above.
     When x is omitted, half the maximal feasible slack is used.  The
     estimate's deviation budget is 1 - delta, so both the estimate and
     the selection hold with probability delta each, giving the delta^2

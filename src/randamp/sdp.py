@@ -48,8 +48,8 @@ HARD_DIVERGENCE_LIMIT = 1e9
 CERT_QUALITY = 1e-6
 CERT_WEAK_QUALITY = 1e-3
 
-# The default relative gap and residual tolerance of `solve`, and its
-# iteration cap.
+# The default relative gap and residual tolerance of `solve`, the one
+# default of every bound, plan and command, and its iteration cap.
 TOLERANCE = 1e-8
 MAX_ITERATIONS = 200
 

@@ -303,6 +303,14 @@ def forbid_planning(monkeypatch, what):
     monkeypatch.setattr("randamp.cli.plan_protocol", no_plan)
 
 
+def forbid_solving(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(sdp, "solve", no_solve)
+    monkeypatch.setattr(npa, "solve", no_solve)
+
+
 def test_simulate_unknown_device_is_usage_error(tmp_path, capsys, monkeypatch):
     """An unknown device is rejected before any plan is solved."""
     forbid_planning(monkeypatch, "--device")
@@ -353,6 +361,23 @@ def test_malformed_grid_is_usage_error(tmp_path, capsys):
     code, _ = run_cli(["figure2", "--grid", "1:2"], tmp_path)
     assert code == 1
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure2", "--grid", "abc"], ["figure1", "--ps", "0.9:1:2.5"], ["figure3", "--grid", "0.1:x:3"],
+])
+def test_unparsable_grid_is_usage_error_before_any_solve(argv, monkeypatch, tmp_path, capsys):
+    forbid_solving(monkeypatch)
+    assert run_cli(argv, tmp_path) == (1, "")
+    assert capsys.readouterr().err.startswith("usage error: grid must be 'v' or 'a:b:n'")
+
+
+def test_figure2_default_tolerance_resolves_the_grid_ends(tmp_path):
+    """At 1e-4 the cells at 0.01 and 0.49 failed: their distance to 1
+    lies below that tolerance."""
+    code, text = run_cli(["figure2", "--grid", "0.01:0.49:2"], tmp_path)
+    assert code == 0
+    assert [row["status"] for row in csv_rows(text)] == ["ok", "ok"]
 
 
 def test_figure2_out_of_domain_grid_exits_2(tmp_path, capsys):
@@ -408,11 +433,7 @@ COMMANDS = {
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_tolerance_not_positive_finite_is_usage_error(value, monkeypatch, tmp_path, capsys):
     """Each command rejects the value before any solve."""
-    def no_solve(*args):
-        raise AssertionError("solve called")
-
-    monkeypatch.setattr(sdp, "solve", no_solve)
-    monkeypatch.setattr(npa, "solve", no_solve)
+    forbid_solving(monkeypatch)
     for command, argv in COMMANDS.items():
         code, text = run_cli([*argv, "--tolerance", value], tmp_path)
         assert (code, text) == (1, ""), command
@@ -427,7 +448,7 @@ OUT_OF_DOMAIN = {
     + [["--delta", v] for v in ("1.5", "-0.1", "nan")]
     + [["--x", v] for v in ("0", "nan", "inf")],
 }
-OUT_OF_DOMAIN["simulate"] = OUT_OF_DOMAIN["plan"]
+OUT_OF_DOMAIN["simulate"] = OUT_OF_DOMAIN["plan"] + [["--seed", "-1"]]
 
 
 @pytest.mark.parametrize("command", sorted(OUT_OF_DOMAIN))
@@ -435,11 +456,7 @@ def test_flag_out_of_its_domain_is_usage_error(command, monkeypatch, tmp_path, c
     """A value outside its flag's domain exits 1 before any solve,
     naming the flag; in the library the same value would reach a solve
     or a numerical failure."""
-    def no_solve(*args):
-        raise AssertionError("solve called")
-
-    monkeypatch.setattr(sdp, "solve", no_solve)
-    monkeypatch.setattr(npa, "solve", no_solve)
+    forbid_solving(monkeypatch)
     for flag, value in OUT_OF_DOMAIN[command]:
         argv = [*COMMANDS[command], flag, value]
         code, text = run_cli(argv, tmp_path)
@@ -447,12 +464,11 @@ def test_flag_out_of_its_domain_is_usage_error(command, monkeypatch, tmp_path, c
         assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: must lie in"), argv
 
 
-@pytest.mark.parametrize("command,tolerance", [
-    ("game-value", "1e-8"), ("figure1", "1e-8"), ("figure2", "1e-4"), ("figure3", "1e-4"), ("plan", "1e-4"),
-])
-def test_default_tolerance_output_is_explicit_default_output(command, tolerance, tmp_path):
+@pytest.mark.parametrize("command", sorted(COMMANDS), ids=lambda command: f"{command}-1e-8")
+def test_default_tolerance_output_is_explicit_default_output(command, tmp_path):
+    """Every command solves at the one default tolerance, 1e-8."""
     default = run_cli(COMMANDS[command], tmp_path, "default.txt")
-    explicit = run_cli([*COMMANDS[command], "--tolerance", tolerance], tmp_path, "explicit.txt")
+    explicit = run_cli([*COMMANDS[command], "--tolerance", "1e-8"], tmp_path, "explicit.txt")
     assert default[0] == 0
     assert default == explicit
 

@@ -12,6 +12,7 @@ from randamp.games import (
     input_distribution_from_source,
     magic_square_game,
     mermin_game,
+    success_probability,
     uniform_distribution,
 )
 from randamp.npa import (
@@ -42,9 +43,11 @@ from randamp.npa import (
     symmetry_group,
 )
 from randamp.sdp import STATUS_CUTOFF, STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, TOLERANCE, solve, verify
-from randamp.sources import canonical_mermin_source
+from randamp.sources import ExtremalSource, canonical_mermin_source, round_position_sign
 from randamp.strategies import (
+    DeterministicStrategy,
     behavior_of_deterministic,
+    behavior_of_quantum,
     enumerate_deterministic,
     ghz_mermin_strategy,
 )
@@ -947,7 +950,7 @@ def test_cut_orbit_solves_keep_every_value():
         uncut.append(min(0.5, max(0.0, uncut_orbit_max(relaxation, floor, TOLERANCE) - 0.5)))
     for epsilon in FIGURE2_EPSILONS:
         cut.append(critical_success(epsilon, epsilon))
-        uncut.append(uncut_orbit_max(Relaxation.canonical(epsilon), 0.5 + epsilon, npa.CURVE_TOLERANCE, False))
+        uncut.append(uncut_orbit_max(Relaxation.canonical(epsilon), 0.5 + epsilon, TOLERANCE, False))
     assert list(map(repr, cut)) == list(map(repr, uncut))
 
 
@@ -1059,6 +1062,58 @@ def test_critical_success_rejects_unresolvable_tolerance():
     solver tolerance of 5e-3 cannot separate the answer from 1."""
     with pytest.raises(BracketingError, match="tighten tol"):
         critical_success(0.45, 0.45, tol=5e-3)
+
+
+def mixture_win_and_marginal(epsilon):
+    """Win probability and target-(0,0,0) marginal of the GHZ strategy and
+    of the deterministic strategy ((0,1),(0,1),(0,0)), which always
+    answers 0 there: a mixture with weight w on the second predicts that
+    outcome with probability 1/2 + w/2."""
+    game = mermin_game()
+    dist = input_distribution_from_source(game, canonical_mermin_source(epsilon))
+    behaviors = (behavior_of_quantum(ghz_mermin_strategy(), game),
+                 behavior_of_deterministic(DeterministicStrategy(((0, 1), (0, 1), (0, 0))), game))
+    return [(success_probability(game, dist, b), float(b.table[(0, 0, 0)][0].sum())) for b in behaviors]
+
+
+@pytest.mark.parametrize("tol", [1e-1, 1e-4, 1e-8])
+def test_bounds_are_at_least_what_a_strategy_attains(tol):
+    """A quantum strategy mixed with a deterministic one lies in every
+    relaxation, so at every tolerance critical_success(eps, e') is at
+    least the mixture's win at weight 2e', and eps_prime(eps, p) at least
+    its bias at floor p.  Where tol cannot separate p_crit from 1, no
+    value is returned, and none is checked."""
+    returned = 0
+    for epsilon in (0.0, 0.1, 0.3, 0.45):
+        (ghz_win, ghz_marginal), (det_win, det_marginal) = mixture_win_and_marginal(epsilon)
+        assert (ghz_marginal, det_marginal) == pytest.approx((0.5, 1.0), abs=1e-12)
+        for target in (0.05, 0.29, 0.5):
+            weight = 2 * target
+            try:
+                p_crit = critical_success(epsilon, target, tol)
+            except BracketingError:
+                continue
+            returned += 1
+            assert p_crit >= (1 - weight) * ghz_win + weight * det_win - 1e-12, (epsilon, target)
+        for floor in (det_win, (det_win + 1) / 2, 1 - (1 - det_win) / 10):
+            weight = (ghz_win - floor) / (ghz_win - det_win)
+            assert eps_prime(epsilon, floor, tol=tol) >= weight / 2 - 1e-12, (epsilon, floor)
+    assert returned > 0
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.3])
+def test_every_round_local_extremal_source_gives_the_canonical_bounds(epsilon):
+    """The canonical source stands for all eight round-local extremal
+    sources round_position_sign(s1, s2|0, s2|1): each one's relaxation
+    gives the canonical critical success and output-bias bound."""
+    game = mermin_game()
+    canonical = Relaxation.canonical(epsilon)
+    expected = (canonical.critical_success(epsilon), canonical.p_max(0.97))
+    for signs in itertools.product((1, -1), repeat=3):
+        dist = input_distribution_from_source(game, ExtremalSource(epsilon, round_position_sign(*signs)))
+        relaxation = Relaxation(game, dist)
+        bounds = (relaxation.critical_success(epsilon), relaxation.p_max(0.97))
+        assert bounds == pytest.approx(expected, rel=0, abs=1e-9), signs
 
 
 def stall(solution):
