@@ -22,24 +22,24 @@ which keeps rounds i.i.d.; materialized runs accept any pattern.
 A materialized run draws its 3 N round uniforms in one call: round j
 reads uniforms 3j and 3j + 1 for its two input bits and 3j + 2 for its
 outputs, the doubles that 3 N scalar draws would give, in the same
-order.  The Python loop over rounds then evaluates the steering pattern
-three times per round, on the history h, h + [0] and h + [1]; both bit
-draws and the round's p_avg term reuse those three values.  Outputs are
-drawn after the loop, one search per (schedule block, input cell).  A
-history-dependent pattern costs whatever its own evaluation costs:
-`parity_sign` reads the whole history, so its runs are quadratic in N.
+order.  A round-local pattern gives every round the same three input
+conditionals, so the run reads them once and compares all 2 N input
+uniforms with them in bulk.  Any other pattern is streamed: one Python
+loop carries the pattern's state and reads the sign at that state and
+at its two successors, O(1) per bit, so every run costs O(N).  Outputs
+are drawn after the inputs, one search per (schedule block, input cell).
 
 Selection bits are drawn from the same source stream after all round
-bits, most significant bit first, redrawing whenever the index falls
-outside the round range.  A run consumes exactly
-2 N + (selection draws) * ceil(log2 N) source bits.
+bits, continuing the pattern's state, most significant bit first,
+redrawing whenever the index falls outside the round range.  A run
+consumes exactly 2 N + (selection draws) * ceil(log2 N) source bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -116,7 +116,8 @@ class AdversaryModel:
             raise ValueError("lambda weights, schedules and steering patterns must align")
         if not self.lambda_weights:
             raise ValueError("need at least one hidden value")
-        if min(self.lambda_weights) < 0 or abs(sum(self.lambda_weights) - 1.0) > 1e-12:
+        # written so that a NaN weight fails both comparisons and is rejected
+        if not min(self.lambda_weights) >= 0 or not abs(sum(self.lambda_weights) - 1.0) <= 1e-12:
             raise ValueError("lambda weights must be a probability distribution")
         for blocks in self.device_blocks:
             if abs(sum(b.fraction for b in blocks) - 1.0) > 1e-12:
@@ -167,20 +168,20 @@ def _selection_bit_count(n_rounds: int) -> int:
 
 
 def _select_round(
-    source: ExtremalSource, history: list[int], rng: np.random.Generator, n_rounds: int
+    source: ExtremalSource, state: Any, rng: np.random.Generator, n_rounds: int
 ) -> tuple[int, int]:
     """The selected round and the number of index draws: each draw reads
-    `_selection_bit_count` source bits, continuing and extending `history`,
-    until the index they spell is below n_rounds."""
+    `_selection_bit_count` source bits, continuing the stream from sign
+    pattern state `state`, until the index they spell is below n_rounds."""
     n_bits = _selection_bit_count(n_rounds)
+    step = source.sign.step
     draws = 0
     while True:
         draws += 1
         idx = 0
         for _ in range(n_bits):
-            p0 = source.next_bit_probability(history)
-            bit = 0 if rng.random() < p0 else 1
-            history.append(bit)
+            bit = 0 if rng.random() < source.probability_at(state) else 1
+            state = step(state, bit)
             idx = (idx << 1) | bit
         if idx < n_rounds:
             return idx, draws
@@ -270,6 +271,67 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
     return _run_aggregated(params, blocks, source, rng, game)
 
 
+def _round_win_probability(pa: float, pb_0: float, pb_1: float, w: tuple[float, ...]) -> float:
+    """A round's win probability from its input-bit conditionals and the
+    block's win probabilities at cells 000, 011, 101 and 110, summed in
+    that order."""
+    w000, w011, w101, w110 = w
+    qa = 1.0 - pa
+    return ((pa * pb_0) * w000 + (pa * (1.0 - pb_0)) * w011
+            + (qa * pb_1) * w101 + (qa * (1.0 - pb_1)) * w110)
+
+
+def _draw_inputs(
+    source: ExtremalSource,
+    counts: list[int],
+    win_prob: list[tuple[float, ...]],
+    u_first: np.ndarray,
+    u_second: np.ndarray,
+) -> tuple[np.ndarray, float, Any]:
+    """Every round's input cell 2a + b, the sum of the rounds' win
+    probabilities in round order, and the sign-pattern state after the
+    2N input bits.  Round j's first bit is 1 iff u_first[j] >= pa, its
+    second iff u_second[j] >= pb_a, where pa and pb_a are the source's
+    conditionals before each bit."""
+    pattern = source.sign
+    p_avg_sum = 0.0
+    if pattern.round_local:
+        # every round sees the same three conditionals
+        pa = source.next_bit_probability(())
+        pb_0 = source.next_bit_probability((0,))
+        pb_1 = source.next_bit_probability((1,))
+        for count, w in zip(counts, win_prob):
+            term = _round_win_probability(pa, pb_0, pb_1, w)
+            for _ in range(count):
+                p_avg_sum += term
+        first = u_first >= pa
+        second = u_second >= np.where(first, pb_1, pb_0)
+        return 2 * first.astype(np.intp) + second, p_avg_sum, pattern.start
+
+    step = pattern.step
+    state = pattern.start
+    cell_index = []
+    u_first, u_second = u_first.tolist(), u_second.tolist()
+    stop = 0
+    for count, w in zip(counts, win_prob):
+        start, stop = stop, stop + count
+        for j in range(start, stop):
+            after_0, after_1 = step(state, 0), step(state, 1)
+            pa = source.probability_at(state)
+            pb_0 = source.probability_at(after_0)
+            pb_1 = source.probability_at(after_1)
+            p_avg_sum += _round_win_probability(pa, pb_0, pb_1, w)
+            if u_first[j] < pa:
+                b = 0 if u_second[j] < pb_0 else 1
+                state = step(after_0, b)
+                cell_index.append(b)
+            else:
+                b = 0 if u_second[j] < pb_1 else 1
+                state = step(after_1, b)
+                cell_index.append(2 + b)
+    return np.array(cell_index, dtype=np.intp), p_avg_sum, state
+
+
 def _run_materialized(
     params: ProtocolParams,
     blocks: tuple[ScheduleBlock, ...],
@@ -287,30 +349,7 @@ def _run_materialized(
 
     # round j reads uniforms 3j and 3j + 1 for its input bits, 3j + 2 for its outputs
     uniforms = rng.random(3 * n)
-    u_first = uniforms[0::3].tolist()
-    u_second = uniforms[1::3].tolist()
-    history: list[int] = []
-    p_avg_sum = 0.0
-    stop = 0
-    for count, (w000, w011, w101, w110) in zip(counts, win_prob):
-        start, stop = stop, stop + count
-        for j in range(start, stop):
-            pa = source.next_bit_probability(history)
-            history.append(0)
-            pb_0 = source.next_bit_probability(history)
-            history[-1] = 1
-            pb_1 = source.next_bit_probability(history)
-            qa = 1.0 - pa
-            p_avg_sum += ((pa * pb_0) * w000 + (pa * (1.0 - pb_0)) * w011
-                          + (qa * pb_1) * w101 + (qa * (1.0 - pb_1)) * w110)
-            if u_first[j] < pa:
-                history[-1] = 0
-                history.append(0 if u_second[j] < pb_0 else 1)
-            else:
-                history.append(0 if u_second[j] < pb_1 else 1)
-
-    bits = np.array(history, dtype=np.intp)
-    cell_index = 2 * bits[0::2] + bits[1::2]
+    cell_index, p_avg_sum, state = _draw_inputs(source, counts, win_prob, uniforms[0::3], uniforms[1::3])
     u_out = uniforms[2::3]
     out_cells = game.all_outputs()
     flat = np.empty(n, dtype=np.intp)
@@ -333,15 +372,15 @@ def _run_materialized(
         return ProtocolRun(
             n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=True,
             selected_round=None, output_bit=None, p_avg=p_avg,
-            source_bits_used=len(history), selection_draws=0, aggregated=False,
+            source_bits_used=2 * n, selection_draws=0, aggregated=False,
             inputs=inputs, outputs=outputs, wins=wins,
         )
 
-    idx, draws = _select_round(source, history, rng, n)
+    idx, draws = _select_round(source, state, rng, n)
     return ProtocolRun(
         n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=False,
         selected_round=idx, output_bit=outputs[idx][0], p_avg=p_avg,
-        source_bits_used=len(history), selection_draws=draws, aggregated=False,
+        source_bits_used=2 * n + draws * _selection_bit_count(n), selection_draws=draws, aggregated=False,
         inputs=inputs, outputs=outputs, wins=wins,
     )
 
@@ -386,9 +425,8 @@ def _run_aggregated(
 
     # Selection bits: round-local steering means their conditionals never
     # reach back into the round bits (even stream positions restart each
-    # round's pattern, and 2N is even), so an empty virtual history with
-    # the right parity is exact.
-    idx, draws = _select_round(source, [], rng, n)
+    # round's pattern, and 2N is even), so the pattern's start state is exact.
+    idx, draws = _select_round(source, source.sign.start, rng, n)
 
     bounds = np.cumsum(counts)
     k = int(np.searchsorted(bounds, idx, side="right"))

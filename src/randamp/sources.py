@@ -11,13 +11,16 @@ That decomposition theorem is taken as an assumption here (its proof is
 not part of this package); all analysis code therefore works with
 extremal sources, and a mixture of them is modelled by the weights of
 `simulator.AdversaryModel`.  Sources are immutable and hold no RNG
-state.
+state.  A sign pattern is a state machine over the bits drawn so far,
+so a stream of n bits costs O(n) whatever the pattern reads of the past.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import reduce
+from typing import Any, Callable, Optional, Sequence
 
 History = tuple[int, ...]
 
@@ -30,62 +33,85 @@ def check_epsilon(epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class SignPattern:
-    """Total map from bit histories to the sign of the next bit's bias.
+    """Sign of the next bit's bias as a state machine over the bit history.
 
-    `round_local=True` promises that the sign depends only on the
-    position within the current two-bit round (len(history) mod 2) and
-    the first bit of that round, never on earlier rounds.  Aggregated
-    protocol simulation relies on this promise.
+    The state after a history is `step(state, bit)` folded over its bits
+    from `start`, and `sign(state)` is the sign of the next bit.  `sign`
+    and `step` must each take O(1) time, so streaming n bits costs O(n)
+    whatever the pattern reads of the past.
+
+    Random access through `__call__` folds only the bits that can matter:
+    - `round_local=True` promises that the sign depends only on the
+      position within the current two-bit round (len(history) mod 2) and
+      the first bit of that round, never on earlier rounds.  The state
+      after any history must then equal the state after the current
+      round's bits alone, and only those bits are folded.  Aggregated
+      protocol runs and round-local materialized runs rely on this.
+    - `window`, if set, promises that the state after any history equals
+      the state after its last `window` bits alone.
+    Otherwise the whole history is folded.
     """
 
-    fn: Callable[[Sequence[int]], int]
+    sign: Callable[[Any], int]
+    step: Callable[[Any, int], Any]
+    start: Any
     name: str = "custom"
     round_local: bool = False
+    window: Optional[int] = None
 
-    def __call__(self, history: Sequence[int]) -> int:
-        # passed through without copying: histories grow bit by bit
-        # during sampling and a per-call tuple() would be quadratic
-        s = self.fn(history)
+    def at(self, state: Any) -> int:
+        """The sign in `state`, checked to be +1 or -1."""
+        s = self.sign(state)
         if s not in (-1, 1):
             raise ValueError(f"sign pattern returned {s}, expected +1 or -1")
         return s
+
+    def __call__(self, history: Sequence[int]) -> int:
+        if self.round_local:
+            # the current round's bits: none, or its first bit
+            state = self.step(self.start, history[-1]) if len(history) % 2 else self.start
+        else:
+            if self.window is not None and len(history) > self.window:
+                history = history[len(history) - self.window:]
+            state = reduce(self.step, history, self.start)
+        return self.at(state)
 
 
 def constant_sign(sign: int) -> SignPattern:
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    return SignPattern(lambda h: sign, name=f"const{sign:+d}", round_local=True)
+    return SignPattern(lambda state: sign, lambda state, bit: 0, 0, name=f"const{sign:+d}", round_local=True)
 
 
 def parity_sign() -> SignPattern:
     """+1 after an even number of ones in the history, -1 otherwise.
 
-    Each call sums the whole history, so it costs O(len(history))."""
-    return SignPattern(lambda h: 1 if sum(h) % 2 == 0 else -1, name="parity")
+    The state is the parity of the ones so far."""
+    return SignPattern((1, -1).__getitem__, operator.xor, 0, name="parity")
 
 
 def round_position_sign(first: int, second_given_0: int, second_given_1: int) -> SignPattern:
     """Per-round steering: a sign for the round's first bit and one for its
     second bit conditioned on the first.  Used by adversaries that tilt the
-    two input bits of each game round independently of earlier rounds."""
-    table = {0: second_given_0, 1: second_given_1}
+    two input bits of each game round independently of earlier rounds.
 
-    def fn(h: Sequence[int]) -> int:
-        if len(h) % 2 == 0:
-            return first
-        return table[h[-1]]
-
-    return SignPattern(fn, name="round-steered", round_local=True)
+    State 0 is the start of a round, state 1 + b follows a first bit b."""
+    signs = (first, second_given_0, second_given_1)
+    return SignPattern(
+        signs.__getitem__, lambda state, bit: 0 if state else 1 + bit, 0, name="round-steered", round_local=True
+    )
 
 
 def table_sign(table: dict[History, int], depth: int, default: int = 1) -> SignPattern:
     """Adversary-supplied pattern: explicit signs for histories up to `depth`
-    (keyed by the trailing `depth` bits), `default` beyond the table."""
+    (keyed by the trailing `depth` bits), `default` beyond the table.
 
-    def fn(h: Sequence[int]) -> int:
-        return table.get(tuple(h[-depth:]) if depth else (), default)
+    The state is the tuple of the last `depth` bits."""
 
-    return SignPattern(fn, name=f"table(d={depth})")
+    def step(state: History, bit: int) -> History:
+        return (state + (bit,))[-depth:] if depth else ()
+
+    return SignPattern(lambda state: table.get(state, default), step, (), name=f"table(d={depth})", window=depth)
 
 
 @dataclass(frozen=True)
@@ -101,6 +127,12 @@ class ExtremalSource:
     def next_bit_probability(self, history: Sequence[int]) -> float:
         """Probability that the next bit is 0 given `history`."""
         return 0.5 + self.sign(history) * self.epsilon
+
+    def probability_at(self, state: Any) -> float:
+        """Probability that the next bit is 0 in sign-pattern state `state`;
+        the same double `next_bit_probability` gives for a history with
+        that state."""
+        return 0.5 + self.sign.at(state) * self.epsilon
 
 
 def canonical_mermin_source(epsilon: float) -> ExtremalSource:

@@ -71,16 +71,7 @@ class QuantumStrategy:
     measurements: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        dim = int(np.prod(self.local_dims))
-        rho = np.asarray(self.state, dtype=complex)
-        if rho.shape != (dim, dim):
-            raise ValueError(f"state must be {dim}x{dim}, got {rho.shape}")
-        if np.max(np.abs(rho - rho.conj().T)) > QUANTUM_TOL:
-            raise ValueError("state is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > QUANTUM_TOL:
-            raise ValueError(f"state trace is {np.trace(rho).real}, expected 1")
-        if np.linalg.eigvalsh(rho).min() < -QUANTUM_TOL:
-            raise ValueError("state is not positive semidefinite")
+        self._check_state()
         if len(self.measurements) != len(self.local_dims):
             raise ValueError("one measurement family per party required")
         for p, per_input in enumerate(self.measurements):
@@ -98,6 +89,29 @@ class QuantumStrategy:
                     total += E
                 if np.max(np.abs(total - np.eye(d))) > QUANTUM_TOL:
                     raise ValueError(f"party {p} input {x}: POVM does not sum to identity")
+
+    def _check_state(self) -> None:
+        dim = int(np.prod(self.local_dims))
+        rho = np.asarray(self.state, dtype=complex)
+        if rho.shape != (dim, dim):
+            raise ValueError(f"state must be {dim}x{dim}, got {rho.shape}")
+        if np.max(np.abs(rho - rho.conj().T)) > QUANTUM_TOL:
+            raise ValueError("state is not Hermitian")
+        if abs(np.trace(rho).real - 1.0) > QUANTUM_TOL:
+            raise ValueError(f"state trace is {np.trace(rho).real}, expected 1")
+        if np.linalg.eigvalsh(rho).min() < -QUANTUM_TOL:
+            raise ValueError("state is not positive semidefinite")
+
+    def _with_state(self, state: np.ndarray) -> QuantumStrategy:
+        """This strategy with `state` as its shared state.  Only the new
+        state is checked: the measurements were checked when this strategy
+        was built."""
+        copy = object.__new__(type(self))
+        object.__setattr__(copy, "local_dims", self.local_dims)
+        object.__setattr__(copy, "state", state)
+        object.__setattr__(copy, "measurements", self.measurements)
+        copy._check_state()
+        return copy
 
 
 def pure_state_density(vec: Sequence[complex]) -> np.ndarray:
@@ -278,7 +292,7 @@ def apply_depolarizing(strategy: QuantumStrategy, noise: NoiseModel) -> QuantumS
     v = noise.visibility
     dim = int(np.prod(strategy.local_dims))
     state = v * strategy.state + (1.0 - v) * np.eye(dim, dtype=complex) / dim
-    return QuantumStrategy(strategy.local_dims, state, strategy.measurements)
+    return strategy._with_state(state)
 
 
 def quantum_success(strategy: QuantumStrategy, game: GameSpec, dist: InputDistribution) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import reduce
 
@@ -18,7 +19,7 @@ from randamp.simulator import (
     run_protocol,
 )
 from randamp.games import mermin_game
-from randamp.sources import constant_sign, parity_sign, table_sign
+from randamp.sources import constant_sign, parity_sign, round_position_sign, table_sign
 from randamp.strategies import (
     DeterministicStrategy,
     NoiseModel,
@@ -238,6 +239,45 @@ def test_materialized_runs_match_the_round_loop(name, epsilon):
                 assert run_protocol(params, device, seed) == loop_run_protocol(params, device, seed)
 
 
+def counted(pattern, calls):
+    """`pattern` with its `sign` and `step` counting their calls in `calls`."""
+
+    def sign(state):
+        calls["sign"] += 1
+        return pattern.sign(state)
+
+    def step(state, bit):
+        calls["step"] += 1
+        return pattern.step(state, bit)
+
+    return dataclasses.replace(pattern, sign=sign, step=step)
+
+
+def pattern_calls(pattern, n, p_threshold):
+    calls = {"sign": 0, "step": 0}
+    device = AdversarialDevice(AdversaryModel(
+        (1.0,), ((ScheduleBlock(1.0, LOSE_110),),), (counted(pattern, calls),)
+    ))
+    run = run_protocol(make_params(n, p_threshold), device, seed=5)
+    return calls, run
+
+
+@pytest.mark.parametrize("n", [500, 4000])
+def test_materialized_runs_consult_the_pattern_linearly(n):
+    """A history-dependent run reads three signs and takes three steps per
+    round, then one of each per selection bit; a round-local run reads its
+    three conditionals once, however many rounds it has."""
+    calls, run = pattern_calls(parity_sign(), n, 0.5)
+    assert not run.aborted
+    selection_bits = run.selection_draws * (n - 1).bit_length()
+    assert calls == {"sign": 3 * n + selection_bits, "step": 3 * n + selection_bits}
+
+    # an aborted run draws no selection bits, which would be read one by one
+    calls, run = pattern_calls(round_position_sign(+1, -1, +1), n, 1.0)
+    assert run.aborted
+    assert calls == {"sign": 3, "step": 2}
+
+
 @pytest.mark.parametrize("seed", range(1, 40, 2))
 def test_win_table_sums_match_the_per_output_loop(seed):
     """Win probabilities and P(first output 0 | win status), read off the
@@ -436,6 +476,14 @@ def test_adversary_model_validation():
     short = (ScheduleBlock(0.5, GHZ), ScheduleBlock(0.4, GHZ))
     with pytest.raises(ValueError):
         AdversaryModel((1.0,), (short,), (sign,))
+
+
+@pytest.mark.parametrize("weights", [(math.nan,), (0.5, math.nan), (math.nan, 1.0)])
+def test_adversary_model_rejects_nan_weights(weights):
+    block = (ScheduleBlock(1.0, GHZ),)
+    sign = constant_sign(+1)
+    with pytest.raises(ValueError, match="probability distribution"):
+        AdversaryModel(weights, (block,) * len(weights), (sign,) * len(weights))
 
 
 def test_schedule_block_rejects_bad_fraction():

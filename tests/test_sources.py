@@ -21,6 +21,7 @@ SIGN_BUILDERS = [
     parity_sign,
     lambda: round_position_sign(+1, -1, +1),
     lambda: table_sign({(0, 1): -1, (1, 1): -1}, depth=2),
+    lambda: table_sign({(0,): -1, (1,): 1}, depth=1),
 ]
 
 epsilons = st.floats(0.0, 0.5, allow_nan=False)
@@ -45,9 +46,32 @@ def test_sign_patterns_output_unit_signs():
 def test_sign_pattern_rejects_non_sign():
     from randamp.sources import SignPattern
 
-    bad = SignPattern(lambda h: 0)
+    bad = SignPattern(lambda state: 0, lambda state, bit: state, 0)
     with pytest.raises(ValueError):
         bad(())
+
+
+def streamed_state(pattern, history):
+    state = pattern.start
+    for bit in history:
+        state = pattern.step(state, bit)
+    return state
+
+
+@pytest.mark.parametrize("build", SIGN_BUILDERS)
+def test_random_access_matches_the_streamed_state(build):
+    """`pattern(history)`, which may fold only the last bits of the
+    history, gives on every history of up to 8 bits the sign read after
+    stepping through the whole history.  A round-local pattern gives that sign on
+    the current round's bits alone, the promise that lets a round-local
+    run read its three conditionals once."""
+    pattern = build()
+    for n in range(9):
+        for h in itertools.product((0, 1), repeat=n):
+            sign = pattern.at(streamed_state(pattern, h))
+            assert pattern(h) == sign
+            if pattern.round_local:
+                assert pattern.at(streamed_state(pattern, h[n - n % 2:])) == sign
 
 
 @given(epsilons, sign_patterns, histories)

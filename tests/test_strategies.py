@@ -213,6 +213,39 @@ def test_depolarizing_success_is_affine_in_visibility(visibility):
     assert np.isclose(quantum_success(noisy, game, dist), expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("visibility", [0.0, 0.3, 0.99999, 1.0])
+def test_depolarized_copy_equals_the_validated_construction(seed, visibility):
+    """The copy skips re-checking its parent's measurements, yet equals the
+    strategy built, and fully checked, from the same arrays."""
+    strategy, _ = random_qubit_strategy(seed)
+    dim = int(np.prod(strategy.local_dims))
+    state = visibility * strategy.state + (1.0 - visibility) * np.eye(dim, dtype=complex) / dim
+    expected = QuantumStrategy(strategy.local_dims, state, strategy.measurements)
+    noisy = apply_depolarizing(strategy, NoiseModel(visibility))
+    assert noisy.local_dims == expected.local_dims
+    assert np.array_equal(noisy.state, expected.state)
+    for per_input, expected_per_input in zip(noisy.measurements, expected.measurements):
+        for povm, expected_povm in zip(per_input, expected_per_input):
+            for E, expected_E in zip(povm, expected_povm, strict=True):
+                assert np.array_equal(E, expected_E)
+
+
+def test_invalid_strategies_still_raise():
+    """Building a strategy checks its POVMs, and a copy with a new state
+    still checks that state."""
+    ghz = ghz_mermin_strategy()
+    (x0, x1), y_pair = ghz.measurements[0]
+    short = ((x0, x1 / 2.0), y_pair)
+    with pytest.raises(ValueError, match="does not sum to identity"):
+        QuantumStrategy(ghz.local_dims, ghz.state, (short, *ghz.measurements[1:]))
+    negative = ((x0 + x1, -x1), y_pair)
+    with pytest.raises(ValueError, match="not PSD"):
+        QuantumStrategy(ghz.local_dims, ghz.state, (negative, *ghz.measurements[1:]))
+    with pytest.raises(ValueError, match="trace"):
+        ghz._with_state(2.0 * ghz.state)
+
+
 def test_maximally_mixed_mermin_success_is_half():
     """The win predicate is parity-balanced, so uniform outputs win 1/2."""
     game = mermin_game()
