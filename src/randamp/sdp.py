@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver for small semidefinite programs.
+"""Primal-dual interior-point solver for small semidefinite programs.
 
 Problems are stated in maximization form over a symmetric PSD variable:
 
@@ -11,13 +11,33 @@ inequality slacks lifted into extra diagonal entries of one big PSD
 block, then solved with Nesterov-Todd scaled Newton steps and a
 Mehrotra predictor-corrector.  Step lengths are read in the scaled
 space, where both iterates are diag(lam), from one eigenvalue problem
-per direction; each step is then shortened until the new iterates pass
-a plain Cholesky, and the centering target never drops below what the
+per pass; each step is then shortened until the new iterates pass a
+plain Cholesky, and the centering target never drops below what the
 gap tolerance needs.  A caller that only needs to know whether the
 optimum reaches some value can pass it as a `cutoff`: the solve then
 ends at the first iterate whose objective, less a charge for its
-residuals, proves it does.  Everything is dense double precision;
-intended scale is matrix dimension <= ~40 with <= ~100 constraints.
+residuals, proves it does.
+
+The lifted matrices are held as a stack of diagonal blocks, (B, b, b).
+The blocks are the connected components of the exact nonzero pattern of
+the lifted objective and constraints, so each lifted inequality slack is
+a 1x1 block; no rotation is needed, only a permutation of rows.  The
+partition depends on that pattern alone and is built once per pattern in
+a process.  Blocks are packed first-fit into slots of the largest
+block's size b, several small blocks to a slot, and each slot is padded
+to b rows.  When the stack would hold more entries than the dense lifted
+matrix, the whole problem is one slot: a problem without structure is
+the case B = 1 with no padding.  Pad rows are held at the identity in
+both iterates and are masked out of every direction, so X and Z stay
+exactly block-diagonal, and the gap, the norms, the traces and the
+Farkas eigenvalue read real entries only.  Every kernel (the NT
+scaling's svd, the Cholesky factorizations, the Schur build, the
+eigenvalue step bounds of a pass, X's and Z's together) is one batched
+call over the stack.  The Schur complement is K x K whatever the blocks;
+its Cholesky factor is inverted once per iteration, so each of its
+solves is two matrix-vector products.  Everything is double precision;
+intended scale is a lifted dimension <= ~40 with <= ~100 constraints, in
+blocks of up to ~10 rows where the problem has them.
 
 The solver is deterministic: no randomness, no warm starts, fixed
 iteration logic, so identical inputs give identical outputs under one
@@ -27,6 +47,7 @@ results within the tolerance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,7 +76,8 @@ MAX_ITERATIONS = 200
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2.0
+    """The symmetric part of M, or of each matrix of a stack M."""
+    return (M + M.swapaxes(-1, -2)) * 0.5  # halving is exact
 
 
 def _check_symmetric(M: np.ndarray, what: str) -> np.ndarray:
@@ -137,11 +159,75 @@ class SdpSolution:
     certificate: Optional[dict] = None
 
 
+def _components(pattern: np.ndarray) -> np.ndarray:
+    """The connected component of each row of a symmetric boolean pattern,
+    components numbered in the order of their first rows."""
+    reach = pattern | np.eye(len(pattern), dtype=bool)
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    return np.unique(reach.argmax(axis=1), return_inverse=True)[1]
+
+
+def _pack(sizes: list[int]) -> list[list[int]]:
+    """Blocks of the given sizes packed first-fit, largest first, into
+    slots of the largest block's size: the blocks of each slot."""
+    size = max(sizes)
+    slots: list[list[int]] = []
+    for block in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        for slot in slots:
+            if sum(sizes[i] for i in slot) + sizes[block] <= size:
+                slot.append(block)
+                break
+        else:
+            slots.append([block])
+    return slots
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(bits: bytes, n: int) -> tuple[np.ndarray, ...]:
+    """The block stack of the n x n pattern packed in `bits`: block_of,
+    rows, real, mask, eye and pad of `_Lifted`, and each lifted row's
+    slot and position in the stack.  A pure function of the pattern,
+    built once per pattern and read-only."""
+    pattern = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=n * n).reshape(n, n).astype(bool)
+    block_of = _components(pattern)
+    sizes = np.bincount(block_of).tolist()
+    slots = _pack(sizes)
+    if len(slots) * max(sizes) ** 2 > n * n:
+        slots = [list(range(len(sizes)))]
+    size = max(sum(sizes[i] for i in slot) for slot in slots)
+    rows = np.zeros((len(slots), size), dtype=int)
+    real = np.zeros((len(slots), size), dtype=bool)
+    for s, slot in enumerate(slots):
+        members = np.flatnonzero(np.isin(block_of, slot))
+        rows[s, :len(members)] = members
+        real[s, :len(members)] = True
+    slot, position = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    slot[rows[real]], position[rows[real]] = np.nonzero(real)
+    block = np.where(real, block_of[rows], -1)
+    mask = ((block[:, :, None] == block[:, None, :]) & real[:, :, None]).astype(float)
+    eye = np.eye(size) * real[:, :, None]
+    pad = np.eye(size) - eye
+    arrays = (block_of, rows, real, mask, eye, pad, slot, position)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 class _Lifted:
-    """Standard-form lift: min <C0, Xh>, <Ah_k, Xh> = b_k, Xh >= 0.
+    """Standard-form lift: min <C0, Xh>, <Ah_k, Xh> = b_k, Xh >= 0, held as
+    a padded stack of diagonal blocks (see the module docstring).
 
     Slack for each inequality occupies one extra diagonal entry:
     geq rows get coefficient -1 (surplus), leq rows +1 (slack).
+    `block_of` numbers each lifted row's block.  Slot s of the stack holds
+    the lifted rows `rows[s, real[s]]`, ascending, and its other positions
+    are pads.  `mask` is 1 on the entries of the stack that lie within
+    one block, `eye` the identity on real rows and `pad` the identity on
+    pad rows.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -151,21 +237,36 @@ class _Lifted:
         self.K = len(problem.b)
         self.b = problem.b
 
-        self.C0 = np.zeros((self.nhat, self.nhat))
-        self.C0[:m, :m] = -problem.C
-
-        self.A = np.zeros((self.K, self.nhat, self.nhat))
-        self.A[:, :m, :m] = problem.constraints
+        C0 = np.zeros((self.nhat, self.nhat))
+        C0[:m, :m] = -problem.C
+        A = np.zeros((self.K, self.nhat, self.nhat))
+        A[:, :m, :m] = problem.constraints
         for j, k in enumerate(ineq):
-            self.A[k, m + j, m + j] = -1.0 if problem.relations[k] == "geq" else 1.0
+            A[k, m + j, m + j] = -1.0 if problem.relations[k] == "geq" else 1.0
 
-        self.A_flat = self.A.reshape(self.K, self.nhat * self.nhat)
+        pattern = (C0 != 0) | (A != 0).any(axis=0)
+        (self.block_of, self.rows, self.real, self.mask, self.eye, self.pad,
+         self._slot, self._position) = _layout(np.packbits(pattern).tobytes(), self.nhat)
+        self.C0 = self.stack(C0)
+        self.A = self.stack(A)
+        self.A_flat = self.A.reshape(self.K, self.mask.size)
+
+    def stack(self, M: np.ndarray) -> np.ndarray:
+        """The block stack (..., B, b, b) of lifted matrices M (..., nhat, nhat),
+        0 on pads and between blocks."""
+        return self.mask * M[..., self.rows[:, :, None], self.rows[:, None, :]]
+
+    def dense(self, X: np.ndarray) -> np.ndarray:
+        """The lifted nhat x nhat matrix of a stack X, exactly 0 off the blocks."""
+        s, i = self._slot[:, None], self._position
+        same = self.block_of[:, None] == self.block_of[None, :]
+        return np.where(same, X[s, i[:, None], i[None, :]], 0.0)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return self.A_flat @ X.ravel()
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return (y @ self.A_flat).reshape(self.nhat, self.nhat)
+        return (y @ self.A_flat).reshape(self.mask.shape)
 
 
 def _chol_psd(M: np.ndarray) -> Optional[np.ndarray]:
@@ -180,35 +281,36 @@ def _chol_psd(M: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _nt_scaling(Lx: np.ndarray, Lz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nesterov-Todd scaling of X = Lx Lx^T and Z = Lz Lz^T: lam, r and
-    rti = r^-T with r^-1 X r^-T = r^T Z r = diag(lam)."""
-    U, lam, Vt = np.linalg.svd(Lz.T @ Lx)
+    """Nesterov-Todd scaling of each X = Lx Lx^T and Z = Lz Lz^T of a
+    stack: lam, r and rti = r^-T with r^-1 X r^-T = r^T Z r = diag(lam)."""
+    U, lam, Vt = np.linalg.svd(Lz.swapaxes(-1, -2) @ Lx)
     lam = np.maximum(lam, 1e-300)
+    sql = np.sqrt(lam)[..., None, :]
+    return lam, Lx @ Vt.swapaxes(-1, -2) / sql, Lz @ U / sql
+
+
+def _step_bounds(lam: np.ndarray, D: np.ndarray) -> tuple[float, float]:
+    """Largest alpha <= 1 keeping diag(lam) + alpha*D[i] >= 0 on every
+    matrix of the stack, for i = 0 and i = 1, from one eigvalsh call.
+
+    With D[0] = rti^T dX rti and D[1] = r^T dZ r the directions in the
+    scaled space, these are the step bounds of X + alpha*dX and
+    Z + alpha*dZ, read without factoring either iterate.  A pad row of a
+    direction is 0 and adds eigenvalue 0, which never binds a step."""
     sql = np.sqrt(lam)
-    return lam, Lx @ Vt.T / sql, Lz @ U / sql
-
-
-def _scaled_step(lam: np.ndarray, D: np.ndarray) -> float:
-    """Largest alpha <= 1 keeping diag(lam) + alpha*D >= 0.
-
-    With D the direction in the scaled space (rti^T dX rti for X,
-    r^T dZ r for Z), this is the step bound of X + alpha*dX (Z + alpha*dZ),
-    read without factoring either iterate."""
-    sql = np.sqrt(lam)
-    lam_min = float(np.linalg.eigvalsh(_sym(D / np.outer(sql, sql))).min())
-    if lam_min >= -1e-14:
-        return 1.0
-    return min(1.0, -1.0 / lam_min)
+    lam_min = np.linalg.eigvalsh(_sym(D / (sql[:, :, None] * sql[:, None, :]))).reshape(2, -1).min(axis=1)
+    return tuple(1.0 if m >= -1e-14 else min(1.0, -1.0 / m) for m in lam_min.tolist())
 
 
 def _cholesky_step(
     M: np.ndarray, L: np.ndarray, dM: np.ndarray, alpha: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Shrink alpha by 0.8 until M + alpha*dM passes a plain Cholesky.
+    """Shrink alpha by 0.8 until every matrix of M + alpha*dM passes a
+    plain Cholesky.
 
     Returns the step, the new iterate and its factor, which the next
     iteration reuses; a step that never passes is 0, with M and L kept.
-    The eigenvalue step bound of `_scaled_step` can admit an iterate that
+    The eigenvalue step bound of `_step_bounds` can admit an iterate that
     is PSD only within rounding, which could not be factored at all."""
     while alpha > 1e-10:
         M_next = M + alpha * dM
@@ -224,13 +326,16 @@ def _farkas_certificate(lifted: _Lifted, y: np.ndarray, X: np.ndarray) -> Option
 
     A vector y with A*(y) <= 0 and b.y > 0 certifies that no PSD Xh can
     satisfy A(Xh) = b.  Quality is judged by lambda_max(A*(yhat))
-    relative to b.yhat on the normalized ray.
+    relative to b.yhat on the normalized ray.  X is the stack of a PSD
+    iterate with 0 on its pad rows.
 
-    The eigensolve is skipped when the PSD iterate X rules a certificate
-    out: <A*(yhat), X> <= lambda_max(A*(yhat)) tr X, so a lower bound
-    above the threshold by more than 1e-9 ||A*(yhat)||_F, far more than
-    the rounding of the bound or of the eigenvalue, leaves lambda_max
-    above it too.
+    The eigensolve is skipped when X rules a certificate out:
+    <A*(yhat), X> <= lambda_max(A*(yhat)) tr X, so a lower bound above
+    the threshold by more than 1e-9 ||A*(yhat)||_F, far more than the
+    rounding of the bound or of the eigenvalue, leaves lambda_max above
+    it too.  In the eigensolve each pad row is held below every real
+    eigenvalue, at -(1 + ||A*(yhat)||_F), so the largest eigenvalue of
+    the stack is a real one.
     """
     ynorm = float(np.linalg.norm(y))
     if ynorm < 1.0:
@@ -241,10 +346,11 @@ def _farkas_certificate(lifted: _Lifted, y: np.ndarray, X: np.ndarray) -> Option
         return None
     adjoint = _sym(lifted.adjoint(yhat))
     threshold = (CERT_WEAK_QUALITY if ynorm > DIVERGENCE_LIMIT else CERT_QUALITY) * by
-    lower = float(np.sum(adjoint * X)) / float(np.trace(X))
-    if lower - threshold > 1e-9 * float(np.linalg.norm(adjoint)):
+    size = float(np.linalg.norm(adjoint))
+    lower = float((adjoint * X).sum()) / float(np.einsum("sii->", X))
+    if lower - threshold > 1e-9 * size:
         return None
-    lam_max = float(np.linalg.eigvalsh(adjoint).max())
+    lam_max = float(np.linalg.eigvalsh(adjoint - (1.0 + size) * lifted.pad).max())
     if lam_max <= CERT_QUALITY * by:
         return {
             "kind": "primal_infeasible",
@@ -264,15 +370,17 @@ def _farkas_certificate(lifted: _Lifted, y: np.ndarray, X: np.ndarray) -> Option
 
 
 def _unbounded_certificate(lifted: _Lifted, X: np.ndarray) -> Optional[dict]:
-    """Normalized improving ray proving the objective is unbounded."""
+    """Normalized improving ray proving the objective is unbounded; X is
+    the stack of an iterate with 0 on its pad rows, and the ray is the
+    dense lifted matrix."""
     xnorm = float(np.linalg.norm(X))
     if xnorm < DIVERGENCE_LIMIT:
         return None
     Xhat = X / xnorm
-    cx = float(np.sum(lifted.C0 * Xhat))
+    cx = float((lifted.C0 * Xhat).sum())
     ax = float(np.max(np.abs(lifted.apply(Xhat)))) if lifted.K else 0.0
     if cx < -CERT_WEAK_QUALITY and ax <= CERT_WEAK_QUALITY * abs(cx):
-        return {"kind": "unbounded", "ray": Xhat, "objective_rate": -cx, "residual_rate": ax}
+        return {"kind": "unbounded", "ray": lifted.dense(Xhat), "objective_rate": -cx, "residual_rate": ax}
     return None
 
 
@@ -295,17 +403,20 @@ def solve(problem: SdpProblem, tol: float = TOLERANCE, cutoff: Optional[float] =
         raise ValueError("a cutoff needs the problem's y_bound")
     lifted = _Lifted(problem)
     nhat, K = lifted.nhat, lifted.K
-    eye = np.eye(nhat)
+    mask, pad = lifted.mask, lifted.pad
+    diag = np.arange(mask.shape[-1])
 
     b_scale = max(1.0, float(np.max(np.abs(lifted.b))) if K else 1.0)
     c_scale = max(1.0, float(np.linalg.norm(lifted.C0)))
-    X = b_scale * eye.copy()
-    Z = max(1.0, c_scale / np.sqrt(nhat)) * eye.copy()
+    # pad rows stay at the identity: every direction is 0 on them
+    X = b_scale * lifted.eye + pad
+    Z = max(1.0, c_scale / np.sqrt(nhat)) * lifted.eye + pad
     Lx, Lz = np.linalg.cholesky(X), np.linalg.cholesky(Z)
     y = np.zeros(K)
-    # Buffers of the Schur build: fresh (K, nhat, nhat) products on every
+    # Buffers of the Schur build: fresh (K, B, b, b) products on every
     # iteration cost more in page faults than in arithmetic.
     WA, WAW = np.empty_like(lifted.A), np.empty_like(lifted.A)
+    D = np.empty((2, *mask.shape))  # the two directions in the scaled space
 
     status = STATUS_MAX_ITERATIONS
     certificate: Optional[dict] = None
@@ -315,20 +426,23 @@ def solve(problem: SdpProblem, tol: float = TOLERANCE, cutoff: Optional[float] =
 
     for it in range(MAX_ITERATIONS):
         iterations = it + 1
-        r_p = lifted.b - lifted.apply(X)
-        R_d = lifted.C0 - lifted.adjoint(y) - Z
-        gap = float(np.sum(X * Z))
+        # the iterates' real entries, 0 on pad rows
+        Xr, Zr = X - pad, Z - pad
+        AX = lifted.apply(X)
+        r_p = lifted.b - AX
+        R_d = lifted.C0 - lifted.adjoint(y) - Zr
+        gap = float((Xr * Zr).sum())
         mu = gap / nhat
 
-        obj = float(np.sum(lifted.C0 * X))
+        obj = float((lifted.C0 * X).sum())
         rel_gap = gap / max(1.0, abs(obj))
-        pinf = (float(np.max(np.abs(r_p))) if K else 0.0) / b_scale
+        pinf = (float(np.abs(r_p).max()) if K else 0.0) / b_scale
         dinf = float(np.linalg.norm(R_d)) / c_scale
 
         merit = max(rel_gap, pinf, dinf)
         if merit < best_merit:
             best_merit = merit
-            best_X, best_y = X.copy(), y.copy()
+            best_X, best_y = X, y
 
         if rel_gap <= tol and pinf <= tol and dinf <= tol:
             status = STATUS_OPTIMAL
@@ -337,53 +451,60 @@ def solve(problem: SdpProblem, tol: float = TOLERANCE, cutoff: Optional[float] =
             status = STATUS_CUTOFF
             break
 
-        cert = _farkas_certificate(lifted, y, X)
+        cert = _farkas_certificate(lifted, y, Xr)
         if cert is not None:
             status = STATUS_INFEASIBLE
             certificate = cert
             break
-        cert = _unbounded_certificate(lifted, X)
+        cert = _unbounded_certificate(lifted, Xr)
         if cert is not None:
             status = STATUS_UNBOUNDED
             certificate = cert
             break
-        if float(np.linalg.norm(y)) > HARD_DIVERGENCE_LIMIT or float(np.linalg.norm(X)) > HARD_DIVERGENCE_LIMIT:
+        norm_y, norm_X = float(np.linalg.norm(y)), float(np.linalg.norm(Xr))
+        if norm_y > HARD_DIVERGENCE_LIMIT or norm_X > HARD_DIVERGENCE_LIMIT:
             status = STATUS_MAX_ITERATIONS
-            certificate = {"kind": "divergence", "norm_y": float(np.linalg.norm(y)), "norm_X": float(np.linalg.norm(X))}
+            certificate = {"kind": "divergence", "norm_y": norm_y, "norm_X": norm_X}
             break
 
         # Nesterov-Todd scaling point: r diag(lam) r^T = X, r^-T lam r^-1 = Z.
         lam, r_mat, rti = _nt_scaling(Lx, Lz)
-        W = r_mat @ r_mat.T
+        r_T, rti_T = r_mat.swapaxes(-1, -2), rti.swapaxes(-1, -2)
+        W = r_mat @ r_T
 
-        # Schur complement S[i,j] = <A_i, W A_j W>, shared by both passes.
+        # Schur complement S[i,j] = <A_i, W A_j W>, shared by both passes,
+        # and the inverse of its Cholesky factor: each solve is then two
+        # matrix-vector products.
         np.matmul(np.matmul(W, lifted.A, out=WA), W, out=WAW)
-        S = lifted.A_flat @ WAW.reshape(K, nhat * nhat).T
+        S = lifted.A_flat @ WAW.reshape(lifted.A_flat.shape).T
         LS = _chol_psd(_sym(S)) if K else None
         if K and LS is None:
             certificate = {"kind": "schur_breakdown"}
             break
+        LS_inv = np.linalg.inv(LS) if K else np.zeros((0, 0))
 
         def schur_solve(rhs: np.ndarray) -> np.ndarray:
-            if not K:
-                return np.zeros(0)
-            t = np.linalg.solve(LS, rhs)
-            return np.linalg.solve(LS.T, t)
+            return LS_inv.T @ (LS_inv @ rhs)
+
+        def scaled(dX: np.ndarray, dZ: np.ndarray) -> np.ndarray:
+            # into the buffer D, which the next call overwrites
+            np.matmul(rti_T @ dX, rti, out=D[0])
+            np.matmul(r_T @ dZ, r_mat, out=D[1])
+            return D
 
         A_WRdW = lifted.apply(W @ R_d @ W)
 
         # Affine pass: target residual -Lam^2 collapses X_c to -X exactly.
-        rhs_aff = r_p - lifted.apply(-X) + A_WRdW
-        dy_aff = schur_solve(rhs_aff)
+        # Only dX needs the mask: R_d and every A_k, and so dZ, are already
+        # 0 on pad rows and between blocks.
+        dy_aff = schur_solve(r_p + AX + A_WRdW)
         dZ_aff = _sym(R_d - lifted.adjoint(dy_aff))
-        dX_aff = _sym(-X - W @ dZ_aff @ W)
+        dX_aff = mask * _sym(-Xr - W @ dZ_aff @ W)
 
         # Directions in the scaled space, for the step bounds and the corrector.
-        DX_aff = rti.T @ dX_aff @ rti
-        DZ_aff = r_mat.T @ dZ_aff @ r_mat
-        ap_aff = _scaled_step(lam, DX_aff)
-        ad_aff = _scaled_step(lam, DZ_aff)
-        mu_aff = float(np.sum((X + ap_aff * dX_aff) * (Z + ad_aff * dZ_aff))) / nhat
+        DX_aff, DZ_aff = scaled(dX_aff, dZ_aff)
+        ap_aff, ad_aff = _step_bounds(lam, D)
+        mu_aff = float(((Xr + ap_aff * dX_aff) * (Zr + ad_aff * dZ_aff)).sum()) / nhat
         # Aim no lower than half the complementarity the gap tolerance
         # allows: a smaller mu only grows the scaling W, and the rounding
         # error of the Schur solve, ~eps*||S||*|dy| with ||S|| ~ ||W||^2,
@@ -392,18 +513,17 @@ def solve(problem: SdpProblem, tol: float = TOLERANCE, cutoff: Optional[float] =
         sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, mu_floor / mu)) if mu > 0 else 0.0
 
         # Corrector pass reuses the Schur factorization.
-        Rc = sigma * mu * eye - np.diag(lam * lam) - _sym(DX_aff @ DZ_aff)
-        Hinv = 2.0 * Rc / np.add.outer(lam, lam)
-        X_c = _sym(r_mat @ Hinv @ r_mat.T)
+        Rc = -_sym(DX_aff @ DZ_aff)
+        Rc[:, diag, diag] += sigma * mu - lam * lam
+        Hinv = 2.0 * Rc / (lam[:, :, None] + lam[:, None, :])
+        X_c = _sym(r_mat @ Hinv @ r_T)
 
-        rhs = r_p - lifted.apply(X_c) + A_WRdW
-        dy = schur_solve(rhs)
+        dy = schur_solve(r_p - lifted.apply(X_c) + A_WRdW)
         dZ = _sym(R_d - lifted.adjoint(dy))
-        dX = _sym(X_c - W @ dZ @ W)
+        dX = mask * _sym(X_c - W @ dZ @ W)
 
         frac = 0.98
-        ap_max = _scaled_step(lam, rti.T @ dX @ rti)
-        ad_max = _scaled_step(lam, r_mat.T @ dZ @ r_mat)
+        ap_max, ad_max = _step_bounds(lam, scaled(dX, dZ))
         ap, X_next, Lx_next = _cholesky_step(X, Lx, dX, min(1.0, frac * ap_max))
         ad, Z_next, Lz_next = _cholesky_step(Z, Lz, dZ, min(1.0, frac * ad_max))
         if ap < 1e-10 and ad < 1e-10:
@@ -416,7 +536,7 @@ def solve(problem: SdpProblem, tol: float = TOLERANCE, cutoff: Optional[float] =
 
     if status in (STATUS_OPTIMAL, STATUS_CUTOFF):
         best_X, best_y = X, y
-    return _build_solution(problem, best_X, best_y, status, iterations, certificate)
+    return _build_solution(problem, lifted.dense(best_X), best_y, status, iterations, certificate)
 
 
 def _build_solution(
@@ -441,7 +561,6 @@ def _build_solution(
         iterations=iterations,
         certificate=certificate,
     )
-
 
 def verify(problem: SdpProblem, solution: SdpSolution, tol: float) -> dict:
     """Recompute all certificates of optimality from scratch.

@@ -106,12 +106,20 @@ def table_sign(table: dict[History, int], depth: int, default: int = 1) -> SignP
     """Adversary-supplied pattern: explicit signs for histories up to `depth`
     (keyed by the trailing `depth` bits), `default` beyond the table.
 
-    The state is the tuple of the last `depth` bits."""
+    The state is an int: the last min(len(history), depth) bits, oldest
+    first, below a leading 1 that marks how many there are, so the start
+    is 1.  The signs of all 2^(depth+1) - 1 states are looked up in the
+    table once, when the pattern is built."""
+    full = 1 << depth
+    # no state is 0; below its marker, bin(state)[3:] spells the bits
+    signs = [default] + [table.get(tuple(map(int, bin(state)[3:])), default) for state in range(1, 2 * full)]
 
-    def step(state: History, bit: int) -> History:
-        return (state + (bit,))[-depth:] if depth else ()
+    def step(state: int, bit: int) -> int:
+        state = 2 * state + bit
+        # past depth bits, drop the oldest and keep the marker at bit `depth`
+        return state if state < 2 * full else full | (state & (full - 1))
 
-    return SignPattern(lambda state: table.get(state, default), step, (), name=f"table(d={depth})", window=depth)
+    return SignPattern(signs.__getitem__, step, 1, name=f"table(d={depth})", window=depth)
 
 
 @dataclass(frozen=True)

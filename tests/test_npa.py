@@ -42,7 +42,7 @@ from randamp.npa import (
     success_functional,
     symmetry_group,
 )
-from randamp.sdp import STATUS_CUTOFF, STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, TOLERANCE, solve, verify
+from randamp.sdp import STATUS_CUTOFF, STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, TOLERANCE, _Lifted, solve, verify
 from randamp.sources import ExtremalSource, canonical_mermin_source, round_position_sign
 from randamp.strategies import (
     DeterministicStrategy,
@@ -952,6 +952,41 @@ def test_cut_orbit_solves_keep_every_value():
         cut.append(critical_success(epsilon, epsilon))
         uncut.append(uncut_orbit_max(Relaxation.canonical(epsilon), 0.5 + epsilon, TOLERANCE, False))
     assert list(map(repr, cut)) == list(map(repr, uncut))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.3, 0.45])
+def test_orbit_problems_split_into_blocks_by_a_permutation(epsilon):
+    """The exact zeros of each orbit problem's C and A_j leave blocks of 8,
+    7, 6 and 6 rows plus the floor's 1x1 slack, with the floor on the
+    success functional or on the marginal, so `sdp.solve` runs them as a
+    stack of four 8x8 slots.  The trivial group's game-value problem stays
+    one 27x27 block."""
+    relaxation = Relaxation.canonical(epsilon)
+    for floor, floor_on_success in ((0.97, True), (0.7, False)):
+        for target, _, _, problem in orbit_problems(relaxation, floor, floor_on_success):
+            lifted = _Lifted(problem)
+            assert sorted(np.bincount(lifted.block_of), reverse=True) == [8, 7, 6, 6, 1], target
+            assert lifted.mask.shape == (4, 8, 8), target
+    lifted = _Lifted(compile_problem(relaxation.structure, relaxation.success))
+    assert np.bincount(lifted.block_of).tolist() == [27]
+    assert lifted.mask.shape == (1, 27, 27)
+
+
+LEAD_GRID = [(float(e), float(t)) for e in np.linspace(0.0, 0.49, 7) for t in np.linspace(0.01, 0.49, 7)]
+
+
+def test_target_000_leads_every_orbit():
+    """On a 7x7 grid of (epsilon, eps'), each orbit of critical_success
+    solved in full, with no cutoff, reads at most the (0, 0, 0) orbit's
+    value plus 1e-9.  The orbit cutoffs rely on this ordering for their
+    speed: (0, 0, 0) is solved first, so every later orbit is cut against
+    the largest bound."""
+    for epsilon, target_eps_prime in LEAD_GRID:
+        problems = orbit_problems(Relaxation.canonical(epsilon), 0.5 + target_eps_prime, floor_on_success=False)
+        values = {target: npa._upper_value(solve(problem), objective, m0, str(target))
+                  for target, objective, m0, problem in problems}
+        lead = values.pop((0, 0, 0))
+        assert max(values.values()) <= lead + 1e-9, (epsilon, target_eps_prime, lead, values)
 
 
 @pytest.mark.parametrize("epsilon,floor,floor_on_success,tol", [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis.extra.numpy import arrays
 
 from analytic_problems import analytic_problems, infeasible_problem, unbounded_problem
+from randamp import sdp
 from randamp.sdp import (
     SdpProblem,
     STATUS_CUTOFF,
@@ -25,7 +26,7 @@ from randamp.sdp import (
     _Lifted,
     _farkas_certificate,
     _nt_scaling,
-    _scaled_step,
+    _step_bounds,
 )
 
 BATTERY = analytic_problems()
@@ -88,6 +89,9 @@ def test_unbounded_problem_is_flagged():
     assert sol.status == STATUS_UNBOUNDED
     assert sol.certificate is not None
     assert sol.certificate["kind"] == "unbounded"
+    # the ray is the dense lifted matrix, unit Frobenius norm
+    assert sol.certificate["ray"].shape == (2, 2)
+    assert np.linalg.norm(sol.certificate["ray"]) == pytest.approx(1.0)
 
 
 def test_non_symmetric_inputs_rejected():
@@ -231,9 +235,11 @@ def test_scaled_step_matches_the_cholesky_step_bound(mats, scale):
     eye = np.eye(len(B))
     X, Z = B @ B.T + eye, C @ C.T + eye
     dM = scale * (D + D.T)
-    lam, r, rti = _nt_scaling(np.linalg.cholesky(X), np.linalg.cholesky(Z))
-    assert _scaled_step(lam, rti.T @ dM @ rti) == pytest.approx(cholesky_step_bound(X, dM), rel=1e-9, abs=0)
-    assert _scaled_step(lam, r.T @ dM @ r) == pytest.approx(cholesky_step_bound(Z, dM), rel=1e-9, abs=0)
+    lam, r, rti = _nt_scaling(np.linalg.cholesky(X)[None], np.linalg.cholesky(Z)[None])
+    r, rti = r[0], rti[0]
+    ap, ad = _step_bounds(lam, np.array([[rti.T @ dM @ rti], [r.T @ dM @ r]]))
+    assert ap == pytest.approx(cholesky_step_bound(X, dM), rel=1e-9, abs=0)
+    assert ad == pytest.approx(cholesky_step_bound(Z, dM), rel=1e-9, abs=0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -267,7 +273,7 @@ def test_farkas_check_skips_its_eigensolve_only_without_a_certificate(seed, rati
     g = rng.normal(size=(n, n))
     X = np.outer(q[:, 0], q[:, 0]) + 10.0 ** mix * g @ g.T
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-        certificate = _farkas_certificate(lifted, y, X)
+        certificate = _farkas_certificate(lifted, y, lifted.stack(X))
     yhat = y / np.linalg.norm(y)
     adjoint = np.tensordot(yhat, constraints, axes=1)
     threshold = quality * (b @ yhat)
@@ -278,3 +284,103 @@ def test_farkas_check_skips_its_eigensolve_only_without_a_certificate(seed, rati
         assert lam_max > threshold
     else:
         assert (certificate is not None) == (lam_max <= threshold)
+
+
+BLOCKS = ([0, 1, 2], [3, 4], [5, 6])
+
+
+def block_diagonal_problem(perm=None) -> SdpProblem:
+    """maximize <C, X> over blocks of 3, 2 and 2 rows with traces 1, 2 and
+    1/2, X[0, 0] >= 0.9 (a geq row) and X[3, 4] = 0.3, with rows and
+    columns permuted by `perm` when given: row i is row perm[i] of the
+    unpermuted form."""
+    rng = np.random.default_rng(7)
+    C = np.zeros((7, 7))
+    constraints, b = [], []
+    for block, trace in zip(BLOCKS, (1.0, 2.0, 0.5)):
+        G = rng.normal(size=(len(block), len(block)))
+        C[np.ix_(block, block)] = G + G.T
+        A = np.zeros((7, 7))
+        A[block, block] = 1.0
+        constraints.append(A)
+        b.append(trace)
+    corner, coupling = np.zeros((7, 7)), np.zeros((7, 7))
+    corner[0, 0] = 1.0
+    coupling[3, 4] = coupling[4, 3] = 0.5
+    constraints += [corner, coupling]
+    b += [0.9, 0.3]
+    A = np.array(constraints)
+    if perm is not None:
+        C, A = C[np.ix_(perm, perm)], A[:, perm][:, :, perm]
+    return SdpProblem(C, A, b, ("eq", "eq", "eq", "geq", "eq"))
+
+
+def test_block_diagonal_problem_solves_as_a_stack():
+    """A problem block-diagonal up to a permutation of its rows runs as a
+    stack of three 3x3 slots, the geq row's 1x1 slack sharing the slot of
+    a 2-block.  It reaches the optimum of its unpermuted form, its
+    solution passes `verify`, and its X is exactly 0 off the blocks."""
+    perm = np.random.default_rng(3).permutation(7)
+    plain, permuted = block_diagonal_problem(), block_diagonal_problem(perm)
+    lifted = _Lifted(permuted)
+    assert sorted(np.bincount(lifted.block_of)) == [1, 2, 2, 3]
+    assert lifted.mask.shape == (3, 3, 3)
+    reference, sol = solve(plain), solve(permuted)
+    assert reference.status == sol.status == STATUS_OPTIMAL
+    assert sol.objective_value == pytest.approx(reference.objective_value, abs=1e-7)
+    assert verify(permuted, sol, 1e-7)["passed"]
+    block = np.repeat([0, 1, 2], [3, 2, 2])[perm]
+    off = block[:, None] != block[None, :]
+    assert np.count_nonzero(sol.X[off]) == 0
+    assert np.allclose(sol.X, reference.X[np.ix_(perm, perm)], atol=1e-6)
+
+
+def test_iterates_hold_pad_rows_at_the_identity(monkeypatch):
+    """Every iterate the solver factors, X's and Z's, is the identity on
+    its pad rows and exactly 0 between blocks: each direction is masked."""
+    iterates = []
+
+    def recorded(M, L, dM, alpha):
+        step = cholesky_step(M, L, dM, alpha)
+        iterates.append(step[1])
+        return step
+
+    cholesky_step = sdp._cholesky_step
+    monkeypatch.setattr(sdp, "_cholesky_step", recorded)
+    problem = block_diagonal_problem(np.random.default_rng(3).permutation(7))
+    lifted = _Lifted(problem)
+    assert not lifted.real.all()
+    assert solve(problem).status == STATUS_OPTIMAL
+    assert len(iterates) > 10
+    for M in iterates:
+        assert np.array_equal(M * (1.0 - lifted.mask), lifted.pad)
+
+
+def test_farkas_eigenvalue_of_a_block_problem_sees_no_pad():
+    """No PSD X has negative trace on a block: tr = -1 on rows {0, 2, 4}
+    and on rows {1, 3}, each block coupled by C.  The 2-block's slot
+    holds a pad row, yet lambda_max_adjoint is the dense eigvalsh maximum
+    of A*(yhat), which is negative, where a pad's eigenvalue would read 0."""
+    C = np.eye(5)
+    for i, j in ((0, 2), (2, 4), (1, 3)):
+        C[i, j] = C[j, i] = 0.5
+    A = np.zeros((2, 5, 5))
+    A[0, [0, 2, 4], [0, 2, 4]] = 1.0
+    A[1, [1, 3], [1, 3]] = 1.0
+    problem = SdpProblem(C, A, [-1.0, -1.0], ("eq", "eq"))
+    assert not _Lifted(problem).real.all()
+    sol = solve(problem)
+    assert sol.status == STATUS_INFEASIBLE
+    dense = np.linalg.eigvalsh(np.tensordot(sol.certificate["farkas_y"], A, axes=1)).max()
+    assert dense < 0.0
+    assert sol.certificate["lambda_max_adjoint"] == pytest.approx(dense, rel=1e-12)
+
+
+def test_a_block_and_a_slack_share_one_slot_rather_than_double():
+    """Two 4x4 slots for a 4-block and the 1x1 slack of a geq row would
+    hold more entries than the 5x5 lifted matrix, so it stays one slot
+    with no pad."""
+    problem = SdpProblem(np.ones((4, 4)), np.array([np.eye(4)]), [1.0], ("geq",))
+    lifted = _Lifted(problem)
+    assert sorted(np.bincount(lifted.block_of)) == [1, 4]
+    assert lifted.mask.shape == (1, 5, 5) and lifted.real.all()

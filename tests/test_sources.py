@@ -74,6 +74,23 @@ def test_random_access_matches_the_streamed_state(build):
                 assert pattern.at(streamed_state(pattern, h[n - n % 2:])) == sign
 
 
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_table_sign_reads_the_table_at_the_last_depth_bits(depth):
+    """On every history of up to 8 bits, by random access and streamed,
+    `table_sign(t, d)` gives t.get(h[-d:], default), h[-d:] read as ()
+    when d = 0, with keys of every length up to d and some left out."""
+    rng = np.random.default_rng(depth)
+    keys = [k for n in range(depth + 1) for k in itertools.product((0, 1), repeat=n)]
+    table = {k: int(rng.choice((-1, 1))) for k in keys if rng.random() < 0.7}
+    for default in (1, -1):
+        pattern = table_sign(table, depth, default)
+        for n in range(9):
+            for h in itertools.product((0, 1), repeat=n):
+                expected = table.get(h[-depth:] if depth else (), default)
+                assert pattern(h) == expected, h
+                assert pattern.at(streamed_state(pattern, h)) == expected, h
+
+
 @given(epsilons, sign_patterns, histories)
 @settings(max_examples=200)
 def test_conditional_probability_saturates_band(eps, sign, history):
