@@ -22,10 +22,12 @@ is solved over the moments themselves (the standard form of the NPA
 hierarchy): they are the dual variables of an `sdp.solve` problem, see
 `compile_problem`.
 
-Levels: Q1 (identity + single observables), Q1+AB (plus cross-party
-pairs), Q1+ABC (cross-party pairs plus one-observable-per-party
-triples), Q2 (all words of length <= 2), Q2+ABC (Q2 plus the triples).
-Q1+ABC must include the pair words: without them the relaxation admits
+Levels: Q1 (identity + single observables), Q1+ABC (plus cross-party
+pairs and one-observable-per-party triples) and Q2 (all words of length
+<= 2).  Every `Relaxation` is solved at Q1+ABC, whose basis holds the
+triple words that a 3-party success functional and success-1 face
+need; Q1 and Q2 serve game values (`max_success_probability`).  Q1+ABC
+must include the pair words: without them the relaxation admits
 pseudo-moment matrices whose "win probability" exceeds 1, and the
 success floor loses all force.  With them, every outcome probability is
 a PSD quadratic form of the moment matrix, so win probabilities stay in
@@ -36,34 +38,30 @@ face condition is linear in the moments, and under the canonical
 source, at every epsilon < 1/2, it leaves one integer moment point,
 checked exactly, at which every marginal is 1/2.
 
-A `Relaxation` holds what one (game, dist, level) needs, built once per
-call: the structure, the success functional and the target orbits of
-the symmetry group of (game, dist), enumerated once (`symmetry_group`),
+A `Relaxation` holds what one (game, dist) needs, built once per call:
+the structure, the success functional and the target orbits of the
+symmetry group of (game, dist), enumerated once (`symmetry_group`),
 each with its representative's stabilizer; its face is built on the
 first floor-1 query.  Its one orbit loop solves one representative per
 orbit, below floor 1 over the moments its stabilizer fixes
 (`invariant_moments`: a symmetry maps each basis word to +- a basis
-word, so the fixed moments are spanned by the unit vector and signed
-orbit sums), and takes the largest bound; a solve after the first stops
-as soon as it shows that its orbit cannot beat the largest bound so far
-(`Relaxation._orbit_max`).  `p_max` runs it with the target's marginal
-as objective and the floor on the win probability, `critical_success`
-with the two swapped.  Objective and floor functional
-are fixed by the stabilizer, so averaging an optimum over it keeps the
-value (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).  For the
-Mermin game under the canonical source at Q1+ABC that leaves 14 to 19
+word, so the fixed moments are spanned by the unit vector and +-1
+orbit indicators), and takes the largest bound; a solve after the
+first stops as soon as it shows that its orbit cannot beat the largest
+bound so far (`Relaxation._orbit_max`).  `p_max` runs it with the
+target's marginal as objective and the floor on the win probability,
+`critical_success` with the two swapped.  Objective and floor
+functional are fixed by the stabilizer, so averaging an optimum over it
+keeps the value (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).
+For the Mermin game under the canonical source that leaves 14 to 19
 free moments of 75.
 
 What does not depend on the input probabilities is built once per
 process and shared read-only: the basis and structure per (scenario,
 level), each stabilizer's invariant moments with their block stack per
 (basis, stabilizer), and the face point per (basis, losing vectors).
-No key holds epsilon, so every relaxation after the first at a level
-reuses them, and a value never depends on what the process computed
-before.
-
-Q2 and Q2+ABC exceed the smallest useful level and exist for
-cross-checking that bounds tighten down the hierarchy.
+No key holds epsilon, so every relaxation after the first reuses them,
+and a value never depends on what the process computed before.
 """
 
 from __future__ import annotations
@@ -90,11 +88,9 @@ from .sdp import (
 from .sources import canonical_mermin_source
 
 LEVEL_Q1 = "Q1"
-LEVEL_Q1_AB = "Q1+AB"
 LEVEL_Q1_ABC = "Q1+ABC"
 LEVEL_Q2 = "Q2"
-LEVEL_Q2_ABC = "Q2+ABC"
-LEVELS = (LEVEL_Q1, LEVEL_Q1_AB, LEVEL_Q1_ABC, LEVEL_Q2, LEVEL_Q2_ABC)
+LEVELS = (LEVEL_Q1, LEVEL_Q1_ABC, LEVEL_Q2)
 
 # A word is a tuple over parties; each per-party subword is an ordered
 # tuple of input indices (+-1 observables), adjacent-duplicate free.
@@ -186,10 +182,8 @@ def build_basis(scenario: Scenario, level: str) -> MonomialBasis:
             f"outputs {scenario.output_cardinalities} are not binary"
         )
     n = scenario.n_parties
-    if level in (LEVEL_Q1_ABC, LEVEL_Q2_ABC) and n != 3:
+    if level == LEVEL_Q1_ABC and n != 3:
         raise UnsupportedScenarioError(f"level {level} requires 3 parties, scenario has {n}")
-    if level == LEVEL_Q1_AB and n < 2:
-        raise UnsupportedScenarioError(f"level {level} requires at least 2 parties")
 
     words: list[Word] = [_identity_word(n)]
     for p in range(n):
@@ -204,29 +198,18 @@ def build_basis(scenario: Scenario, level: str) -> MonomialBasis:
                     w[p], w[q] = (x,), (y,)
                     yield tuple(w)
 
-    def same_party_pairs() -> Iterable[Word]:
+    if level == LEVEL_Q1_ABC:
+        words.extend(cross_pairs())
+        # the triples, one observable per party
+        inputs = (range(scenario.input_cardinalities[p]) for p in range(3))
+        words.extend(tuple((x,) for x in xs) for xs in itertools.product(*inputs))
+    elif level == LEVEL_Q2:
         for p in range(n):
             for x1, x2 in itertools.permutations(range(scenario.input_cardinalities[p]), 2):
                 w = list(_identity_word(n))
                 w[p] = (x1, x2)
-                yield tuple(w)
-
-    def triples() -> Iterable[Word]:
-        for xs in itertools.product(*(range(scenario.input_cardinalities[p]) for p in range(3))):
-            yield tuple((x,) for x in xs)
-
-    if level == LEVEL_Q1_AB:
+                words.append(tuple(w))
         words.extend(cross_pairs())
-    elif level == LEVEL_Q1_ABC:
-        words.extend(cross_pairs())
-        words.extend(triples())
-    elif level == LEVEL_Q2:
-        words.extend(same_party_pairs())
-        words.extend(cross_pairs())
-    elif level == LEVEL_Q2_ABC:
-        words.extend(same_party_pairs())
-        words.extend(cross_pairs())
-        words.extend(triples())
     return MonomialBasis(scenario, level, tuple(words))
 
 
@@ -372,15 +355,13 @@ def compile_problem(
     at the moments m0 + N y the solve reached.  An unbounded sdp form
     means no moments are feasible.
 
-    The problem's y_bound is the column l1 norms ||N_j||_1: N is
-    orthonormal and orthogonal to m0, so z_j = N_j.m, and every moment
-    lies in [-1, 1] (M(m) is PSD with unit diagonal), so |z_j| <=
-    ||N_j||_1.  That is sqrt(|orbit|) for a signed orbit sum, 1 for the
-    trivial group.  For PSD X with residuals r, c.m0 - <C, X> + sum_j
-    ||N_j||_1 |r_j| then bounds the relaxation's maximum from above
+    The problem's y_bound is 1 in every coordinate: every moment on the
+    orbit of N_j is +-z_j, and every moment lies in [-1, 1] (M(m) is PSD
+    with unit diagonal).  For PSD X with residuals r, c.m0 - <C, X> +
+    sum_j |r_j| then bounds the relaxation's maximum from above
     (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46, 2007).
     """
-    _, N, coords, blocks, weights = _invariant_moments(structure.basis, stabilizer)
+    N, coords, blocks = invariant_moments(structure.basis, stabilizer)
     rhs = -(objective @ N)
     if floor_functional is not None:
         d = blocks.shape[1]
@@ -390,7 +371,7 @@ def compile_problem(
         lmi[:, :d, :d] = blocks
         lmi[:, d, d] = slack
         blocks = lmi
-    return SdpProblem(-blocks[0], blocks[1:], rhs, ("eq",) * len(rhs), weights)
+    return SdpProblem(-blocks[0], blocks[1:], rhs, ("eq",) * len(rhs), np.ones(len(rhs)))
 
 
 def structure_for(game: GameSpec, level: str) -> MomentMatrixStructure:
@@ -534,7 +515,7 @@ def max_success_probability(
     structure = structure_for(game, level)
     success = success_functional(structure, game, dist)
     solution = solve(compile_problem(structure, success), tol)
-    return _upper_value(solution, success, invariant_moments(structure)[0], "game value")
+    return _upper_value(solution, float(success[structure.unit_id]), "game value")
 
 
 def _targets(game: GameSpec) -> Iterable[tuple[int, int, int]]:
@@ -654,36 +635,26 @@ def _signed_permutation(
     return sigma, 1.0 - 2.0 * flipped
 
 
+@functools.cache
 def invariant_moments(
-    structure: MomentMatrixStructure, stabilizer: tuple[Symmetry, ...] = ()
-) -> tuple[np.ndarray, np.ndarray]:
+    basis: MonomialBasis, stabilizer: tuple[Symmetry, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The moments fixed by every symmetry of the group `stabilizer`, with
-    unit 1, as m = m0 + N z: m0 is the unit vector and the columns of N
-    the normalized signed orbit sums of the other moments.  The empty
-    tuple stands for the trivial group, whose N is the identity columns
-    of the other moments.
+    unit 1, as m = m0 + N z, m0 the unit vector: N, the columns [m0, N]
+    and their block stack M([m0, N]) of `compile_problem`, built once per
+    (basis, stabilizer) and read-only.  Each column of N is +-1 on one
+    orbit of the other moments and 0 elsewhere.  The empty tuple stands
+    for the trivial group, whose N is the identity columns of the other
+    moments.
 
     A symmetry maps moment k, at cell (i, j), to s_i s_j times moment
     cell_ids[sigma(i), sigma(j)] (`_signed_permutation`), so a fixed
     vector is constant up to sign on each orbit; an orbit that meets its
-    own negation sums to zero and is forced to 0.  The columns have
-    disjoint supports, so N is orthonormal.  A problem whose objective,
-    success functional and floor are all fixed by the group has the same
-    optimum over this set as over every moment vector: averaging an
-    optimum over the group gives a fixed optimum of the same value.
-
-    Both arrays are built once per (basis, stabilizer) and read-only."""
-    m0, N, _, _, _ = _invariant_moments(structure.basis, stabilizer)
-    return m0, N
-
-
-@functools.cache
-def _invariant_moments(
-    basis: MonomialBasis, stabilizer: tuple[Symmetry, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """m0 and N of `invariant_moments`, their columns [m0, N], the block
-    stack M([m0, N]) of `compile_problem` and the column l1 norms
-    ||N_j||_1 (`compile_problem`'s y_bound), all read-only."""
+    own negation sums to zero and is forced to 0.  A problem whose
+    objective, success functional and floor are all fixed by the group
+    has the same optimum over this set as over every moment vector:
+    averaging an optimum over the group gives a fixed optimum of the
+    same value."""
     structure = build_moment_structure(basis)
     n = len(structure.id_cells)
     ids = np.arange(n)
@@ -698,32 +669,29 @@ def _invariant_moments(
     # one column per orbit, its smallest member's; the unit's and zero sums are left out
     keep = (orbit.argmax(axis=0) == ids) & (ids != structure.unit_id) & sums.any(axis=0)
     N = sums[:, keep]
-    m0, N = np.eye(n)[structure.unit_id], N / np.linalg.norm(N, axis=0)
-    coords = np.column_stack([m0, N])
+    N /= np.abs(N).max(axis=0)  # an orbit's sums share one magnitude, so N is +-1 exactly
+    coords = np.column_stack([np.eye(n)[structure.unit_id], N])
     blocks = np.tensordot(coords.T, structure.indicators, axes=1)
-    weights = np.abs(N).sum(axis=0)
-    _read_only(m0, N, coords, blocks, weights)
-    return m0, N, coords, blocks, weights
+    _read_only(N, coords, blocks)
+    return N, coords, blocks
 
 
 def _upper_value(
     solution: SdpSolution,
-    objective: np.ndarray,
-    m0: np.ndarray,
+    offset: float,
     what: str,
     floor_may_be_infeasible: bool = False,
 ) -> Optional[float]:
-    """The bound a solve of `compile_problem` gives on max objective @ m:
-    the larger of the relaxation values read from the sdp form's primal
-    and dual objective, objective @ m0 minus each, so that an inexact
-    solve errs on the safe side of an upper bound.
+    """The bound a solve of `compile_problem` gives on max c.m: the larger
+    of the relaxation values read from the sdp form's primal and dual
+    objective, `offset` = c.m0 (c's unit coefficient) minus each, so that
+    an inexact solve errs on the safe side of an upper bound.
 
     An unbounded sdp form means no moments are feasible: with
     `floor_may_be_infeasible` that is the answer (None), since a success
     floor may exceed the quantum maximum.  Any other status but optimal
     raises SolverFailureError; its message names the solve by `what`."""
     if solution.status == STATUS_OPTIMAL:
-        offset = float(objective @ m0)
         return offset - min(solution.objective_value, solution.objective_value + solution.duality_gap)
     if floor_may_be_infeasible and solution.status == STATUS_UNBOUNDED:
         return None
@@ -731,11 +699,11 @@ def _upper_value(
 
 
 class Relaxation:
-    """The relaxation of (game, dist) at one level, built once per call:
-    the moment structure (shared per level), the success functional and
-    each target orbit's representative with its stabilizer
-    (`orbit_stabilizers`).  The success-1 face is built on the first
-    floor-1 query and kept.
+    """The relaxation of (game, dist), for any 3-party game with binary
+    outputs, at level Q1+ABC, built once per call: the moment structure
+    (shared per scenario), the success functional and each target
+    orbit's representative with its stabilizer (`orbit_stabilizers`).
+    The success-1 face is built on the first floor-1 query and kept.
 
     `p_max` and `critical_success` run the one orbit loop, `_orbit_max`:
     the first with each target's marginal as objective and the floor on
@@ -743,22 +711,22 @@ class Relaxation:
     that cannot beat the largest bound found before it stops at a
     cutoff instead of being solved to the tolerance."""
 
-    def __init__(self, game: GameSpec, dist: InputDistribution, level: str = LEVEL_Q1_ABC):
+    def __init__(self, game: GameSpec, dist: InputDistribution):
         self.game = game
         self.dist = dist
-        self.structure = structure_for(game, level)
+        self.structure = structure_for(game, LEVEL_Q1_ABC)
         self.success = success_functional(self.structure, game, dist)
         self.orbits = orbit_stabilizers(game, symmetry_group(game, dist))
         self._face: Optional[SuccessFaceContext] = None
 
     @classmethod
-    def canonical(cls, epsilon: float, level: str = LEVEL_Q1_ABC) -> "Relaxation":
+    def canonical(cls, epsilon: float) -> "Relaxation":
         """The tripartite protocol's relaxation: the Mermin game under the
         canonical source of bias `epsilon`.  It stands for all eight
         round-local extremal sources `round_position_sign(s1, s2|0, s2|1)`:
         at epsilon 0.1 and 0.3 they give the same bounds within 1e-9."""
         game = mermin_game()
-        return cls(game, input_distribution_from_source(game, canonical_mermin_source(epsilon)), level)
+        return cls(game, input_distribution_from_source(game, canonical_mermin_source(epsilon)))
 
     @property
     def face(self) -> SuccessFaceContext:
@@ -791,11 +759,11 @@ class Relaxation:
 
         Orbits are taken in sorted order, so (0, 0, 0) comes first.  Once
         there is a bound `best`, each later solve gets the cutoff c.m0 -
-        best and ends as soon as an iterate shows, by `compile_problem`'s
-        residual charge, that its orbit's value is at most `best`; that
-        orbit is then skipped.  The answer stays an upper bound: a
-        skipped orbit's value is at most its charged bound, which is at
-        most `best`.  It is the maximum full solves give unless a cut
+        best, with c.m0 c's unit coefficient, and ends as soon as an
+        iterate shows, by `compile_problem`'s residual charge, that its
+        orbit's value is at most `best`; that orbit is then skipped.  The
+        answer stays an upper bound: a skipped orbit's value is at most
+        its charged bound, which is at most `best`.  It is the maximum full solves give unless a cut
         orbit's full solve would have read above `best`.
         The cutting iterate is PSD only up to the rounding of a plain
         Cholesky factorization, so, like every value here, a cut is not
@@ -810,13 +778,12 @@ class Relaxation:
                 objective, floored = marginal, self.success
                 if not floor_on_success:
                     objective, floored = floored, objective
-                m0, _ = invariant_moments(self.structure, stabilizer)
                 problem = compile_problem(self.structure, objective, stabilizer, floored, floor)
-                offset = float(objective @ m0)
+                offset = float(objective[self.structure.unit_id])
                 solution = solve(problem, tol, None if best == -np.inf else offset - best)
                 if solution.status == STATUS_CUTOFF:
                     continue
-                value = _upper_value(solution, objective, m0, f"target {target}",
+                value = _upper_value(solution, offset, f"target {target}",
                                      floor_may_be_infeasible=floor_on_success)
             if value is None:
                 raise InfeasibleSuccessError(f"success floor {floor} exceeds the quantum maximum")
@@ -827,15 +794,14 @@ class Relaxation:
 def eps_prime(
     epsilon: float,
     success_floor: float,
-    level: str = LEVEL_Q1_ABC,
     tol: float = TOLERANCE,
     relaxation: Optional[Relaxation] = None,
 ) -> float:
     """Output bias bound for the tripartite protocol at the given
     observed success probability: p_max - 1/2, clamped to [0, 1/2].
-    `relaxation`, when given, is `Relaxation.canonical(epsilon, level)`."""
+    `relaxation`, when given, is `Relaxation.canonical(epsilon)`."""
     if relaxation is None:
-        relaxation = Relaxation.canonical(epsilon, level)
+        relaxation = Relaxation.canonical(epsilon)
     bound = relaxation.p_max(success_floor, tol)
     return float(min(0.5, max(0.0, bound - 0.5)))
 

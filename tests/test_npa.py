@@ -17,10 +17,9 @@ from randamp.games import (
 )
 from randamp.npa import (
     LEVEL_Q1,
-    LEVEL_Q1_AB,
     LEVEL_Q1_ABC,
     LEVEL_Q2,
-    LEVEL_Q2_ABC,
+    LEVELS,
     BracketingError,
     InfeasibleSuccessError,
     MomentNotAvailableError,
@@ -104,25 +103,27 @@ def target_bound(game, dist, floor, target, stabilizer=(), face=None, tol=TOLERA
         return (face or SuccessFaceContext(structure, game, dist)).bound(objective)
     success = success_functional(structure, game, dist)
     problem = compile_problem(structure, objective, stabilizer, success, floor)
-    m0, _ = invariant_moments(structure, stabilizer)
-    return npa._upper_value(solve(problem, tol), objective, m0, str(target))
+    return npa._upper_value(solve(problem, tol), unit_coefficient(structure, objective), str(target))
+
+
+def unit_coefficient(structure, functional):
+    """c.m0 for the unit vector m0: the `offset` of `npa._upper_value`."""
+    return float(functional[structure.unit_id])
 
 
 def test_basis_word_counts():
     tri = Scenario(3, (2, 2, 2), (2, 2, 2))
     duo = Scenario(2, (2, 2), (2, 2))
     assert len(build_basis(tri, LEVEL_Q1)) == 7
-    assert len(build_basis(tri, LEVEL_Q1_AB)) == 19
     assert len(build_basis(tri, LEVEL_Q1_ABC)) == 27
     assert len(build_basis(tri, LEVEL_Q2)) == 25
-    assert len(build_basis(tri, LEVEL_Q2_ABC)) == 33
     assert len(build_basis(duo, LEVEL_Q1)) == 5
     assert len(build_basis(duo, LEVEL_Q2)) == 13
 
 
 def test_basis_words_are_canonical():
     tri = Scenario(3, (2, 2, 2), (2, 2, 2))
-    for level in (LEVEL_Q1_ABC, LEVEL_Q2_ABC):
+    for level in (LEVEL_Q1_ABC, LEVEL_Q2):
         words = build_basis(tri, level).words
         assert len(set(words)) == len(words)
         for w in words:
@@ -134,8 +135,10 @@ def test_basis_words_are_canonical():
 
 def test_scenario_level_validation():
     duo = Scenario(2, (2, 2), (2, 2))
-    with pytest.raises(ValueError):
-        build_basis(duo, "Q3")
+    assert LEVELS == (LEVEL_Q1, LEVEL_Q1_ABC, LEVEL_Q2)
+    for level in ("Q3", "Q1+AB", "Q2+ABC"):
+        with pytest.raises(ValueError, match="unknown level"):
+            build_basis(Scenario(3, (2, 2, 2), (2, 2, 2)), level)
     with pytest.raises(UnsupportedScenarioError):
         build_basis(duo, LEVEL_Q1_ABC)
     with pytest.raises(UnsupportedScenarioError):
@@ -151,8 +154,8 @@ def test_moment_structure_is_symmetric_with_unit():
 
 
 MOMENT_COUNTS = [
-    (mermin_game, {LEVEL_Q1: 22, LEVEL_Q1_AB: 60, LEVEL_Q1_ABC: 76, LEVEL_Q2: 93, LEVEL_Q2_ABC: 133}),
-    (chsh_game, {LEVEL_Q1: 11, LEVEL_Q1_AB: 17, LEVEL_Q2: 31}),
+    (mermin_game, {LEVEL_Q1: 22, LEVEL_Q1_ABC: 76, LEVEL_Q2: 93}),
+    (chsh_game, {LEVEL_Q1: 11, LEVEL_Q2: 31}),
 ]
 
 
@@ -363,30 +366,52 @@ def test_face_point_is_unique_at_every_epsilon():
 
 
 def test_face_with_free_moments_is_rejected():
-    """At Q2+ABC the face leaves 15 moments free, which the exact face
-    does not decide; it says so instead of returning a value."""
-    game, dist = canonical_distribution(0.3)
-    with pytest.raises(UnsupportedScenarioError, match="15 free moments"):
-        Relaxation(game, dist, LEVEL_Q2_ABC).p_max(1.0)
+    """When every output wins, no losing vector constrains the success-1
+    face and all 75 non-unit moments stay free, which the exact face does
+    not decide; it says so instead of returning a value."""
+    game = dataclasses.replace(mermin_game(), win=lambda x, o: True)
+    with pytest.raises(UnsupportedScenarioError, match="75 free moments"):
+        Relaxation(game, uniform_distribution(game)).p_max(1.0)
+
+
+def idle_party_chsh():
+    """CHSH between parties 0 and 1 with an idle party 2, on every input,
+    under uniform inputs: a second 3-party game for the relaxation."""
+    chsh = chsh_game()
+    game = dataclasses.replace(mermin_game(), name="chsh-idle", promise=lambda x: True,
+                               win=lambda x, o: chsh.win(x[:2], o[:2]))
+    return game, uniform_distribution(game)
 
 
 def test_chsh_cannot_win_always():
-    """No moment matrix at Q2 or Q1+AB lies on the CHSH success-1 face."""
-    game = chsh_game()
-    dist = uniform_distribution(game)
-    for level in (LEVEL_Q2, LEVEL_Q1_AB):
-        with pytest.raises(InfeasibleSuccessError):
-            Relaxation(game, dist, level).p_max(1.0)
+    """No moment matrix at Q1+ABC lies on the CHSH success-1 face."""
+    with pytest.raises(InfeasibleSuccessError):
+        Relaxation(*idle_party_chsh()).p_max(1.0)
 
 
-@pytest.mark.parametrize("level", [LEVEL_Q1_AB, LEVEL_Q2])
 @pytest.mark.parametrize("floor", [0.86, 0.9, 0.99])
-def test_chsh_floor_above_quantum_value_is_infeasible(floor, level):
+def test_chsh_floor_above_quantum_value_is_infeasible(floor):
     """A floor between the quantum value (~0.8536) and 1 leaves no
     moments; the full-form solve must report it, not fail."""
-    game = chsh_game()
     with pytest.raises(InfeasibleSuccessError):
-        Relaxation(game, uniform_distribution(game), level).p_max(floor)
+        Relaxation(*idle_party_chsh()).p_max(floor)
+
+
+@pytest.mark.parametrize("floor", [0.75, 0.8])
+def test_reduced_solves_match_unreduced_on_a_second_game(floor):
+    """Each orbit representative's bound over its stabilizer's invariant
+    moments equals its unreduced bound within 1e-7 on CHSH with an idle
+    party, whose symmetry group differs from Mermin's.  The idle party
+    is unconstrained and reads 1; at 0.8 the CHSH parties' targets read
+    about 0.874 and need the reduction to be right."""
+    game, dist = idle_party_chsh()
+    values = {}
+    for target, stabilizer in Relaxation(game, dist).orbits:
+        values[target] = target_bound(game, dist, floor, target, stabilizer)
+        assert abs(values[target] - target_bound(game, dist, floor, target)) <= 1e-7, target
+    assert max(values.values()) == pytest.approx(1.0, abs=1e-7)
+    if floor == 0.8:
+        assert values[(0, 0, 0)] == pytest.approx(0.8741657424, abs=1e-7)
 
 
 def test_chsh_level1_value():
@@ -404,13 +429,6 @@ def test_mermin_relaxation_value_is_one():
 
 def test_hierarchy_levels_never_loosen():
     """Tighter moment bases can only shrink the feasible set."""
-    floor = 0.97
-    loose = eps_prime(0.3, floor, LEVEL_Q1_AB, SWEEP_TOL)
-    mid = eps_prime(0.3, floor, LEVEL_Q1_ABC, SWEEP_TOL)
-    tight = eps_prime(0.3, floor, LEVEL_Q2_ABC, SWEEP_TOL)
-    assert mid <= loose + 1e-5
-    assert tight <= mid + 1e-5
-
     game = chsh_game()
     dist = uniform_distribution(game)
     q1 = max_success_probability(game, dist, LEVEL_Q1)
@@ -584,7 +602,7 @@ def test_symmetry_group_is_closed_under_composition(epsilon):
                 assert composed.target(t) == g.target(h.target(t))
 
 
-@pytest.mark.parametrize("level", [LEVEL_Q1, LEVEL_Q1_AB, LEVEL_Q1_ABC, LEVEL_Q2, LEVEL_Q2_ABC])
+@pytest.mark.parametrize("level", LEVELS)
 def test_symmetries_act_on_moment_matrices_by_congruence(level):
     """The moment map G of a symmetry, read off one cell per moment, is
     the congruence M -> T M T^T of its signed permutation T of the basis
@@ -607,8 +625,8 @@ def test_invariant_moments_of_the_canonical_source():
     """At epsilon 0.3 the group has order 16 and the representatives'
     stabilizers 4, 4, 8 and 8, leaving 19, 19, 14 and 14 free moments of
     75.  Each set is fixed by its stabilizer, with m0 the unit vector and
-    orthonormal directions of unit coordinate 0; the trivial group gives
-    the unit vector and the identity columns."""
+    +-1 directions of disjoint supports and unit coordinate 0; the
+    trivial group gives the unit vector and the identity columns."""
     game, dist = canonical_distribution(0.3)
     structure = structure_for(game, LEVEL_Q1_ABC)
     group = symmetry_group(game, dist)
@@ -618,19 +636,22 @@ def test_invariant_moments_of_the_canonical_source():
     unit = structure.unit_id
     free = []
     for target, stabilizer in stabilizers:
-        m0, N = invariant_moments(structure, stabilizer)
+        N, coords, _ = invariant_moments(structure.basis, stabilizer)
+        m0 = coords[:, 0]
         free.append(N.shape[1])
         assert np.array_equal(m0, np.eye(len(m0))[unit]) and not N[unit].any()
-        assert np.max(np.abs(N.T @ N - np.eye(N.shape[1]))) <= 1e-14
+        assert np.array_equal(coords[:, 1:], N)
+        assert set(np.abs(N).ravel().tolist()) == {0.0, 1.0}
+        assert np.array_equal(np.abs(N).T @ np.abs(N), np.diag(np.count_nonzero(N, axis=0)))
         for g in stabilizer:
             G = moment_action(structure, g)
             assert np.max(np.abs(G @ m0 - m0)) <= 1e-15
             assert np.max(np.abs(G @ N - N)) <= 1e-14
     assert [len(s) for _, s in stabilizers] == [4, 4, 8, 8]
     assert free == [19, 19, 14, 14]
-    m0, N = invariant_moments(structure)
+    N, coords, _ = invariant_moments(structure.basis, ())
     n = len(structure.id_cells)
-    assert np.array_equal(m0, np.eye(n)[unit])
+    assert np.array_equal(coords[:, 0], np.eye(n)[unit])
     assert np.array_equal(N, np.delete(np.eye(n), unit, axis=1))
 
 
@@ -656,13 +677,12 @@ def unreduced_critical_success(epsilon, target_eps_prime, tol):
     game, dist = canonical_distribution(epsilon)
     structure = structure_for(game, LEVEL_Q1_ABC)
     success = success_functional(structure, game, dist)
-    m0, _ = invariant_moments(structure)
     best = -np.inf
     for target, _ in orbit_stabilizers(game, symmetry_group(game, dist)):
         floor = marginal_functional(structure, *target)
         problem = compile_problem(structure, success, (), floor, 0.5 + target_eps_prime)
         solution = solve(problem, tol)
-        best = max(best, npa._upper_value(solution, success, m0, str(target)))
+        best = max(best, npa._upper_value(solution, unit_coefficient(structure, success), str(target)))
     return best
 
 
@@ -721,7 +741,7 @@ def test_critical_success_builds_one_structure(monkeypatch):
     assert calls == [LEVEL_Q1_ABC]
 
 
-SHARED_SET_UP = (npa.build_basis, npa.build_moment_structure, npa._invariant_moments, npa._face_point)
+SHARED_SET_UP = (npa.build_basis, npa.build_moment_structure, npa.invariant_moments, npa._face_point)
 
 
 def test_shared_set_up_never_changes_a_value():
@@ -749,8 +769,8 @@ def test_shared_set_up_is_read_only():
     game, dist = canonical_distribution(0.3)
     relaxation = Relaxation(game, dist)
     structure, face = relaxation.structure, relaxation.face
-    m0, N = invariant_moments(structure, relaxation.orbits[0][1])
-    for array in (structure.cell_ids, structure.indicators, m0, N, face.point):
+    shared = invariant_moments(structure.basis, relaxation.orbits[0][1])
+    for array in (structure.cell_ids, structure.indicators, *shared, face.point):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     with pytest.raises(TypeError):
@@ -919,21 +939,22 @@ def test_cells_that_stalled_in_the_tie_form_solve(epsilon, floor):
 
 
 def orbit_problems(relaxation, floor, floor_on_success=True):
-    """(target, objective, m0, problem) per orbit as `_orbit_max` compiles
-    them: with the floor on the success functional, or on the marginal."""
+    """(target, offset, problem) per orbit as `_orbit_max` compiles them,
+    offset being the objective's unit coefficient: with the floor on the
+    success functional, or on the marginal."""
     structure = relaxation.structure
     for target, stabilizer in relaxation.orbits:
         objective, floored = marginal_functional(structure, *target), relaxation.success
         if not floor_on_success:
             objective, floored = floored, objective
-        m0, _ = invariant_moments(structure, stabilizer)
-        yield target, objective, m0, compile_problem(structure, objective, stabilizer, floored, floor)
+        problem = compile_problem(structure, objective, stabilizer, floored, floor)
+        yield target, unit_coefficient(structure, objective), problem
 
 
 def uncut_orbit_max(relaxation, floor, tol, floor_on_success=True):
     """The orbit loop's maximum with every orbit solved to the tolerance."""
-    return max(npa._upper_value(solve(problem, tol), objective, m0, str(target))
-               for target, objective, m0, problem in orbit_problems(relaxation, floor, floor_on_success))
+    return max(npa._upper_value(solve(problem, tol), offset, str(target))
+               for target, offset, problem in orbit_problems(relaxation, floor, floor_on_success))
 
 
 FIGURE2_EPSILONS = [round(0.05 * k, 2) for k in range(1, 10)] + [0.275]
@@ -963,7 +984,7 @@ def test_orbit_problems_split_into_blocks_by_a_permutation(epsilon):
     one 27x27 block."""
     relaxation = Relaxation.canonical(epsilon)
     for floor, floor_on_success in ((0.97, True), (0.7, False)):
-        for target, _, _, problem in orbit_problems(relaxation, floor, floor_on_success):
+        for target, _, problem in orbit_problems(relaxation, floor, floor_on_success):
             lifted = _Lifted(problem)
             assert sorted(np.bincount(lifted.block_of), reverse=True) == [8, 7, 6, 6, 1], target
             assert lifted.mask.shape == (4, 8, 8), target
@@ -983,8 +1004,8 @@ def test_target_000_leads_every_orbit():
     the largest bound."""
     for epsilon, target_eps_prime in LEAD_GRID:
         problems = orbit_problems(Relaxation.canonical(epsilon), 0.5 + target_eps_prime, floor_on_success=False)
-        values = {target: npa._upper_value(solve(problem), objective, m0, str(target))
-                  for target, objective, m0, problem in problems}
+        values = {target: npa._upper_value(solve(problem), offset, str(target))
+                  for target, offset, problem in problems}
         lead = values.pop((0, 0, 0))
         assert max(values.values()) <= lead + 1e-9, (epsilon, target_eps_prime, lead, values)
 
@@ -997,10 +1018,9 @@ def test_no_false_cutoff(epsilon, floor, floor_on_success, tol):
     """For every orbit, a cutoff claiming a value 3e-4 below the full
     solve's is never returned, and the solve is the full one; a cutoff
     claiming 1e-2 above it is returned, in fewer iterations."""
-    for target, objective, m0, problem in orbit_problems(Relaxation.canonical(epsilon), floor, floor_on_success):
+    for target, offset, problem in orbit_problems(Relaxation.canonical(epsilon), floor, floor_on_success):
         full = solve(problem, tol)
-        value = npa._upper_value(full, objective, m0, str(target))
-        offset = float(objective @ m0)
+        value = npa._upper_value(full, offset, str(target))
         kept = solve(problem, tol, offset - (value - 3e-4))
         assert kept.status == STATUS_OPTIMAL, target
         assert (kept.iterations, kept.objective_value) == (full.iterations, full.objective_value)
@@ -1016,32 +1036,36 @@ def test_residual_charge_covers_the_face_point_at_zero(epsilon):
     must bound the relaxation value from above.  That value is 1, the
     GHZ face point's win probability, whose marginals are all 1/2.  The
     bound is exactly 1 for the party-2 orbits at 0.3 and for both orbits
-    at 0; charging |r| without the ||N_j||_1 weights gives 0.9531 and
+    at 0; the same charge over unit-norm columns of N gives 0.9531 and
     0.9268 there."""
     relaxation = Relaxation.canonical(epsilon)
     face_value = float(relaxation.success @ relaxation.face.point)
     assert face_value == 1.0
     bounds = {}
-    for target, objective, m0, problem in orbit_problems(relaxation, 0.5, floor_on_success=False):
+    for target, offset, problem in orbit_problems(relaxation, 0.5, floor_on_success=False):
         X = np.zeros_like(problem.C)
         assert np.array_equal(problem.residuals(X), np.abs(problem.b))
         charge = problem.y_bound @ problem.residuals(X)
-        bounds[target] = float(objective @ m0) - float(np.sum(problem.C * X)) + charge
+        bounds[target] = offset - float(np.sum(problem.C * X)) + charge
         assert bounds[target] >= face_value, target
     exact = [(2, 0, 0), (2, 1, 0)] if epsilon else list(bounds)
     assert [bounds[t] for t in exact] == [1.0] * len(exact)
 
 
-def test_y_bound_is_the_column_l1_norms():
-    """sqrt(|orbit|) for each signed orbit sum, 1 for the trivial group."""
+def test_y_bound_is_one():
+    """Each moment on the orbit of column j is +-z_j, and every moment
+    lies in [-1, 1], so |z_j| <= 1 for every orbit problem and for the
+    trivial group; the column l1 norms, the orbit sizes, bound it more
+    loosely."""
     relaxation = Relaxation.canonical(0.3)
     structure = relaxation.structure
     for target, stabilizer in [((0, 0, 0), ()), *relaxation.orbits]:
-        _, N = invariant_moments(structure, stabilizer)
+        N, _, _ = invariant_moments(structure.basis, stabilizer)
         problem = compile_problem(structure, marginal_functional(structure, *target), stabilizer,
                                   relaxation.success, 0.97)
-        assert np.array_equal(problem.y_bound, np.abs(N).sum(axis=0))
-        assert np.allclose(problem.y_bound ** 2, np.count_nonzero(N, axis=0), rtol=0, atol=1e-12)
+        assert np.array_equal(problem.y_bound, np.ones(N.shape[1]))
+        assert np.array_equal(np.abs(N).max(axis=0), problem.y_bound)
+        assert np.array_equal(np.abs(N).sum(axis=0), np.count_nonzero(N, axis=0))
     trivial = compile_problem(structure, relaxation.success).y_bound
     assert np.array_equal(trivial, np.ones(len(structure.id_cells) - 1))
 
