@@ -32,7 +32,7 @@ from .games import (
     uniform_distribution,
 )
 from .protocol import InfeasibleSlackError, plan_protocol, threshold_gap, threshold_success
-from .simulator import AdversarialDevice, HonestDevice, attack_suite, run_protocol, summarize_output_bits
+from .simulator import AdversarialDevice, HonestDevice, attack_suite, run_batch, summarize_output_bits
 from .sources import ExtremalSource, canonical_mermin_source, constant_sign
 from .strategies import (
     NoiseModel,
@@ -232,11 +232,8 @@ def cmd_simulate(
         device = AdversarialDevice(suite[device_name])
     params = plan_protocol(epsilon, eps_prime, delta, x, tol)
 
-    rows = []
-    seeds = np.random.SeedSequence(seed).spawn(runs)
-    for i, s in enumerate(seeds):
-        run = run_protocol(params, device, np.random.default_rng(s))
-        rows.append({"run": i, **{name: getattr(run, name) for name in SIMULATE_FIELDS}})
+    rows = [{"run": i, **{name: getattr(run, name) for name in SIMULATE_FIELDS}}
+            for i, run in enumerate(run_batch(params, device, runs, seed))]
     est = summarize_output_bits([row["output_bit"] for row in rows])
     summary = [
         f"n_rounds: {params.n_rounds}",

@@ -412,12 +412,12 @@ def _losing_vectors(
 
 def _face_moments(
     structure: MomentMatrixStructure, losing: np.ndarray
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Affine parameterization m = m0 + N z of the moments whose matrix
-    lives on the face: M(m) v = 0 for each row v of `losing`, with unit
-    normalization, a linear system A m = rhs.  N is an orthonormal basis
-    of its null space; None when the system is inconsistent, that is when
-    [A | rhs] has a larger numerical rank than A.
+) -> Optional[tuple[np.ndarray, int]]:
+    """The moments whose matrix lives on the face: M(m) v = 0 for each row
+    v of `losing`, with unit normalization, a linear system A m = rhs.
+    Returns its minimum-norm solution m0 and the number of free moments,
+    the dimension of A's null space; None when the system is inconsistent,
+    that is when [A | rhs] has a larger numerical rank than A.
 
     [A | rhs] = Q [R_A | q] is factored once; A and [A | rhs] share their
     singular values with the small triangular R_A and [R_A | q], whose
@@ -434,7 +434,7 @@ def _face_moments(
     if _numerical_rank(np.linalg.svd(R, compute_uv=False)) > rank:
         return None
     m0 = vt[:rank].T @ ((u[:, :rank].T @ R[:, n]) / s[:rank])
-    return m0, vt[rank:].T.copy()
+    return m0, n - rank
 
 
 def _is_psd(matrix: np.ndarray) -> bool:
@@ -462,9 +462,9 @@ def _face_point(basis: MonomialBasis, losing_bytes: bytes) -> Optional[np.ndarra
     moments = _face_moments(structure, losing)
     if moments is None:
         return None
-    m0, N = moments
-    if N.shape[1]:
-        raise UnsupportedScenarioError(f"the success-1 face has {N.shape[1]} free moments, not one point")
+    m0, free = moments
+    if free:
+        raise UnsupportedScenarioError(f"the success-1 face has {free} free moments, not one point")
     point = np.rint(m0).astype(np.int64)
     matrix = point[structure.cell_ids]
     scaled = np.rint(losing * 2 ** basis.scenario.n_parties).astype(np.int64)

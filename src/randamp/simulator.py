@@ -7,8 +7,10 @@ a per-round strategy schedule and a steering pattern for the input
 source.  The schedule is a list of blocks (fraction of rounds, strategy)
 so an adversary can look perfect for most rounds and cheat in the rest.
 
-Round data is materialized for small round counts.  Planner-sized runs
-(N can reach 1e13 and beyond) are executed in aggregated form instead:
+`run_protocol` takes every run through one set-up, abort test and round
+selection; only the draw of the N rounds comes in two ways.  Round data
+is materialized for small round counts.  Planner-sized runs (N can reach
+1e13 and beyond) are drawn in aggregated form instead:
 per input cell, round counts are multinomial and win counts binomial,
 which is distribution-exact for i.i.d. rounds within each schedule
 block.  The selected round's content is then drawn from the realized
@@ -18,6 +20,7 @@ correlation between survival of the abort test and the selected round's
 win status.  Aggregation requires a round-local steering pattern (the
 sign may depend only on the position within the current two-bit round),
 which keeps rounds i.i.d.; materialized runs accept any pattern.
+`run_batch` runs a batch, run i on the i-th child of SeedSequence(seed).
 
 A materialized run draws its 3 N round uniforms in one call: round j
 reads uniforms 3j and 3j + 1 for its two input bits and 3j + 2 for its
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,6 +69,7 @@ __all__ = [
     "ProtocolRun",
     "BiasEstimate",
     "run_protocol",
+    "run_batch",
     "summarize_output_bits",
     "estimate_output_bias",
     "attack_suite",
@@ -255,20 +259,97 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
     Steps: (1) N rounds of the tripartite game on source-drawn inputs,
     (2) abort iff the win fraction is at or below the planned threshold,
     (3) select a round with further source bits and emit the first
-    party's outcome from it.  Aborts are data, not errors.
+    party's outcome from it.  Aborts are data, not errors.  Step (1) is
+    drawn materialized or aggregated; either draw yields the total wins,
+    p_avg, the sign-pattern state that selection continues from, `emit`
+    (the selected round's output bit) and the transcript.
     """
     game = mermin_game()
     rng = np.random.default_rng(seed)
     blocks, source = _resolve_schedule(params, device, rng, game)
     n = params.n_rounds
-    if n <= MATERIALIZE_LIMIT:
-        return _run_materialized(params, blocks, source, rng, game)
-    if not source.sign.round_local:
+    aggregated = n > MATERIALIZE_LIMIT
+    if aggregated and not source.sign.round_local:
         raise ValueError(
             f"{n} rounds exceed the materialization limit and the steering "
             "pattern is not round-local, so the run cannot be aggregated"
         )
-    return _run_aggregated(params, blocks, source, rng, game)
+    counts = _block_round_counts(blocks, n)
+    behaviors = [_block_behavior(b.strategy, game) for b in blocks]
+    # input cells indexed by 2a + b, where a and b are the round's source bits
+    cells = [(a, b, a ^ b) for a in (0, 1) for b in (0, 1)]
+    win_table = _win_table(game, cells)
+    win_prob = [tuple(_win_probability(bh.table[x], w) for x, w in zip(cells, win_table)) for bh in behaviors]
+
+    if aggregated:
+        dist = input_distribution_from_source(game, source)
+        p_vec = np.array([dist.prob(x) for x in cells])
+        p_vec = p_vec / p_vec.sum()
+        cell_counts, cell_wins = [], []
+        p_avg = 0.0
+        for nb, w in zip(counts, win_prob):
+            nc = rng.multinomial(nb, p_vec) if nb else np.zeros(len(cells), dtype=np.int64)
+            wp = np.clip(w, 0.0, 1.0)
+            cell_counts.append(nc)
+            cell_wins.append(rng.binomial(nc, wp))
+            p_avg += (nb / n) * float(p_vec @ wp)
+        total_wins = sum(int(wc.sum()) for wc in cell_wins)
+        # Selection bits: round-local steering means their conditionals never
+        # reach back into the round bits (even stream positions restart each
+        # round's pattern, and 2N is even), so the pattern's start state is exact.
+        state = source.sign.start
+        transcript = {}
+
+        def emit(idx: int) -> int:
+            """The selected round's block, then its cell and win status from
+            the block's realized counts, then the first party's bit."""
+            k = int(np.searchsorted(np.cumsum(counts), idx, side="right"))
+            nc, wc = cell_counts[k], cell_wins[k]
+            c = int(rng.choice(len(cells), p=nc / nc.sum()))
+            won = rng.random() < (wc[c] / nc[c])
+            p_zero = _alice_zero_given_status(behaviors[k].table[cells[c]], win_table[c], bool(won))
+            return 0 if rng.random() < p_zero else 1
+    else:
+        # round j reads uniforms 3j and 3j + 1 for its input bits, 3j + 2 for its outputs
+        uniforms = rng.random(3 * n)
+        cell_index, p_avg_sum, state = _draw_inputs(source, counts, win_prob, uniforms[0::3], uniforms[1::3])
+        u_out = uniforms[2::3]
+        out_cells = game.all_outputs()
+        flat = np.empty(n, dtype=np.intp)
+        start = 0
+        for count, bh in zip(counts, behaviors):
+            for c, x in enumerate(cells):
+                rounds = start + np.flatnonzero(cell_index[start:start + count] == c)
+                flat[rounds] = np.searchsorted(np.cumsum(bh.table[x].ravel()), u_out[rounds], side="right")
+            start += count
+        np.minimum(flat, len(out_cells) - 1, out=flat)
+        won = win_table[cell_index, flat]
+        total_wins = int(won.sum())
+        p_avg = p_avg_sum / n
+        outputs = tuple(out_cells[i] for i in flat.tolist())
+        transcript = {"inputs": tuple(cells[c] for c in cell_index.tolist()), "outputs": outputs,
+                      "wins": tuple(won.tolist())}
+
+        def emit(idx: int) -> int:
+            return outputs[idx][0]
+
+    p_est = total_wins / n
+    aborted = p_est <= params.p_threshold
+    selected, draws = (None, 0) if aborted else _select_round(source, state, rng, n)
+    return ProtocolRun(
+        n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=aborted,
+        selected_round=selected, output_bit=None if aborted else emit(selected), p_avg=p_avg,
+        source_bits_used=2 * n + draws * _selection_bit_count(n), selection_draws=draws,
+        aggregated=aggregated, **transcript,
+    )
+
+
+def run_batch(params: ProtocolParams, device: DeviceModel, runs: int, seed) -> Iterator[ProtocolRun]:
+    """`runs` protocol runs, run i on the i-th child of SeedSequence(seed),
+    each executed as it is iterated."""
+    if runs < 1:
+        raise ValueError(f"need at least one run, got {runs}")
+    return (run_protocol(params, device, s) for s in np.random.SeedSequence(seed).spawn(runs))
 
 
 def _round_win_probability(pa: float, pb_0: float, pb_1: float, w: tuple[float, ...]) -> float:
@@ -332,119 +413,6 @@ def _draw_inputs(
     return np.array(cell_index, dtype=np.intp), p_avg_sum, state
 
 
-def _run_materialized(
-    params: ProtocolParams,
-    blocks: tuple[ScheduleBlock, ...],
-    source: ExtremalSource,
-    rng: np.random.Generator,
-    game: GameSpec,
-) -> ProtocolRun:
-    n = params.n_rounds
-    counts = _block_round_counts(blocks, n)
-    behaviors = [_block_behavior(b.strategy, game) for b in blocks]
-    # input cells indexed by 2a + b, where a and b are the round's source bits
-    cells = [(a, b, a ^ b) for a in (0, 1) for b in (0, 1)]
-    win_table = _win_table(game, cells)
-    win_prob = [tuple(_win_probability(bh.table[x], w) for x, w in zip(cells, win_table)) for bh in behaviors]
-
-    # round j reads uniforms 3j and 3j + 1 for its input bits, 3j + 2 for its outputs
-    uniforms = rng.random(3 * n)
-    cell_index, p_avg_sum, state = _draw_inputs(source, counts, win_prob, uniforms[0::3], uniforms[1::3])
-    u_out = uniforms[2::3]
-    out_cells = game.all_outputs()
-    flat = np.empty(n, dtype=np.intp)
-    start = 0
-    for count, bh in zip(counts, behaviors):
-        for c, x in enumerate(cells):
-            rounds = start + np.flatnonzero(cell_index[start:start + count] == c)
-            flat[rounds] = np.searchsorted(np.cumsum(bh.table[x].ravel()), u_out[rounds], side="right")
-        start += count
-    np.minimum(flat, len(out_cells) - 1, out=flat)
-    won = win_table[cell_index, flat]
-
-    inputs = tuple(cells[c] for c in cell_index.tolist())
-    outputs = tuple(out_cells[i] for i in flat.tolist())
-    wins = tuple(won.tolist())
-    total_wins = int(won.sum())
-    p_est = total_wins / n
-    p_avg = p_avg_sum / n
-    if p_est <= params.p_threshold:
-        return ProtocolRun(
-            n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=True,
-            selected_round=None, output_bit=None, p_avg=p_avg,
-            source_bits_used=2 * n, selection_draws=0, aggregated=False,
-            inputs=inputs, outputs=outputs, wins=wins,
-        )
-
-    idx, draws = _select_round(source, state, rng, n)
-    return ProtocolRun(
-        n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=False,
-        selected_round=idx, output_bit=outputs[idx][0], p_avg=p_avg,
-        source_bits_used=2 * n + draws * _selection_bit_count(n), selection_draws=draws, aggregated=False,
-        inputs=inputs, outputs=outputs, wins=wins,
-    )
-
-
-def _run_aggregated(
-    params: ProtocolParams,
-    blocks: tuple[ScheduleBlock, ...],
-    source: ExtremalSource,
-    rng: np.random.Generator,
-    game: GameSpec,
-) -> ProtocolRun:
-    n = params.n_rounds
-    counts = _block_round_counts(blocks, n)
-    behaviors = [_block_behavior(b.strategy, game) for b in blocks]
-
-    dist = input_distribution_from_source(game, source)
-    cells = game.admissible_inputs()
-    win_table = _win_table(game, cells)
-    p_vec = np.array([dist.prob(x) for x in cells])
-    p_vec = p_vec / p_vec.sum()
-
-    cell_counts = []
-    cell_wins = []
-    p_avg = 0.0
-    for k, nb in enumerate(counts):
-        nc = rng.multinomial(nb, p_vec) if nb else np.zeros(len(cells), dtype=np.int64)
-        wp = np.clip([_win_probability(behaviors[k].table[x], w) for x, w in zip(cells, win_table)], 0.0, 1.0)
-        wc = rng.binomial(nc, wp)
-        cell_counts.append(nc)
-        cell_wins.append(wc)
-        p_avg += (nb / n) * float(p_vec @ wp)
-
-    total_wins = int(sum(int(w.sum()) for w in cell_wins))
-    p_est = total_wins / n
-    base_bits = 2 * n
-    if p_est <= params.p_threshold:
-        return ProtocolRun(
-            n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=True,
-            selected_round=None, output_bit=None, p_avg=p_avg,
-            source_bits_used=base_bits, selection_draws=0, aggregated=True,
-        )
-
-    # Selection bits: round-local steering means their conditionals never
-    # reach back into the round bits (even stream positions restart each
-    # round's pattern, and 2N is even), so the pattern's start state is exact.
-    idx, draws = _select_round(source, source.sign.start, rng, n)
-
-    bounds = np.cumsum(counts)
-    k = int(np.searchsorted(bounds, idx, side="right"))
-    nc, wc = cell_counts[k], cell_wins[k]
-    cell_idx = int(rng.choice(len(cells), p=nc / nc.sum()))
-    x = cells[cell_idx]
-    won = rng.random() < (wc[cell_idx] / nc[cell_idx])
-    p_zero = _alice_zero_given_status(behaviors[k].table[x], win_table[cell_idx], bool(won))
-    bit = 0 if rng.random() < p_zero else 1
-
-    return ProtocolRun(
-        n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=False,
-        selected_round=idx, output_bit=bit, p_avg=p_avg,
-        source_bits_used=base_bits + draws * _selection_bit_count(n), selection_draws=draws,
-        aggregated=True,
-    )
-
-
 @dataclass(frozen=True)
 class BiasEstimate:
     """Empirical output-bit bias over repeated protocol runs."""
@@ -495,14 +463,9 @@ def summarize_output_bits(output_bits: Sequence[Optional[int]]) -> BiasEstimate:
 def estimate_output_bias(
     params: ProtocolParams, device: DeviceModel, runs: int, seed
 ) -> BiasEstimate:
-    """Run the protocol `runs` times, run i on the i-th child of
-    SeedSequence(seed), and summarize the emitted bits."""
-    if runs < 1:
-        raise ValueError(f"need at least one run, got {runs}")
-    seeds = np.random.SeedSequence(seed).spawn(runs)
-    return summarize_output_bits(
-        [run_protocol(params, device, np.random.default_rng(s)).output_bit for s in seeds]
-    )
+    """Summarize the emitted bits of `run_batch(params, device, runs, seed)`,
+    the batch `randamp simulate` prints."""
+    return summarize_output_bits([run.output_bit for run in run_batch(params, device, runs, seed)])
 
 
 def attack_suite() -> dict[str, AdversaryModel]:

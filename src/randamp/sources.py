@@ -55,7 +55,6 @@ class SignPattern:
     sign: Callable[[Any], int]
     step: Callable[[Any, int], Any]
     start: Any
-    name: str = "custom"
     round_local: bool = False
     window: Optional[int] = None
 
@@ -80,14 +79,14 @@ class SignPattern:
 def constant_sign(sign: int) -> SignPattern:
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    return SignPattern(lambda state: sign, lambda state, bit: 0, 0, name=f"const{sign:+d}", round_local=True)
+    return SignPattern(lambda state: sign, lambda state, bit: 0, 0, round_local=True)
 
 
 def parity_sign() -> SignPattern:
     """+1 after an even number of ones in the history, -1 otherwise.
 
     The state is the parity of the ones so far."""
-    return SignPattern((1, -1).__getitem__, operator.xor, 0, name="parity")
+    return SignPattern((1, -1).__getitem__, operator.xor, 0)
 
 
 def round_position_sign(first: int, second_given_0: int, second_given_1: int) -> SignPattern:
@@ -97,9 +96,7 @@ def round_position_sign(first: int, second_given_0: int, second_given_1: int) ->
 
     State 0 is the start of a round, state 1 + b follows a first bit b."""
     signs = (first, second_given_0, second_given_1)
-    return SignPattern(
-        signs.__getitem__, lambda state, bit: 0 if state else 1 + bit, 0, name="round-steered", round_local=True
-    )
+    return SignPattern(signs.__getitem__, lambda state, bit: 0 if state else 1 + bit, 0, round_local=True)
 
 
 def table_sign(table: dict[History, int], depth: int, default: int = 1) -> SignPattern:
@@ -119,7 +116,7 @@ def table_sign(table: dict[History, int], depth: int, default: int = 1) -> SignP
         # past depth bits, drop the oldest and keep the marker at bit `depth`
         return state if state < 2 * full else full | (state & (full - 1))
 
-    return SignPattern(signs.__getitem__, step, 1, name=f"table(d={depth})", window=depth)
+    return SignPattern(signs.__getitem__, step, 1, window=depth)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from randamp.simulator import (
     _wilson_interval,
     attack_suite,
     estimate_output_bias,
+    run_batch,
     run_protocol,
 )
 from randamp.games import mermin_game
@@ -41,13 +42,11 @@ def make_params(n_rounds, p_threshold, epsilon=0.3, x=0.01, p_crit=0.97):
 
 
 def collect_runs(params, device, runs, seed):
-    seeds = np.random.SeedSequence(seed).spawn(runs)
     wins = []
     aborts = 0
     zeros = 0
     emitted = 0
-    for s in seeds:
-        run = run_protocol(params, device, np.random.default_rng(s))
+    for run in run_batch(params, device, runs, seed):
         wins.append(run.total_wins)
         if run.aborted:
             aborts += 1
@@ -237,6 +236,32 @@ def test_materialized_runs_match_the_round_loop(name, epsilon):
             params = make_params(n, p_threshold, epsilon=epsilon, p_crit=0.999)
             for seed in range(3):
                 assert run_protocol(params, device, seed) == loop_run_protocol(params, device, seed)
+
+
+# Aggregated runs at N = 5000, threshold 0.9 and seed 0: total_wins,
+# p_avg.hex(), selected_round, output_bit and selection_draws.
+AGGREGATED_DRAWS = {
+    "honest": (5000, "0x1.0000000000000p+0", 4352, 1, 1),
+    "depolarized": (4996, "0x1.ffbe76c8b4399p-1", 4352, 1, 1),
+    "steered-deterministic": (4768, "0x1.eb851eb851eb8p-1", 768, 0, 2),
+    "all-zeros": (3177, "0x1.47ae147ae147cp-1", None, None, 0),
+    "round-split": (5000, "0x1.fffac1d29dc72p-1", 512, 1, 1),
+    "threshold-riding": (5000, "0x1.0000000000000p+0", 2176, 1, 1),
+    "lambda-mixture": (4821, "0x1.eb851eb851ebap-1", 2234, 0, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGGREGATED_DRAWS))
+def test_aggregated_runs_keep_their_draws(name, monkeypatch):
+    """The aggregated draws have no per-round reference, so these values
+    pin them bit for bit: the multinomial and binomial counts, the order
+    in which p_avg is summed, the selection and the selected round's
+    cell, win and bit draws.  all-zeros aborts."""
+    monkeypatch.setattr(sim, "MATERIALIZE_LIMIT", 0)
+    run = run_protocol(make_params(5000, 0.9), REFERENCE_DEVICES[name], seed=0)
+    assert run.aggregated
+    got = (run.total_wins, run.p_avg.hex(), run.selected_round, run.output_bit, run.selection_draws)
+    assert got == AGGREGATED_DRAWS[name]
 
 
 def counted(pattern, calls):
