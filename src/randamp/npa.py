@@ -38,17 +38,18 @@ face condition is linear in the moments, and under the canonical
 source, at every epsilon < 1/2, it leaves one integer moment point,
 checked exactly, at which every marginal is 1/2.
 
-A `Relaxation` holds what one (game, dist) needs, built once per call:
-the structure, the success functional and the target orbits of the
-symmetry group of (game, dist), enumerated once (`symmetry_group`),
-each with its representative's stabilizer; its face is built on the
-first floor-1 query.  Its one orbit loop solves one representative per
-orbit, below floor 1 over the moments its stabilizer fixes
-(`invariant_moments`: a symmetry maps each basis word to +- a basis
-word, so the fixed moments are spanned by the unit vector and +-1
-orbit indicators), and takes the largest bound; a solve after the
-first stops as soon as it shows that its orbit cannot beat the largest
-bound so far (`Relaxation._orbit_max`).  `p_max` runs it with the
+A `Relaxation` holds what one (game, dist) needs: the structure, the
+success functional and the target orbits of the symmetry group of
+(game, dist) (`symmetry_group`), each with its representative's
+stabilizer; its face is built on the first floor-1 query.  Its one
+orbit loop solves one representative per orbit, below floor 1 over the
+moments its stabilizer fixes (`invariant_moments`: a symmetry maps each
+basis word to +- a basis word, so the fixed moments are spanned by the
+unit vector and +-1 orbit indicators), and takes the largest bound.
+The first orbit is solved alone; the others are solved together in one
+lockstep stack (`sdp.solve_stack`), each stopping as soon as it shows
+that its orbit cannot beat the first bound (`Relaxation._orbit_max`).
+`p_max` runs it with the
 target's marginal as objective and the floor on the win probability,
 `critical_success` with the two swapped.  Objective and floor
 functional are fixed by the stabilizer, so averaging an optimum over it
@@ -60,8 +61,13 @@ What does not depend on the input probabilities is built once per
 process and shared read-only: the basis and structure per (scenario,
 level), each stabilizer's invariant moments with their block stack per
 (basis, stabilizer), and the face point per (basis, losing vectors).
-No key holds epsilon, so every relaxation after the first reuses them,
-and a value never depends on what the process computed before.
+What depends on them only through their pattern is built once per
+source pattern: the target orbits per (game, which admissible inputs
+have equal probabilities within DIST_TOL), and the success functional's
+per-cell rows and the losing vectors per (game, which have positive
+probability).  No key holds epsilon, so every relaxation after the
+first of its pattern reuses them, and a value never depends on what the
+process computed before.
 """
 
 from __future__ import annotations
@@ -84,6 +90,7 @@ from .sdp import (
     STATUS_UNBOUNDED,
     TOLERANCE,
     solve,
+    solve_stack,
 )
 from .sources import canonical_mermin_source
 
@@ -308,21 +315,48 @@ def marginal_functional(
     return c
 
 
+def _positive_inputs(game: GameSpec, dist: InputDistribution) -> tuple[bool, ...]:
+    """Which admissible inputs of `game` have positive probability."""
+    return tuple(dist.prob(x) > 0.0 for x in game.admissible_inputs())
+
+
+def _equal_inputs(game: GameSpec, dist: InputDistribution) -> tuple[tuple[bool, ...], ...]:
+    """Which pairs of admissible inputs of `game` have probabilities
+    within DIST_TOL of each other, as a matrix."""
+    p = [dist.prob(x) for x in game.admissible_inputs()]
+    return tuple(tuple(abs(a - b) <= DIST_TOL for b in p) for a in p)
+
+
+@functools.lru_cache(maxsize=64)
+def _success_rows(
+    basis: MonomialBasis, game: GameSpec, positive: tuple[bool, ...]
+) -> tuple[tuple[tuple[int, ...], np.ndarray, np.ndarray], ...]:
+    """Each admissible input cell x with positive probability (`positive`)
+    and a winning output, with the moment ids of its outcome expansion
+    and the winning outputs' coefficients summed on them, built once per
+    (basis, game, positive pattern) and read-only."""
+    structure = build_moment_structure(basis)
+    rows = []
+    for x, px_positive in zip(game.admissible_inputs(), positive):
+        wins = [o for o in game.all_outputs() if game.win(x, o)]
+        if not px_positive or not wins:
+            continue
+        words, coefs = _outcome_expansion(game.n_parties, wins, x)
+        ids, coefs = np.array([_moment_id(structure, word) for word in words]), coefs.sum(axis=0)
+        _read_only(ids, coefs)
+        rows.append((x, ids, coefs))
+    return tuple(rows)
+
+
 def success_functional(
     structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution
 ) -> np.ndarray:
     """Win probability under `dist` as moment coefficients: per input
     cell, the winning outputs' coefficients are summed before they are
-    placed on the moments."""
+    placed on the moments, cell by cell (`_success_rows`)."""
     c = np.zeros(len(structure.id_cells))
-    for x in game.admissible_inputs():
-        px = dist.prob(x)
-        wins = [o for o in game.all_outputs() if game.win(x, o)]
-        if px == 0.0 or not wins:
-            continue
-        words, coefs = _outcome_expansion(game.n_parties, wins, x)
-        for word, coef in zip(words, px * coefs.sum(axis=0)):
-            c[_moment_id(structure, word)] += coef
+    for x, ids, coefs in _success_rows(structure.basis, game, _positive_inputs(game, dist)):
+        np.add.at(c, ids, dist.prob(x) * coefs)
     return c
 
 
@@ -387,18 +421,26 @@ def _losing_vectors(
     structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution
 ) -> np.ndarray:
     """One row per losing (outputs, inputs) whose inputs have positive
-    probability: its outcome operator vector v over the basis words.
+    probability: its outcome operator vector v over the basis words,
+    read-only (`_losing_bytes`).
 
     The joint outcome operator is itself a projector Q, and
     P(outputs|inputs) = <Q> = v^T M v, provided every word of its
     expansion (`_outcome_expansion`) is a basis word.  The words of one
     input cell are distinct, so each row holds one coefficient per word."""
-    basis = structure.basis
+    losing = _losing_bytes(structure.basis, game, _positive_inputs(game, dist))
+    return np.frombuffer(losing).reshape(-1, structure.dimension)
+
+
+@functools.lru_cache(maxsize=64)
+def _losing_bytes(basis: MonomialBasis, game: GameSpec, positive: tuple[bool, ...]) -> bytes:
+    """The float64 bytes of `_losing_vectors`, built once per (basis,
+    game, positive pattern); they key the shared face point."""
     index = {w: i for i, w in enumerate(basis.words)}
     blocks = []
-    for x in game.admissible_inputs():
+    for x, px_positive in zip(game.admissible_inputs(), positive):
         losing = [o for o in game.all_outputs() if not game.win(x, o)]
-        if dist.prob(x) <= 0.0 or not losing:
+        if not px_positive or not losing:
             continue
         words, coefs = _outcome_expansion(basis.scenario.n_parties, losing, x)
         missing = [w for w in words if w not in index]
@@ -407,7 +449,7 @@ def _losing_vectors(
         block = np.zeros((len(losing), len(basis.words)))
         block[:, [index[w] for w in words]] = coefs
         blocks.append(block)
-    return np.vstack(blocks) if blocks else np.zeros((0, len(basis.words)))
+    return (np.vstack(blocks) if blocks else np.zeros((0, len(basis.words)))).tobytes()
 
 
 def _face_moments(
@@ -496,7 +538,7 @@ class SuccessFaceContext:
 
     def __init__(self, structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution):
         self.structure = structure
-        self.point = _face_point(structure.basis, _losing_vectors(structure, game, dist).tobytes())
+        self.point = _face_point(structure.basis, _losing_bytes(structure.basis, game, _positive_inputs(game, dist)))
 
     def bound(self, objective: np.ndarray) -> Optional[float]:
         """max objective @ m over the face, objective @ point (exact for
@@ -561,6 +603,13 @@ def symmetry_group(game: GameSpec, dist: InputDistribution) -> tuple[Symmetry, .
     normalized) with the same win probability, sending the marginal of a
     target to that of its image.
     """
+    return _symmetry_group(game, _equal_inputs(game, dist))
+
+
+def _symmetry_group(game: GameSpec, equal: tuple[tuple[bool, ...], ...]) -> tuple[Symmetry, ...]:
+    """`symmetry_group` of a distribution whose equality pattern over the
+    admissible inputs is `equal` (`_equal_inputs`), the only way it
+    depends on the distribution."""
     n = game.n_parties
     admissible = game.admissible_inputs()
     row_of = {x: i for i, x in enumerate(admissible)}
@@ -584,7 +633,7 @@ def symmetry_group(game: GameSpec, dist: InputDistribution) -> tuple[Symmetry, .
         moved = {x: tuple(x[p] for p in source) for x in game.all_inputs()}
         if any(game.promise(moved[x]) != game.promise(x) for x in moved):
             continue
-        if any(abs(dist.prob(moved[x]) - dist.prob(x)) > DIST_TOL for x in admissible):
+        if not all(equal[row_of[moved[x]]][row_of[x]] for x in admissible):
             continue
         moved_rows = np.array([row_of[moved[x]] for x in admissible]).repeat(len(outputs))
         # image outputs, (pattern, entry, role): o[p] ^ flip[p, x[p]] with p = source[q]
@@ -613,6 +662,15 @@ def orbit_stabilizers(
         (orbit[0], tuple(g for g in group if g.target(orbit[0]) == orbit[0]))
         for orbit in _orbits(game, group)
     ]
+
+
+@functools.lru_cache(maxsize=64)
+def _target_orbits(
+    game: GameSpec, equal: tuple[tuple[bool, ...], ...]
+) -> tuple[tuple[tuple[int, int, int], tuple[Symmetry, ...]], ...]:
+    """`orbit_stabilizers` of the symmetry group of a distribution with
+    equality pattern `equal`, built once per (game, pattern) and shared."""
+    return tuple(orbit_stabilizers(game, _symmetry_group(game, equal)))
 
 
 def _signed_permutation(
@@ -698,25 +756,39 @@ def _upper_value(
     raise SolverFailureError(f"solver returned {solution.status} for {what}")
 
 
+@functools.cache
+def _mermin() -> GameSpec:
+    """The Mermin game of every `Relaxation.canonical`: one object, since
+    the set-up shared per source pattern is keyed on the game."""
+    return mermin_game()
+
+
 class Relaxation:
     """The relaxation of (game, dist), for any 3-party game with binary
-    outputs, at level Q1+ABC, built once per call: the moment structure
-    (shared per scenario), the success functional and each target
-    orbit's representative with its stabilizer (`orbit_stabilizers`).
-    The success-1 face is built on the first floor-1 query and kept.
+    outputs, at level Q1+ABC: the moment structure (shared per scenario),
+    the success functional and each target orbit's representative with
+    its stabilizer (`orbit_stabilizers`).  The success-1 face is built on
+    the first floor-1 query and kept.
+
+    What these need of dist is set up once per source pattern and shared
+    read-only: the orbits per (game, which admissible inputs have equal
+    probabilities within DIST_TOL), the success functional's per-cell
+    rows and the face's losing vectors per (game, which have positive
+    probability).  A relaxation only weighs the rows by dist's
+    probabilities, so each is the one a fresh set-up gives, bit for bit.
 
     `p_max` and `critical_success` run the one orbit loop, `_orbit_max`:
     the first with each target's marginal as objective and the floor on
     the success functional, the second with the two swapped.  An orbit
-    that cannot beat the largest bound found before it stops at a
-    cutoff instead of being solved to the tolerance."""
+    that cannot beat the first orbit's bound stops at a cutoff instead of
+    being solved to the tolerance."""
 
     def __init__(self, game: GameSpec, dist: InputDistribution):
         self.game = game
         self.dist = dist
         self.structure = structure_for(game, LEVEL_Q1_ABC)
         self.success = success_functional(self.structure, game, dist)
-        self.orbits = orbit_stabilizers(game, symmetry_group(game, dist))
+        self.orbits = _target_orbits(game, _equal_inputs(game, dist))
         self._face: Optional[SuccessFaceContext] = None
 
     @classmethod
@@ -725,7 +797,7 @@ class Relaxation:
         canonical source of bias `epsilon`.  It stands for all eight
         round-local extremal sources `round_position_sign(s1, s2|0, s2|1)`:
         at epsilon 0.1 and 0.3 they give the same bounds within 1e-9."""
-        game = mermin_game()
+        game = _mermin()
         return cls(game, input_distribution_from_source(game, canonical_mermin_source(epsilon)))
 
     @property
@@ -757,34 +829,42 @@ class Relaxation:
         two are swapped.  Both are fixed by the stabilizer, so the
         reduction keeps each value (see `invariant_moments`).
 
-        Orbits are taken in sorted order, so (0, 0, 0) comes first.  Once
-        there is a bound `best`, each later solve gets the cutoff c.m0 -
-        best, with c.m0 c's unit coefficient, and ends as soon as an
-        iterate shows, by `compile_problem`'s residual charge, that its
-        orbit's value is at most `best`; that orbit is then skipped.  The
-        answer stays an upper bound: a skipped orbit's value is at most
-        its charged bound, which is at most `best`.  It is the maximum full solves give unless a cut
-        orbit's full solve would have read above `best`.
-        The cutting iterate is PSD only up to the rounding of a plain
-        Cholesky factorization, so, like every value here, a cut is not
-        rigorously certified."""
-        on_face = floor_on_success and floor == 1.0
-        best = -np.inf
-        for target, stabilizer in self.orbits:
-            marginal = marginal_functional(self.structure, *target)
-            if on_face:
-                value = self.face.bound(marginal)
-            else:
+        Orbits are taken in sorted order, so (0, 0, 0) comes first and is
+        solved alone (`solve`), to the bound `first`.  The other orbits are
+        solved together in one lockstep stack (`solve_stack`), each with
+        the cutoff c.m0 - first, c.m0 being c's unit coefficient: an
+        orbit's solve ends as soon as an iterate shows, by
+        `compile_problem`'s residual charge, that its value is at most
+        `first`, and that orbit is then left out.  One that ends optimal
+        instead enters the maximum.  The answer stays an upper bound: a
+        left-out orbit's value is at most its charged bound, which is at
+        most `first`.  It is the maximum full solves give unless a cut
+        orbit's full solve would have read above `first`.  The cutting
+        iterate is PSD only up to the rounding of a plain Cholesky
+        factorization, so, like every value here, a cut is not rigorously
+        certified."""
+        marginals = [marginal_functional(self.structure, *target) for target, _ in self.orbits]
+        if floor_on_success and floor == 1.0:
+            values: Iterable[Optional[float]] = (self.face.bound(marginal) for marginal in marginals)
+        else:
+            problems, offsets = [], []
+            for (_, stabilizer), marginal in zip(self.orbits, marginals):
                 objective, floored = marginal, self.success
                 if not floor_on_success:
                     objective, floored = floored, objective
-                problem = compile_problem(self.structure, objective, stabilizer, floored, floor)
-                offset = float(objective[self.structure.unit_id])
-                solution = solve(problem, tol, None if best == -np.inf else offset - best)
-                if solution.status == STATUS_CUTOFF:
-                    continue
-                value = _upper_value(solution, offset, f"target {target}",
-                                     floor_may_be_infeasible=floor_on_success)
+                problems.append(compile_problem(self.structure, objective, stabilizer, floored, floor))
+                offsets.append(float(objective[self.structure.unit_id]))
+            solutions = [solve(problems[0], tol)]
+            first = _upper_value(solutions[0], offsets[0], f"target {self.orbits[0][0]}", floor_on_success)
+            if first is not None:
+                solutions += solve_stack(problems[1:], tol, [offset - first for offset in offsets[1:]])
+            values = (
+                _upper_value(solution, offset, f"target {target}", floor_may_be_infeasible=floor_on_success)
+                for solution, offset, (target, _) in zip(solutions, offsets, self.orbits)
+                if solution.status != STATUS_CUTOFF
+            )
+        best = -np.inf
+        for value in values:
             if value is None:
                 raise InfeasibleSuccessError(f"success floor {floor} exceeds the quantum maximum")
             best = max(best, value)

@@ -92,18 +92,42 @@ def deviation_confidence(x: float, n_rounds: int, epsilon: float) -> float:
 
 
 def rounds_needed(x: float, deviation_budget: float, epsilon: float) -> int:
-    """Smallest N with deviation_confidence(x, N, epsilon) <= budget."""
+    """Smallest N with deviation_confidence(x, N, epsilon) <= budget.
+
+    The float estimate of N can miss that threshold by float roundoff, and
+    at large N consecutive doubles lie far apart, so the float predicate
+    is constant over long runs of integers.  It is nonincreasing in N, so
+    a step doubled away from the estimate brackets the threshold and a
+    bisection finds it, in O(log) evaluations of the predicate."""
     if not x > 0:
         raise ValueError(f"slack x must be positive, got {x}")
     if not 0.0 < deviation_budget < 1.0:
         raise ValueError(f"deviation budget must lie in (0, 1), got {deviation_budget}")
+
+    def holds(n: int) -> bool:
+        return deviation_confidence(x, n, epsilon) <= deviation_budget
+
     n = max(1, math.ceil(_concentration_factor(epsilon) * math.log(1.0 / deviation_budget) / (x * x)))
-    # float roundoff can land the ceiling one off the exact threshold
-    while n > 1 and deviation_confidence(x, n - 1, epsilon) <= deviation_budget:
-        n -= 1
-    while deviation_confidence(x, n, epsilon) > deviation_budget:
-        n += 1
-    return n
+    # bracket the threshold: holds(hi), and not holds(lo) or lo == 0
+    step = 1
+    if holds(n):
+        lo, hi = n - 1, n
+        while lo >= 1 and holds(lo):
+            hi, lo = lo, lo - step
+            step *= 2
+        lo = max(lo, 0)
+    else:
+        lo, hi = n, n + 1
+        while not holds(hi):
+            lo, hi = hi, hi + step
+            step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def bad_fraction_bound(p_est: float, x: float, p_crit: float) -> float:

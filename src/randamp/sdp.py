@@ -18,6 +18,13 @@ optimum reaches some value can pass it as a `cutoff`: the solve then
 ends at the first iterate whose objective, less a charge for its
 residuals, proves it does.
 
+Several problems can be solved as one stack (`solve_stack`; `solve` is
+a stack of one): one interior-point loop iterates them in lockstep, each
+kernel below runs once over all of them, and each problem keeps its own
+scalars and checks, stops on its own and leaves the stack.  Problems of
+different sizes are padded to the largest constraint count and block
+layout with zero constraint rows and pad rows.
+
 The lifted matrices are held as a stack of diagonal blocks, (B, b, b).
 The blocks are the connected components of the exact nonzero pattern of
 the lifted objective and constraints, so each lifted inequality slack is
@@ -31,25 +38,30 @@ the case B = 1 with no padding.  Pad rows are held at the identity in
 both iterates and are masked out of every direction, so X and Z stay
 exactly block-diagonal, and the gap, the norms, the traces and the
 Farkas eigenvalue read real entries only.  Every kernel (the NT
-scaling's svd, the Cholesky factorizations, the Schur build, the
-eigenvalue step bounds of a pass, X's and Z's together) is one batched
-call over the stack.  The Schur complement is K x K whatever the blocks;
-its Cholesky factor is inverted once per iteration, so each of its
-solves is two matrix-vector products.  Everything is double precision;
+scaling's svd, the Cholesky factorizations, the Schur build and its
+inverse, the eigenvalue step bounds of a pass, X's and Z's together) is
+one batched call over the blocks of every problem of the stack.  The
+Schur complement is K x K whatever the blocks; its Cholesky factor is
+inverted once per iteration, so each of its solves is two
+matrix-vector products.  Everything is double precision;
 intended scale is a lifted dimension <= ~40 with <= ~100 constraints, in
 blocks of up to ~10 rows where the problem has them.
 
 The solver is deterministic: no randomness, no warm starts, fixed
 iteration logic, so identical inputs give identical outputs under one
 BLAS configuration.  Its thread count changes the rounding, which moves
-results within the tolerance.
+results within the tolerance.  Each problem's reductions (sums, norms,
+matrix-vector products) are its own BLAS or pairwise calls, and its
+scalars Python floats, so a stack of one gets the bits the loop gave
+before it ran stacks; within a larger stack a problem may differ from
+its own solve in the last bits.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -251,6 +263,23 @@ class _Lifted:
         self.A = self.stack(A)
         self.A_flat = self.A.reshape(self.K, self.mask.size)
 
+    def pad_to(self, K: int, B: int, b: int) -> None:
+        """Grow the lift to K constraint rows and B slots of b rows, so that
+        the lifts of several problems stack into one array: the new
+        constraint rows are 0 with b_k = 0, and the new slots and rows are
+        pad rows.  `K` stays the number of real constraints."""
+        B0, b0 = self.real.shape
+        if (B0, b0) != (B, b):
+            rows, real = np.zeros((B, b), dtype=int), np.zeros((B, b), dtype=bool)
+            rows[:B0, :b0], real[:B0, :b0] = self.rows, self.real
+            mask, eye, C0 = np.zeros((3, B, b, b))
+            mask[:B0, :b0, :b0], eye[:B0, :b0, :b0], C0[:B0, :b0, :b0] = self.mask, self.eye, self.C0
+            self.rows, self.real, self.mask, self.eye, self.pad, self.C0 = rows, real, mask, eye, np.eye(b) - eye, C0
+        if self.A.shape != (K, B, b, b):
+            A, b_vec = np.zeros((K, B, b, b)), np.zeros(K)
+            A[:self.K, :B0, :b0, :b0], b_vec[:self.K] = self.A, self.b
+            self.A, self.A_flat, self.b = A, A.reshape(K, -1), b_vec
+
     def stack(self, M: np.ndarray) -> np.ndarray:
         """The block stack (..., B, b, b) of lifted matrices M (..., nhat, nhat),
         0 on pads and between blocks."""
@@ -289,40 +318,58 @@ def _nt_scaling(Lx: np.ndarray, Lz: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return lam, Lx @ Vt.swapaxes(-1, -2) / sql, Lz @ U / sql
 
 
-def _step_bounds(lam: np.ndarray, D: np.ndarray) -> tuple[float, float]:
-    """Largest alpha <= 1 keeping diag(lam) + alpha*D[i] >= 0 on every
-    matrix of the stack, for i = 0 and i = 1, from one eigvalsh call.
+def _step_bounds(lam: np.ndarray, D: np.ndarray) -> tuple[list[float], list[float]]:
+    """For each problem p of a stack, the largest alpha <= 1 keeping
+    diag(lam[p]) + alpha*D[i, p] >= 0 on every matrix of p's blocks, for
+    i = 0 and i = 1, from one eigvalsh call: two lists, one step per
+    problem.
 
     With D[0] = rti^T dX rti and D[1] = r^T dZ r the directions in the
     scaled space, these are the step bounds of X + alpha*dX and
     Z + alpha*dZ, read without factoring either iterate.  A pad row of a
     direction is 0 and adds eigenvalue 0, which never binds a step."""
     sql = np.sqrt(lam)
-    lam_min = np.linalg.eigvalsh(_sym(D / (sql[:, :, None] * sql[:, None, :]))).reshape(2, -1).min(axis=1)
-    return tuple(1.0 if m >= -1e-14 else min(1.0, -1.0 / m) for m in lam_min.tolist())
+    scaled = D / (sql[..., :, None] * sql[..., None, :])
+    lam_min = np.linalg.eigvalsh(_sym(scaled)).reshape(2, len(lam), -1).min(axis=2)
+    ap, ad = ([1.0 if m >= -1e-14 else min(1.0, -1.0 / m) for m in row] for row in lam_min.tolist())
+    return ap, ad
 
 
 def _cholesky_step(
-    M: np.ndarray, L: np.ndarray, dM: np.ndarray, alpha: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Shrink alpha by 0.8 until every matrix of M + alpha*dM passes a
-    plain Cholesky.
+    M: np.ndarray, L: np.ndarray, dM: np.ndarray, alpha: list[float]
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """For each problem p of a stack, shrink alpha[p] by 0.8 until every
+    matrix of M[p] + alpha[p]*dM[p] passes a plain Cholesky.
 
-    Returns the step, the new iterate and its factor, which the next
-    iteration reuses; a step that never passes is 0, with M and L kept.
-    The eigenvalue step bound of `_step_bounds` can admit an iterate that
-    is PSD only within rounding, which could not be factored at all."""
-    while alpha > 1e-10:
-        M_next = M + alpha * dM
+    Returns the steps, the new iterates and their factors, which the next
+    iteration reuses; a step that never passes is 0, with M[p] and L[p]
+    kept.  The eigenvalue step bound of `_step_bounds` can admit an
+    iterate that is PSD only within rounding, which could not be factored
+    at all.  The whole stack is factored in one call while every step
+    passes at once."""
+    if min(alpha) > 1e-10:
+        M_next = M + np.array(alpha)[:, None, None, None] * dM
         try:
             return alpha, M_next, np.linalg.cholesky(M_next)
         except np.linalg.LinAlgError:
-            alpha *= 0.8
-    return 0.0, M, L
+            pass
+    steps, M_next, L_next = [0.0] * len(alpha), M.copy(), L.copy()
+    for p, a in enumerate(alpha):
+        while a > 1e-10:
+            M_p = M[p] + a * dM[p]
+            try:
+                L_next[p] = np.linalg.cholesky(M_p)
+            except np.linalg.LinAlgError:
+                a *= 0.8
+                continue
+            steps[p], M_next[p] = a, M_p
+            break
+    return steps, M_next, L_next
 
 
-def _farkas_certificate(lifted: _Lifted, y: np.ndarray, X: np.ndarray) -> Optional[dict]:
-    """Normalized dual ray proving primal infeasibility, if y encodes one.
+def _farkas_certificate(lifted: _Lifted, y: np.ndarray, X: np.ndarray, ynorm: float) -> Optional[dict]:
+    """Normalized dual ray proving primal infeasibility, if y, of norm
+    `ynorm`, encodes one.
 
     A vector y with A*(y) <= 0 and b.y > 0 certifies that no PSD Xh can
     satisfy A(Xh) = b.  Quality is judged by lambda_max(A*(yhat))
@@ -337,7 +384,6 @@ def _farkas_certificate(lifted: _Lifted, y: np.ndarray, X: np.ndarray) -> Option
     eigenvalue, at -(1 + ||A*(yhat)||_F), so the largest eigenvalue of
     the stack is a real one.
     """
-    ynorm = float(np.linalg.norm(y))
     if ynorm < 1.0:
         return None
     yhat = y / ynorm
@@ -369,11 +415,10 @@ def _farkas_certificate(lifted: _Lifted, y: np.ndarray, X: np.ndarray) -> Option
     return None
 
 
-def _unbounded_certificate(lifted: _Lifted, X: np.ndarray) -> Optional[dict]:
+def _unbounded_certificate(lifted: _Lifted, X: np.ndarray, xnorm: float) -> Optional[dict]:
     """Normalized improving ray proving the objective is unbounded; X is
-    the stack of an iterate with 0 on its pad rows, and the ray is the
-    dense lifted matrix."""
-    xnorm = float(np.linalg.norm(X))
+    the stack of an iterate with 0 on its pad rows, of norm `xnorm`, and
+    the ray is the dense lifted matrix."""
     if xnorm < DIVERGENCE_LIMIT:
         return None
     Xhat = X / xnorm
@@ -387,7 +432,7 @@ def _unbounded_certificate(lifted: _Lifted, X: np.ndarray) -> Optional[dict]:
 def solve(problem: SdpProblem, tol: float = TOLERANCE, cutoff: Optional[float] = None) -> SdpSolution:
     """Solve the SDP to relative gap and residuals of at most `tol`, a
     positive finite float; see module docstring for the algorithm
-    outline.
+    outline.  It is `solve_stack` on a stack of one.
 
     With a `cutoff` (which needs `problem.y_bound`), the solve also stops,
     with STATUS_CUTOFF, at the first iterate X that is not optimal yet
@@ -397,75 +442,155 @@ def solve(problem: SdpProblem, tol: float = TOLERANCE, cutoff: Optional[float] =
     dual-feasible y (see `SdpProblem`), and that X is returned.  It is
     PSD only up to the rounding of the plain Cholesky factorization it
     passed, so a cutoff is not a rigorous certificate."""
+    return solve_stack((problem,), tol, (cutoff,))[0]
+
+
+def _apply(A_flat: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A(X) of each problem of a stack, (P, K)."""
+    return (A_flat @ X.reshape(len(X), -1, 1))[..., 0]
+
+
+def _adjoint(A_flat: np.ndarray, y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A*(y) of each problem of a stack, as a stack of blocks of `shape`."""
+    return (y[:, None, :] @ A_flat).reshape(shape)
+
+
+def _sums(M: np.ndarray) -> list[float]:
+    """The sum of each problem's entries of a stack."""
+    return M.reshape(len(M), -1).sum(axis=1).tolist()
+
+
+def _norms(M: np.ndarray) -> list[float]:
+    """The Frobenius norm of each problem's entries of a stack, from one
+    BLAS dot per problem, as `np.linalg.norm` computes it."""
+    flat = M.reshape(len(M), -1)
+    return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0]).tolist()
+
+
+def solve_stack(
+    problems: Sequence[SdpProblem],
+    tol: float = TOLERANCE,
+    cutoffs: Optional[Sequence[Optional[float]]] = None,
+) -> list[SdpSolution]:
+    """Solve each problem as `solve` does, problem i with the cutoff
+    `cutoffs[i]` (None for none, the default for all), in one
+    interior-point loop that iterates them in lockstep.
+
+    Every kernel runs once per iteration over the problems still
+    iterating; each problem keeps its own scalars (gap, mu, sigma, step
+    lengths, best iterate) and its own checks, stops on its own and then
+    leaves the stack.  Problems are padded to the largest K and block
+    layout: a padded constraint row is 0 with b_k = 0 and a unit Schur
+    diagonal, so its dy is 0, and a padded block row is a pad row.
+    Within a stack of several, a problem may differ from its own solve in
+    the last bits."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"solver tolerance must be positive and finite, got {tol}")
-    if cutoff is not None and problem.y_bound is None:
+    cutoffs = (None,) * len(problems) if cutoffs is None else tuple(cutoffs)
+    if len(cutoffs) != len(problems):
+        raise ValueError(f"{len(problems)} problems need as many cutoffs, got {len(cutoffs)}")
+    if any(cutoff is not None and problem.y_bound is None for problem, cutoff in zip(problems, cutoffs)):
         raise ValueError("a cutoff needs the problem's y_bound")
-    lifted = _Lifted(problem)
-    nhat, K = lifted.nhat, lifted.K
-    mask, pad = lifted.mask, lifted.pad
-    diag = np.arange(mask.shape[-1])
+    if not problems:
+        return []
+    lifts = [_Lifted(problem) for problem in problems]
+    b_scale = [max(1.0, float(np.max(np.abs(lifted.b))) if lifted.K else 1.0) for lifted in lifts]
+    c_scale = [max(1.0, float(np.linalg.norm(lifted.C0))) for lifted in lifts]
+    K = max(lifted.K for lifted in lifts)
+    B, b = np.max([lifted.real.shape for lifted in lifts], axis=0).tolist()
+    for lifted in lifts:
+        lifted.pad_to(K, B, b)
+    diag, diag_K = np.arange(b), np.arange(K)
+    padded = any(lifted.K < K for lifted in lifts)
 
-    b_scale = max(1.0, float(np.max(np.abs(lifted.b))) if K else 1.0)
-    c_scale = max(1.0, float(np.linalg.norm(lifted.C0)))
     # pad rows stay at the identity: every direction is 0 on them
-    X = b_scale * lifted.eye + pad
-    Z = max(1.0, c_scale / np.sqrt(nhat)) * lifted.eye + pad
-    Lx, Lz = np.linalg.cholesky(X), np.linalg.cholesky(Z)
-    y = np.zeros(K)
-    # Buffers of the Schur build: fresh (K, B, b, b) products on every
-    # iteration cost more in page faults than in arithmetic.
-    WA, WAW = np.empty_like(lifted.A), np.empty_like(lifted.A)
-    D = np.empty((2, *mask.shape))  # the two directions in the scaled space
+    eye, pad = np.stack([lifted.eye for lifted in lifts]), np.stack([lifted.pad for lifted in lifts])
+    z_scale = [max(1.0, c / np.sqrt(lifted.nhat)) for c, lifted in zip(c_scale, lifts)]
+    X = np.array(b_scale)[:, None, None, None] * eye + pad
+    Z = np.array(z_scale)[:, None, None, None] * eye + pad
+    # the stack of the problems still iterating, `on`, in stack order
+    on = list(range(len(problems)))
+    stack = (
+        np.stack([lifted.C0 for lifted in lifts]),
+        np.stack([lifted.A for lifted in lifts]),
+        np.stack([lifted.b for lifted in lifts]),
+        np.stack([lifted.mask for lifted in lifts]),
+        pad,
+        (diag_K >= np.array([[lifted.K] for lifted in lifts])).astype(float),
+        X, np.linalg.cholesky(X), Z, np.linalg.cholesky(Z), np.zeros((len(problems), K)),
+    )
+    # Buffers of the Schur build and of the two directions in the scaled
+    # space: fresh (K, B, b, b) products on every iteration cost more in
+    # page faults than in arithmetic.
+    WA = WAW = D = np.empty(0)
 
-    status = STATUS_MAX_ITERATIONS
-    certificate: Optional[dict] = None
-    iterations = 0
-    best_merit = np.inf
-    best_X, best_y = X, y
+    solutions: list[Optional[SdpSolution]] = [None] * len(problems)
+    iterations = [0] * len(problems)
+    best_merit = [np.inf] * len(problems)
+    best = [(X[p], stack[-1][p]) for p in on]
 
-    for it in range(MAX_ITERATIONS):
-        iterations = it + 1
+    def finish(p: int, status: str, certificate: Optional[dict] = None, iterate: tuple = ()) -> None:
+        """Problem p's solution: the stopping `iterate` (X, y) when optimal
+        or cut, else its best iterate by merit."""
+        X_p, y_p = iterate if status in (STATUS_OPTIMAL, STATUS_CUTOFF) else best[p]
+        solutions[p] = _build_solution(problems[p], lifts[p].dense(X_p), y_p[:lifts[p].K], status,
+                                       iterations[p], certificate)
+
+    def keep(going: list[int]) -> tuple[list[int], tuple[np.ndarray, ...]]:
+        """The problems at stack positions `going` and their stack."""
+        return [on[j] for j in going], tuple(a[going] for a in stack)
+
+    it = 0
+    while on and it < MAX_ITERATIONS:
+        C0, A, b_vec, mask, pad, schur_pad, X, Lx, Z, Lz, y = stack
+        if WA.shape != A.shape:
+            WA, WAW, D = np.empty_like(A), np.empty_like(A), np.empty((2, *mask.shape))
+        A_flat = A.reshape(len(on), K, -1)
         # the iterates' real entries, 0 on pad rows
         Xr, Zr = X - pad, Z - pad
-        AX = lifted.apply(X)
-        r_p = lifted.b - AX
-        R_d = lifted.C0 - lifted.adjoint(y) - Zr
-        gap = float((Xr * Zr).sum())
-        mu = gap / nhat
+        AX = _apply(A_flat, X)
+        r_p = b_vec - AX
+        R_d = C0 - _adjoint(A_flat, y, mask.shape) - Zr
+        gap, obj = _sums(Xr * Zr), _sums(C0 * X)
+        r_max = np.abs(r_p).max(axis=1, initial=0.0).tolist()
+        norm_R, norm_y, norm_X = _norms(R_d), _norms(y), _norms(Xr)
 
-        obj = float((lifted.C0 * X).sum())
-        rel_gap = gap / max(1.0, abs(obj))
-        pinf = (float(np.abs(r_p).max()) if K else 0.0) / b_scale
-        dinf = float(np.linalg.norm(R_d)) / c_scale
+        # Each problem's checks.  One that stops leaves the stack, and the
+        # others run this iteration again without it.
+        going, mu = [], []
+        for j, p in enumerate(on):
+            iterations[p] = it + 1
+            rel_gap = gap[j] / max(1.0, abs(obj[j]))
+            pinf = r_max[j] / b_scale[p]
+            dinf = norm_R[j] / c_scale[p]
+            merit = max(rel_gap, pinf, dinf)
+            if merit < best_merit[p]:
+                best_merit[p] = merit
+                best[p] = X[j], y[j]
 
-        merit = max(rel_gap, pinf, dinf)
-        if merit < best_merit:
-            best_merit = merit
-            best_X, best_y = X, y
-
-        if rel_gap <= tol and pinf <= tol and dinf <= tol:
-            status = STATUS_OPTIMAL
-            break
-        if cutoff is not None and -obj - float(problem.y_bound @ np.abs(r_p)) >= cutoff:
-            status = STATUS_CUTOFF
-            break
-
-        cert = _farkas_certificate(lifted, y, Xr)
-        if cert is not None:
-            status = STATUS_INFEASIBLE
-            certificate = cert
-            break
-        cert = _unbounded_certificate(lifted, Xr)
-        if cert is not None:
-            status = STATUS_UNBOUNDED
-            certificate = cert
-            break
-        norm_y, norm_X = float(np.linalg.norm(y)), float(np.linalg.norm(Xr))
-        if norm_y > HARD_DIVERGENCE_LIMIT or norm_X > HARD_DIVERGENCE_LIMIT:
-            status = STATUS_MAX_ITERATIONS
-            certificate = {"kind": "divergence", "norm_y": norm_y, "norm_X": norm_X}
-            break
+            if rel_gap <= tol and pinf <= tol and dinf <= tol:
+                finish(p, STATUS_OPTIMAL, iterate=(X[j], y[j]))
+                continue
+            cutoff = cutoffs[p]
+            if cutoff is not None and -obj[j] - float(problems[p].y_bound @ np.abs(r_p[j, :lifts[p].K])) >= cutoff:
+                finish(p, STATUS_CUTOFF, iterate=(X[j], y[j]))
+                continue
+            cert = _farkas_certificate(lifts[p], y[j], Xr[j], norm_y[j])
+            if cert is not None:
+                finish(p, STATUS_INFEASIBLE, cert)
+                continue
+            cert = _unbounded_certificate(lifts[p], Xr[j], norm_X[j])
+            if cert is not None:
+                finish(p, STATUS_UNBOUNDED, cert)
+                continue
+            if norm_y[j] > HARD_DIVERGENCE_LIMIT or norm_X[j] > HARD_DIVERGENCE_LIMIT:
+                finish(p, STATUS_MAX_ITERATIONS, {"kind": "divergence", "norm_y": norm_y[j], "norm_X": norm_X[j]})
+                continue
+            going.append(j)
+            mu.append(gap[j] / lifts[p].nhat)
+        if len(going) < len(on):
+            on, stack = keep(going)
+            continue
 
         # Nesterov-Todd scaling point: r diag(lam) r^T = X, r^-T lam r^-1 = Z.
         lam, r_mat, rti = _nt_scaling(Lx, Lz)
@@ -474,17 +599,36 @@ def solve(problem: SdpProblem, tol: float = TOLERANCE, cutoff: Optional[float] =
 
         # Schur complement S[i,j] = <A_i, W A_j W>, shared by both passes,
         # and the inverse of its Cholesky factor: each solve is then two
-        # matrix-vector products.
-        np.matmul(np.matmul(W, lifted.A, out=WA), W, out=WAW)
-        S = lifted.A_flat @ WAW.reshape(lifted.A_flat.shape).T
-        LS = _chol_psd(_sym(S)) if K else None
-        if K and LS is None:
-            certificate = {"kind": "schur_breakdown"}
-            break
-        LS_inv = np.linalg.inv(LS) if K else np.zeros((0, 0))
+        # matrix-vector products.  A problem whose factorization breaks
+        # down leaves the stack, and the others run this iteration again.
+        if K:
+            np.matmul(np.matmul(W[:, None], A, out=WA), W[:, None], out=WAW)
+            S = A_flat @ WAW.reshape(A_flat.shape).swapaxes(-1, -2)
+            if padded:
+                S[:, diag_K, diag_K] += schur_pad
+            S = _sym(S)
+            try:
+                LS = np.linalg.cholesky(S)
+            except np.linalg.LinAlgError:
+                LS, going = np.empty_like(S), []
+                for j, p in enumerate(on):
+                    k = lifts[p].K
+                    L = _chol_psd(S[j, :k, :k])
+                    if L is None:
+                        finish(p, STATUS_MAX_ITERATIONS, {"kind": "schur_breakdown"})
+                        continue
+                    LS[j] = np.eye(K)
+                    LS[j, :k, :k] = L
+                    going.append(j)
+                if len(going) < len(on):
+                    on, stack = keep(going)
+                    continue
+            LS_inv = np.linalg.inv(LS)
+        else:
+            LS_inv = np.zeros((len(on), 0, 0))
 
         def schur_solve(rhs: np.ndarray) -> np.ndarray:
-            return LS_inv.T @ (LS_inv @ rhs)
+            return (LS_inv.swapaxes(-1, -2) @ (LS_inv @ rhs[..., None]))[..., 0]
 
         def scaled(dX: np.ndarray, dZ: np.ndarray) -> np.ndarray:
             # into the buffer D, which the next call overwrites
@@ -492,51 +636,62 @@ def solve(problem: SdpProblem, tol: float = TOLERANCE, cutoff: Optional[float] =
             np.matmul(r_T @ dZ, r_mat, out=D[1])
             return D
 
-        A_WRdW = lifted.apply(W @ R_d @ W)
+        A_WRdW = _apply(A_flat, W @ R_d @ W)
 
         # Affine pass: target residual -Lam^2 collapses X_c to -X exactly.
         # Only dX needs the mask: R_d and every A_k, and so dZ, are already
         # 0 on pad rows and between blocks.
         dy_aff = schur_solve(r_p + AX + A_WRdW)
-        dZ_aff = _sym(R_d - lifted.adjoint(dy_aff))
+        dZ_aff = _sym(R_d - _adjoint(A_flat, dy_aff, mask.shape))
         dX_aff = mask * _sym(-Xr - W @ dZ_aff @ W)
 
         # Directions in the scaled space, for the step bounds and the corrector.
         DX_aff, DZ_aff = scaled(dX_aff, dZ_aff)
         ap_aff, ad_aff = _step_bounds(lam, D)
-        mu_aff = float(((Xr + ap_aff * dX_aff) * (Zr + ad_aff * dZ_aff)).sum()) / nhat
+        mu_aff = _sums((Xr + np.array(ap_aff)[:, None, None, None] * dX_aff)
+                       * (Zr + np.array(ad_aff)[:, None, None, None] * dZ_aff))
         # Aim no lower than half the complementarity the gap tolerance
         # allows: a smaller mu only grows the scaling W, and the rounding
         # error of the Schur solve, ~eps*||S||*|dy| with ||S|| ~ ||W||^2,
-        # then keeps the primal residual above the tolerance.
-        mu_floor = 0.5 * tol * max(1.0, abs(obj)) / nhat
-        sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, mu_floor / mu)) if mu > 0 else 0.0
+        # then keeps the primal residual above the tolerance.  sigma is a
+        # Python float: numpy's vectorized cube rounds differently.
+        target = []
+        for j, p in enumerate(on):
+            nhat = lifts[p].nhat
+            mu_floor = 0.5 * tol * max(1.0, abs(obj[j])) / nhat
+            sigma = (min(1.0, max((max(mu_aff[j] / nhat, 0.0) / mu[j]) ** 3, mu_floor / mu[j]))
+                     if mu[j] > 0 else 0.0)
+            target.append(sigma * mu[j])
 
         # Corrector pass reuses the Schur factorization.
         Rc = -_sym(DX_aff @ DZ_aff)
-        Rc[:, diag, diag] += sigma * mu - lam * lam
-        Hinv = 2.0 * Rc / (lam[:, :, None] + lam[:, None, :])
+        Rc[..., diag, diag] += np.array(target)[:, None, None] - lam * lam
+        Hinv = 2.0 * Rc / (lam[..., :, None] + lam[..., None, :])
         X_c = _sym(r_mat @ Hinv @ r_T)
 
-        dy = schur_solve(r_p - lifted.apply(X_c) + A_WRdW)
-        dZ = _sym(R_d - lifted.adjoint(dy))
+        dy = schur_solve(r_p - _apply(A_flat, X_c) + A_WRdW)
+        dZ = _sym(R_d - _adjoint(A_flat, dy, mask.shape))
         dX = mask * _sym(X_c - W @ dZ @ W)
 
         frac = 0.98
         ap_max, ad_max = _step_bounds(lam, scaled(dX, dZ))
-        ap, X_next, Lx_next = _cholesky_step(X, Lx, dX, min(1.0, frac * ap_max))
-        ad, Z_next, Lz_next = _cholesky_step(Z, Lz, dZ, min(1.0, frac * ad_max))
-        if ap < 1e-10 and ad < 1e-10:
-            certificate = {"kind": "stalled", "mu": mu}
-            break
+        ap, X_next, Lx_next = _cholesky_step(X, Lx, dX, [min(1.0, frac * a) for a in ap_max])
+        ad, Z_next, Lz_next = _cholesky_step(Z, Lz, dZ, [min(1.0, frac * a) for a in ad_max])
+        going = []
+        for j, p in enumerate(on):
+            if ap[j] < 1e-10 and ad[j] < 1e-10:
+                finish(p, STATUS_MAX_ITERATIONS, {"kind": "stalled", "mu": mu[j]})
+            else:
+                going.append(j)
+        stack = (C0, A, b_vec, mask, pad, schur_pad,
+                 X_next, Lx_next, Z_next, Lz_next, y + np.array(ad)[:, None] * dy)
+        if len(going) < len(on):
+            on, stack = keep(going)
+        it += 1
 
-        X, Lx = X_next, Lx_next
-        y = y + ad * dy
-        Z, Lz = Z_next, Lz_next
-
-    if status in (STATUS_OPTIMAL, STATUS_CUTOFF):
-        best_X, best_y = X, y
-    return _build_solution(problem, lifted.dense(best_X), best_y, status, iterations, certificate)
+    for p in on:
+        finish(p, STATUS_MAX_ITERATIONS)
+    return solutions
 
 
 def _build_solution(

@@ -161,8 +161,12 @@ class ProtocolRun:
     wins: tuple = ()
 
     def __post_init__(self) -> None:
+        if not 0 <= self.total_wins <= self.n_rounds:
+            raise ValueError(f"{self.total_wins} wins in {self.n_rounds} rounds")
         if self.total_wins != round(self.p_est * self.n_rounds):
             raise ValueError("win fraction does not match win count")
+        if self.selected_round is not None and not 0 <= self.selected_round < self.n_rounds:
+            raise ValueError(f"selected round {self.selected_round} outside the {self.n_rounds} rounds")
         if self.aborted != (self.output_bit is None):
             raise ValueError("aborted runs and only aborted runs lack an output bit")
 
@@ -212,17 +216,18 @@ def _block_behavior(strategy: Strategy, game: GameSpec) -> Behavior:
 
 
 def _block_round_counts(blocks: tuple[ScheduleBlock, ...], n_rounds: int) -> list[int]:
-    bounds = []
-    cum = 0.0
-    for b in blocks:
-        cum += b.fraction
-        bounds.append(round(cum * n_rounds))
-    bounds[-1] = n_rounds
+    """Rounds per block: each block ends at its rounded cumulative
+    fraction of n_rounds, clamped into [the previous end, n_rounds], and
+    the last at n_rounds, so the counts are nonnegative and sum to
+    n_rounds even when fractions summing to 1 within 1e-12 overshoot."""
     counts = []
     prev = 0
-    for bd in bounds:
-        counts.append(max(0, bd - prev))
-        prev = max(prev, bd)
+    cum = 0.0
+    for i, b in enumerate(blocks):
+        cum += b.fraction
+        end = n_rounds if i == len(blocks) - 1 else min(max(round(cum * n_rounds), prev), n_rounds)
+        counts.append(end - prev)
+        prev = end
     return counts
 
 

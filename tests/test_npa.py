@@ -741,12 +741,14 @@ def test_critical_success_builds_one_structure(monkeypatch):
     assert calls == [LEVEL_Q1_ABC]
 
 
-SHARED_SET_UP = (npa.build_basis, npa.build_moment_structure, npa.invariant_moments, npa._face_point)
+SHARED_SET_UP = (npa.build_basis, npa.build_moment_structure, npa.invariant_moments, npa._face_point,
+                 npa._target_orbits, npa._success_rows, npa._losing_bytes)
 
 
 def test_shared_set_up_never_changes_a_value():
     """The set-up built once per process (structures, invariant moments
-    with their block stacks, face points) gives the values a cold process
+    with their block stacks, face points, and per source pattern the
+    target orbits, success rows and losing vectors) gives the values a cold process
     gives: eps_prime and critical_success at epsilon 0.3, then at 0, whose
     symmetry group has order 48 and other stabilizers, then at 0.3 again
     equal the values computed after every cache is cleared."""
@@ -810,6 +812,7 @@ def test_floor_one_makes_no_solve(monkeypatch):
         return solve(problem, tol)
 
     monkeypatch.setattr(npa, "solve", counting_solve)
+    monkeypatch.setattr(npa, "solve_stack", lambda problems, tol, cutoffs: solves.extend(problems))
     assert Relaxation(game, dist).p_max(1.0) == 0.5
     shared = SuccessFaceContext(structure_for(game, LEVEL_Q1_ABC), game, dist)
     for orbit in target_orbits(game, dist):
@@ -1189,6 +1192,58 @@ def test_stalled_solves_raise_solver_failure(monkeypatch):
     game = chsh_game()
     with pytest.raises(SolverFailureError, match="game value"):
         max_success_probability(game, uniform_distribution(game), LEVEL_Q2)
+
+
+def test_a_stalled_orbit_of_the_stack_names_its_target(monkeypatch):
+    """The orbits after (0, 0, 0) are solved in one stack; a stall there
+    raises SolverFailureError naming the first stacked orbit's target."""
+    stack = npa.solve_stack
+    monkeypatch.setattr(npa, "solve_stack",
+                        lambda problems, tol, cutoffs: [stall(s) for s in stack(problems, tol, cutoffs)])
+    with pytest.raises(SolverFailureError, match=r"target \(0, 1, 0\)"):
+        eps_prime(0.3, 0.97)
+    with pytest.raises(SolverFailureError, match=r"target \(0, 1, 0\)"):
+        critical_success(0.3, 0.29)
+
+
+def loop_success_functional(structure, game, dist):
+    """The success functional word by word in input-cell order: the
+    reference for the shared per-cell rows of `success_functional`."""
+    c = np.zeros(len(structure.id_cells))
+    for x in game.admissible_inputs():
+        px = dist.prob(x)
+        wins = [o for o in game.all_outputs() if game.win(x, o)]
+        if px == 0.0 or not wins:
+            continue
+        words, coefs = npa._outcome_expansion(game.n_parties, wins, x)
+        for word, coef in zip(words, px * coefs.sum(axis=0)):
+            c[npa._moment_id(structure, word)] += coef
+    return c
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-13, 0.05, 0.3, 0.499])
+def test_canonical_relaxation_equals_a_fresh_set_up(epsilon):
+    """`Relaxation.canonical` takes its orbits, success rows and face from
+    the set-up shared per source pattern.  Its success functional, orbits
+    and face point equal, bit for bit, those built from scratch for the
+    same source: by the word-by-word loop, by `orbit_stabilizers` of
+    `symmetry_group`, and by an uncached face solve."""
+    relaxation = Relaxation.canonical(epsilon)
+    game, dist = canonical_distribution(epsilon)
+    structure = structure_for(game, LEVEL_Q1_ABC)
+    assert relaxation.success.tobytes() == loop_success_functional(structure, game, dist).tobytes()
+    assert list(relaxation.orbits) == orbit_stabilizers(game, symmetry_group(game, dist))
+    fresh = npa._face_point.__wrapped__(structure.basis, npa._losing_vectors(structure, game, dist).tobytes())
+    assert np.array_equal(relaxation.face.point, fresh)
+
+
+def test_relaxations_of_one_source_pattern_share_their_orbits():
+    """Two biases whose sources give the same equality pattern share one
+    tuple of orbits; bias 0, where every input is equally likely, has a
+    larger group and its own 2 orbits."""
+    a, b, zero = (Relaxation.canonical(epsilon) for epsilon in (0.05, 0.3, 0.0))
+    assert a.orbits is b.orbits and len(a.orbits) == 4
+    assert zero.orbits is not a.orbits and len(zero.orbits) == 2
 
 
 def test_critical_success_raises_on_a_stalled_target_solve(monkeypatch):

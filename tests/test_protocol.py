@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from randamp import protocol
 from randamp.protocol import (
     InfeasibleSlackError,
     ProtocolParams,
@@ -231,3 +232,43 @@ def test_nan_slack_is_rejected():
         threshold_gap(0.98, 0.3, 0.99, nan)
     with pytest.raises(ValueError, match="positive"):
         plan_protocol(0.3, 0.29, 0.5, x=nan, tol=5e-3)
+
+
+def walked_rounds_needed(x, budget, epsilon):
+    """The smallest N by unit steps from the float estimate: the
+    reference for `rounds_needed` where the walk is short."""
+    n = max(1, math.ceil(2.0 * (1.0 + (0.5 - epsilon) ** -2) ** 2 * math.log(1.0 / budget) / (x * x)))
+    while n > 1 and deviation_confidence(x, n - 1, epsilon) <= budget:
+        n -= 1
+    while deviation_confidence(x, n, epsilon) > budget:
+        n += 1
+    return n
+
+
+@settings(max_examples=300, deadline=None)
+@given(slack_values, budget_values, eps_values)
+def test_rounds_needed_matches_the_unit_walk(x, budget, epsilon):
+    assert rounds_needed(x, budget, epsilon) == walked_rounds_needed(x, budget, epsilon)
+
+
+@pytest.mark.parametrize("delta,x,n_rounds", [
+    (0.999, 4.2231009008672344e-12, 523661588828544218899152896),
+    (0.9999, 3.306341730047449e-15, 1139086998056592918445366632775680),
+    (0.99999, 2.5885944694007324e-18, 2322920500192868763547867247947894751233),
+])
+def test_rounds_needed_ends_at_high_confidence(monkeypatch, delta, x, n_rounds):
+    """The README plan's x at higher confidence puts N near 5e26 and
+    beyond, where consecutive doubles lie 7e10 and more apart and the
+    float bound is constant over long runs of integers.  The smallest N
+    whose bound meets the budget is still found, in a bounded number of
+    evaluations rather than one per integer."""
+    calls = []
+
+    def counted(x, n, epsilon):
+        calls.append(n)
+        return deviation_confidence(x, n, epsilon)
+
+    monkeypatch.setattr(protocol, "deviation_confidence", counted)
+    assert rounds_needed(x, 1.0 - delta, 0.3) == n_rounds
+    assert len(calls) <= 200
+    assert deviation_confidence(x, n_rounds, 0.3) <= 1.0 - delta < deviation_confidence(x, n_rounds - 1, 0.3)

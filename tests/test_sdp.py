@@ -16,6 +16,7 @@ from randamp.sdp import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     solve,
+    solve_stack,
     verify,
 )
 from randamp.sdp import (
@@ -175,6 +176,43 @@ def test_malformed_y_bound_rejected(y_bound):
         off_diagonal_problem(y_bound)
 
 
+def test_each_problem_of_a_stack_ends_as_it_does_alone():
+    """The analytic battery solved as one stack: its problems hold 1 to 6
+    constraints in block layouts from one 5x5 slot to four 1x1 slots, so
+    each is padded to 6 constraint rows and four 5x5 slots, yet each ends
+    with the status and iteration count of its own solve, at a value
+    within 10 tol of it."""
+    tol = 1e-8
+    problems = [problem for _, problem, _ in BATTERY]
+    for problem, stacked in zip(problems, solve_stack(problems, tol)):
+        alone = solve(problem, tol)
+        assert (stacked.status, stacked.iterations) == (alone.status, alone.iterations)
+        assert abs(stacked.objective_value - alone.objective_value) <= 10 * tol
+
+
+def test_a_mixed_stack_returns_each_problem_its_own_certificate():
+    """An infeasible, an unbounded, a cut and an optimal problem in one
+    stack each leave it on their own iteration, with the status and
+    certificate kind of their own solves."""
+    problems = [infeasible_problem(), unbounded_problem(), off_diagonal_problem(), BATTERY[2][1]]
+    cutoffs = [None, None, -10.01, None]
+    stacked = solve_stack(problems, cutoffs=cutoffs)
+    assert [s.status for s in stacked] == [STATUS_INFEASIBLE, STATUS_UNBOUNDED, STATUS_CUTOFF, STATUS_OPTIMAL]
+    for problem, cutoff, s in zip(problems, cutoffs, stacked):
+        alone = solve(problem, cutoff=cutoff)
+        assert (s.status, s.iterations) == (alone.status, alone.iterations)
+        assert (s.certificate or {}).get("kind") == (alone.certificate or {}).get("kind")
+
+
+def test_stack_arguments_are_checked():
+    problem = off_diagonal_problem()
+    assert solve_stack([]) == []
+    with pytest.raises(ValueError, match="as many cutoffs"):
+        solve_stack([problem, problem], cutoffs=[-20.0])
+    with pytest.raises(ValueError, match="y_bound"):
+        solve_stack([problem, dataclasses.replace(problem, y_bound=None)], cutoffs=[None, -20.0])
+
+
 def test_residuals_are_one_sided_for_inequalities():
     """<A_k, X> = 2 for every row: an equality misses b by |2 - b|, an
     inequality only on its violated side."""
@@ -235,9 +273,10 @@ def test_scaled_step_matches_the_cholesky_step_bound(mats, scale):
     eye = np.eye(len(B))
     X, Z = B @ B.T + eye, C @ C.T + eye
     dM = scale * (D + D.T)
-    lam, r, rti = _nt_scaling(np.linalg.cholesky(X)[None], np.linalg.cholesky(Z)[None])
-    r, rti = r[0], rti[0]
-    ap, ad = _step_bounds(lam, np.array([[rti.T @ dM @ rti], [r.T @ dM @ r]]))
+    # a stack of one problem of one block
+    lam, r, rti = _nt_scaling(np.linalg.cholesky(X)[None, None], np.linalg.cholesky(Z)[None, None])
+    r, rti = r[0, 0], rti[0, 0]
+    (ap,), (ad,) = _step_bounds(lam, np.array([[[rti.T @ dM @ rti]], [[r.T @ dM @ r]]]))
     assert ap == pytest.approx(cholesky_step_bound(X, dM), rel=1e-9, abs=0)
     assert ad == pytest.approx(cholesky_step_bound(Z, dM), rel=1e-9, abs=0)
 
@@ -273,7 +312,7 @@ def test_farkas_check_skips_its_eigensolve_only_without_a_certificate(seed, rati
     g = rng.normal(size=(n, n))
     X = np.outer(q[:, 0], q[:, 0]) + 10.0 ** mix * g @ g.T
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-        certificate = _farkas_certificate(lifted, y, lifted.stack(X))
+        certificate = _farkas_certificate(lifted, y, lifted.stack(X), float(np.linalg.norm(y)))
     yhat = y / np.linalg.norm(y)
     adjoint = np.tensordot(yhat, constraints, axes=1)
     threshold = quality * (b @ yhat)
@@ -352,8 +391,8 @@ def test_iterates_hold_pad_rows_at_the_identity(monkeypatch):
     assert not lifted.real.all()
     assert solve(problem).status == STATUS_OPTIMAL
     assert len(iterates) > 10
-    for M in iterates:
-        assert np.array_equal(M * (1.0 - lifted.mask), lifted.pad)
+    for M in iterates:  # stacks of one problem
+        assert np.array_equal(M[0] * (1.0 - lifted.mask), lifted.pad)
 
 
 def test_farkas_eigenvalue_of_a_block_problem_sees_no_pad():

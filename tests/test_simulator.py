@@ -2,8 +2,10 @@ import dataclasses
 import math
 from functools import reduce
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 import randamp.simulator as sim
 from randamp.protocol import ProtocolParams, deviation_confidence
@@ -545,3 +547,37 @@ def test_attack_suite_names():
     for adversary in suite.values():
         assert isinstance(adversary, AdversaryModel)
         assert sum(adversary.lambda_weights) == pytest.approx(1.0)
+
+
+def test_block_counts_never_exceed_the_rounds():
+    """Fractions accepted within 1e-12 of summing to 1 can put a block's
+    rounded end past N; every end is clamped into [previous end, N]."""
+    n = 65583499449540
+    blocks = tuple(ScheduleBlock(f, GHZ) for f in (0.6, 0.4 + 9e-13, 0.0))
+    AdversaryModel((1.0,), (blocks,), (constant_sign(+1),))
+    counts = sim._block_round_counts(blocks, n)
+    assert min(counts) >= 0 and sum(counts) == n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6), st.integers(1, 2**63),
+       st.floats(-1e-12, 1e-12))
+def test_block_counts_are_nonnegative_and_sum_to_n(weights, n, excess):
+    """Over fraction vectors `AdversaryModel` accepts and N up to 2^63."""
+    total = sum(weights)
+    assume(total > 0.0)
+    fractions = [w / total for w in weights]
+    fractions[0] = min(1.0, max(0.0, fractions[0] + excess))
+    assume(abs(sum(fractions) - 1.0) <= 1e-12)
+    counts = sim._block_round_counts(tuple(ScheduleBlock(f, GHZ) for f in fractions), n)
+    assert min(counts) >= 0 and sum(counts) == n
+
+
+def test_protocol_run_rejects_wins_or_a_round_outside_its_rounds():
+    run = dict(n_rounds=10, total_wins=10, p_est=1.0, aborted=False, selected_round=9, output_bit=0,
+               p_avg=1.0, source_bits_used=24, selection_draws=1, aggregated=True)
+    ProtocolRun(**run)
+    with pytest.raises(ValueError, match="11 wins in 10 rounds"):
+        ProtocolRun(**{**run, "total_wins": 11, "p_est": 1.1})
+    with pytest.raises(ValueError, match="selected round 10"):
+        ProtocolRun(**{**run, "selected_round": 10})
