@@ -133,17 +133,14 @@ def cmd_game_value(name: str, epsilon: float, tol: float) -> list[dict]:
 
 
 def cmd_figure1(eps_grid: list[float], ps_grid: list[float], tol: float) -> tuple[list[dict], list[str]]:
-    """Output-bias bound over an (epsilon, success floor) grid, from one
-    relaxation per epsilon row."""
+    """Output-bias bound over an (epsilon, success floor) grid, one
+    `eps_prime` call per cell."""
     rows = []
     for eps in eps_grid:
-        relaxation = None
         for ps in ps_grid:
             row = {"epsilon": eps, "p_s": ps, "eps_prime": None, "status": "ok"}
             try:
-                if relaxation is None:
-                    relaxation = npa.Relaxation.canonical(eps)
-                row["eps_prime"] = npa.eps_prime(eps, ps, tol=tol, relaxation=relaxation)
+                row["eps_prime"] = npa.eps_prime(eps, ps, tol=tol)
             except npa.InfeasibleSuccessError:
                 row["status"] = "infeasible"
             except npa.SolverFailureError:

@@ -41,7 +41,7 @@ checked exactly, at which every marginal is 1/2.
 A `Relaxation` holds what one (game, dist) needs: the structure, the
 success functional and the target orbits of the symmetry group of
 (game, dist) (`symmetry_group`), each with its representative's
-stabilizer; its face is built on the first floor-1 query.  Its one
+stabilizer; a floor-1 query reads the face point.  Its one
 orbit loop solves one representative per orbit, below floor 1 over the
 moments its stabilizer fixes (`invariant_moments`: a symmetry maps each
 basis word to +- a basis word, so the fixed moments are spanned by the
@@ -59,15 +59,15 @@ free moments of 75.
 
 What does not depend on the input probabilities is built once per
 process and shared read-only: the basis and structure per (scenario,
-level), each stabilizer's invariant moments with their block stack per
-(basis, stabilizer), and the face point per (basis, losing vectors).
-What depends on them only through their pattern is built once per
-source pattern: the target orbits per (game, which admissible inputs
-have equal probabilities within DIST_TOL), and the success functional's
-per-cell rows and the losing vectors per (game, which have positive
-probability).  No key holds epsilon, so every relaxation after the
-first of its pattern reuses them, and a value never depends on what the
-process computed before.
+level) and each stabilizer's invariant moments with their block stack
+per (basis, stabilizer).  What depends on them only through their
+pattern is built once per source pattern: the target orbits per (game,
+which admissible inputs have equal probabilities within DIST_TOL), and
+the success functional's per-cell rows and the success-1 face point per
+(game, which have positive probability).  No key holds epsilon, so every
+relaxation after the first of its pattern reuses them and is cheap to
+build (`eps_prime` builds one per call), and a value never depends on
+what the process computed before.
 """
 
 from __future__ import annotations
@@ -417,25 +417,15 @@ def _numerical_rank(s: np.ndarray) -> int:
     return int(np.sum(s > max(1.0, s[0]) * 1e-10))
 
 
-def _losing_vectors(
-    structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution
-) -> np.ndarray:
+def _losing_vectors(basis: MonomialBasis, game: GameSpec, positive: tuple[bool, ...]) -> np.ndarray:
     """One row per losing (outputs, inputs) whose inputs have positive
-    probability: its outcome operator vector v over the basis words,
-    read-only (`_losing_bytes`).
+    probability (`positive`, over the admissible inputs): its outcome
+    operator vector v over the basis words.
 
     The joint outcome operator is itself a projector Q, and
     P(outputs|inputs) = <Q> = v^T M v, provided every word of its
     expansion (`_outcome_expansion`) is a basis word.  The words of one
     input cell are distinct, so each row holds one coefficient per word."""
-    losing = _losing_bytes(structure.basis, game, _positive_inputs(game, dist))
-    return np.frombuffer(losing).reshape(-1, structure.dimension)
-
-
-@functools.lru_cache(maxsize=64)
-def _losing_bytes(basis: MonomialBasis, game: GameSpec, positive: tuple[bool, ...]) -> bytes:
-    """The float64 bytes of `_losing_vectors`, built once per (basis,
-    game, positive pattern); they key the shared face point."""
     index = {w: i for i, w in enumerate(basis.words)}
     blocks = []
     for x, px_positive in zip(game.admissible_inputs(), positive):
@@ -449,7 +439,7 @@ def _losing_bytes(basis: MonomialBasis, game: GameSpec, positive: tuple[bool, ..
         block = np.zeros((len(losing), len(basis.words)))
         block[:, [index[w] for w in words]] = coefs
         blocks.append(block)
-    return (np.vstack(blocks) if blocks else np.zeros((0, len(basis.words)))).tobytes()
+    return np.vstack(blocks) if blocks else np.zeros((0, len(basis.words)))
 
 
 def _face_moments(
@@ -495,12 +485,13 @@ def _is_psd(matrix: np.ndarray) -> bool:
     return True
 
 
-@functools.cache
-def _face_point(basis: MonomialBasis, losing_bytes: bytes) -> Optional[np.ndarray]:
-    """`SuccessFaceContext.point` for the losing vectors whose float64
-    bytes are `losing_bytes`, read-only."""
+@functools.lru_cache(maxsize=64)
+def _face_point(basis: MonomialBasis, game: GameSpec, positive: tuple[bool, ...]) -> Optional[np.ndarray]:
+    """`SuccessFaceContext.point` of a distribution whose inputs with
+    positive probability are `positive`, built once per (basis, game,
+    positive pattern) and read-only."""
     structure = build_moment_structure(basis)
-    losing = np.frombuffer(losing_bytes).reshape(-1, structure.dimension)
+    losing = _losing_vectors(basis, game, positive)
     moments = _face_moments(structure, losing)
     if moments is None:
         return None
@@ -533,12 +524,12 @@ class SuccessFaceContext:
     UnsupportedScenarioError.
 
     The face depends on dist only through which inputs have positive
-    probability, so the point is found once per (basis, losing vectors),
-    the same key at every epsilon < 1/2, and shared read-only."""
+    probability, so the point is found once per (basis, game, positive
+    pattern), the same key at every epsilon < 1/2, and shared read-only."""
 
     def __init__(self, structure: MomentMatrixStructure, game: GameSpec, dist: InputDistribution):
         self.structure = structure
-        self.point = _face_point(structure.basis, _losing_bytes(structure.basis, game, _positive_inputs(game, dist)))
+        self.point = _face_point(structure.basis, game, _positive_inputs(game, dist))
 
     def bound(self, objective: np.ndarray) -> Optional[float]:
         """max objective @ m over the face, objective @ point (exact for
@@ -767,13 +758,13 @@ class Relaxation:
     """The relaxation of (game, dist), for any 3-party game with binary
     outputs, at level Q1+ABC: the moment structure (shared per scenario),
     the success functional and each target orbit's representative with
-    its stabilizer (`orbit_stabilizers`).  The success-1 face is built on
-    the first floor-1 query and kept.
+    its stabilizer (`orbit_stabilizers`).  A floor-1 query reads the
+    success-1 face (`SuccessFaceContext`).
 
     What these need of dist is set up once per source pattern and shared
     read-only: the orbits per (game, which admissible inputs have equal
     probabilities within DIST_TOL), the success functional's per-cell
-    rows and the face's losing vectors per (game, which have positive
+    rows and the face point per (game, which have positive
     probability).  A relaxation only weighs the rows by dist's
     probabilities, so each is the one a fresh set-up gives, bit for bit.
 
@@ -789,7 +780,6 @@ class Relaxation:
         self.structure = structure_for(game, LEVEL_Q1_ABC)
         self.success = success_functional(self.structure, game, dist)
         self.orbits = _target_orbits(game, _equal_inputs(game, dist))
-        self._face: Optional[SuccessFaceContext] = None
 
     @classmethod
     def canonical(cls, epsilon: float) -> "Relaxation":
@@ -799,12 +789,6 @@ class Relaxation:
         at epsilon 0.1 and 0.3 they give the same bounds within 1e-9."""
         game = _mermin()
         return cls(game, input_distribution_from_source(game, canonical_mermin_source(epsilon)))
-
-    @property
-    def face(self) -> SuccessFaceContext:
-        if self._face is None:
-            self._face = SuccessFaceContext(self.structure, self.game, self.dist)
-        return self._face
 
     def p_max(self, success_floor: float, tol: float = TOLERANCE) -> float:
         """Worst-case single-outcome predictability at the given success
@@ -845,7 +829,8 @@ class Relaxation:
         certified."""
         marginals = [marginal_functional(self.structure, *target) for target, _ in self.orbits]
         if floor_on_success and floor == 1.0:
-            values: Iterable[Optional[float]] = (self.face.bound(marginal) for marginal in marginals)
+            face = SuccessFaceContext(self.structure, self.game, self.dist)
+            values: Iterable[Optional[float]] = (face.bound(marginal) for marginal in marginals)
         else:
             problems, offsets = [], []
             for (_, stabilizer), marginal in zip(self.orbits, marginals):
@@ -871,18 +856,10 @@ class Relaxation:
         return float(best)
 
 
-def eps_prime(
-    epsilon: float,
-    success_floor: float,
-    tol: float = TOLERANCE,
-    relaxation: Optional[Relaxation] = None,
-) -> float:
+def eps_prime(epsilon: float, success_floor: float, tol: float = TOLERANCE) -> float:
     """Output bias bound for the tripartite protocol at the given
-    observed success probability: p_max - 1/2, clamped to [0, 1/2].
-    `relaxation`, when given, is `Relaxation.canonical(epsilon)`."""
-    if relaxation is None:
-        relaxation = Relaxation.canonical(epsilon)
-    bound = relaxation.p_max(success_floor, tol)
+    observed success probability: p_max - 1/2, clamped to [0, 1/2]."""
+    bound = Relaxation.canonical(epsilon).p_max(success_floor, tol)
     return float(min(0.5, max(0.0, bound - 0.5)))
 
 
@@ -915,12 +892,11 @@ def critical_success(
         raise ValueError(f"epsilon must lie in [0, 1/2), got {epsilon}")
     if not 0.0 < target_eps_prime <= 0.5:
         raise ValueError(f"target bias must lie in (0, 1/2], got {target_eps_prime}")
-    relaxation = Relaxation.canonical(epsilon)
-    if eps_prime(epsilon, 1.0, tol=tol, relaxation=relaxation) >= target_eps_prime:
+    if eps_prime(epsilon, 1.0, tol=tol) >= target_eps_prime:
         raise BracketingError(
             f"output bias bound at success floor 1 is not below {target_eps_prime}"
         )
-    best = relaxation.critical_success(target_eps_prime, tol)
+    best = Relaxation.canonical(epsilon).critical_success(target_eps_prime, tol)
     if 1.0 - best <= tol:
         raise BracketingError(
             f"tolerance {tol} cannot certify a critical success below 1 "

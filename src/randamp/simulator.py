@@ -17,25 +17,29 @@ block.  The selected round's content is then drawn from the realized
 per-block empirical counts; by exchangeability of rounds within a block
 this matches the materialized distribution exactly, including the
 correlation between survival of the abort test and the selected round's
-win status.  Aggregation requires a round-local steering pattern (the
-sign may depend only on the position within the current two-bit round),
-which keeps rounds i.i.d.; materialized runs accept any pattern.
+win status.  Aggregation requires a round-local steering pattern, one
+whose every two-bit round ends back in its start state
+(`SignPattern.round_local`), which keeps rounds i.i.d.; materialized
+runs accept any pattern.
 `run_batch` runs a batch, run i on the i-th child of SeedSequence(seed).
 
 A materialized run draws its 3 N round uniforms in one call: round j
 reads uniforms 3j and 3j + 1 for its two input bits and 3j + 2 for its
 outputs, the doubles that 3 N scalar draws would give, in the same
 order.  A round-local pattern gives every round the same three input
-conditionals, so the run reads them once and compares all 2 N input
-uniforms with them in bulk.  Any other pattern is streamed: one Python
-loop carries the pattern's state and reads the sign at that state and
-at its two successors, O(1) per bit, so every run costs O(N).  Outputs
-are drawn after the inputs, one search per (schedule block, input cell).
+conditionals, read once at the pattern's start and at its two
+successors, and the run compares all 2 N input uniforms with them in
+bulk.  Any other pattern is streamed: one Python loop carries the
+pattern's state and reads the source at that state and at its two
+successors, O(1) per bit, so every run costs O(N).  Outputs are drawn
+after the inputs, one search per (schedule block, input cell).
 
 Selection bits are drawn from the same source stream after all round
 bits, continuing the pattern's state, most significant bit first,
 redrawing whenever the index falls outside the round range.  A run
-consumes exactly 2 N + (selection draws) * ceil(log2 N) source bits.
+consumes exactly 2 N + (selection draws) * ceil(log2 N) source bits,
+with at least one draw when it emits a bit and none when it aborts;
+`ProtocolRun` rejects any other count.
 """
 
 from __future__ import annotations
@@ -163,12 +167,18 @@ class ProtocolRun:
     def __post_init__(self) -> None:
         if not 0 <= self.total_wins <= self.n_rounds:
             raise ValueError(f"{self.total_wins} wins in {self.n_rounds} rounds")
-        if self.total_wins != round(self.p_est * self.n_rounds):
+        if self.p_est != self.total_wins / self.n_rounds:
             raise ValueError("win fraction does not match win count")
         if self.selected_round is not None and not 0 <= self.selected_round < self.n_rounds:
             raise ValueError(f"selected round {self.selected_round} outside the {self.n_rounds} rounds")
         if self.aborted != (self.output_bit is None):
             raise ValueError("aborted runs and only aborted runs lack an output bit")
+        if self.aborted != (self.selection_draws == 0):
+            raise ValueError(f"{self.selection_draws} selection draws: an aborted run "
+                             "makes none and an emitted one at least one")
+        bits = 2 * self.n_rounds + self.selection_draws * _selection_bit_count(self.n_rounds)
+        if self.source_bits_used != bits:
+            raise ValueError(f"{self.source_bits_used} source bits used, expected {bits}")
 
 
 def _selection_bit_count(n_rounds: int) -> int:
@@ -188,7 +198,7 @@ def _select_round(
         draws += 1
         idx = 0
         for _ in range(n_bits):
-            bit = 0 if rng.random() < source.probability_at(state) else 1
+            bit = 0 if rng.random() < source.next_bit_probability(state) else 1
             state = step(state, bit)
             idx = (idx << 1) | bit
         if idx < n_rounds:
@@ -299,9 +309,8 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
             cell_wins.append(rng.binomial(nc, wp))
             p_avg += (nb / n) * float(p_vec @ wp)
         total_wins = sum(int(wc.sum()) for wc in cell_wins)
-        # Selection bits: round-local steering means their conditionals never
-        # reach back into the round bits (even stream positions restart each
-        # round's pattern, and 2N is even), so the pattern's start state is exact.
+        # every round of a round-local pattern ends back in its start state,
+        # so selection continues from it after the 2N round bits
         state = source.sign.start
         transcript = {}
 
@@ -381,21 +390,21 @@ def _draw_inputs(
     conditionals before each bit."""
     pattern = source.sign
     p_avg_sum = 0.0
+    step = pattern.step
+    state = pattern.start
     if pattern.round_local:
-        # every round sees the same three conditionals
-        pa = source.next_bit_probability(())
-        pb_0 = source.next_bit_probability((0,))
-        pb_1 = source.next_bit_probability((1,))
+        # every round starts in `state` and sees the same three conditionals
+        pa = source.next_bit_probability(state)
+        pb_0 = source.next_bit_probability(step(state, 0))
+        pb_1 = source.next_bit_probability(step(state, 1))
         for count, w in zip(counts, win_prob):
             term = _round_win_probability(pa, pb_0, pb_1, w)
             for _ in range(count):
                 p_avg_sum += term
         first = u_first >= pa
         second = u_second >= np.where(first, pb_1, pb_0)
-        return 2 * first.astype(np.intp) + second, p_avg_sum, pattern.start
+        return 2 * first.astype(np.intp) + second, p_avg_sum, state
 
-    step = pattern.step
-    state = pattern.start
     cell_index = []
     u_first, u_second = u_first.tolist(), u_second.tolist()
     stop = 0
@@ -403,9 +412,9 @@ def _draw_inputs(
         start, stop = stop, stop + count
         for j in range(start, stop):
             after_0, after_1 = step(state, 0), step(state, 1)
-            pa = source.probability_at(state)
-            pb_0 = source.probability_at(after_0)
-            pb_1 = source.probability_at(after_1)
+            pa = source.next_bit_probability(state)
+            pb_0 = source.next_bit_probability(after_0)
+            pb_1 = source.next_bit_probability(after_1)
             p_avg_sum += _round_win_probability(pa, pb_0, pb_1, w)
             if u_first[j] < pa:
                 b = 0 if u_second[j] < pb_0 else 1

@@ -4,23 +4,25 @@ An epsilon-free (Santha-Vazirani) source emits bits whose conditional
 probability of being 0, given the entire past and any side information,
 always lies in [1/2 - eps, 1/2 + eps].  An *extremal* source saturates
 the band at every step: the conditional probability is exactly
-1/2 + sign(history) * eps for some sign pattern.
+1/2 + sign * eps, the sign read from a sign pattern, a state machine
+over the history.
 
 Every epsilon-free source is a convex combination of extremal ones.
 That decomposition theorem is taken as an assumption here (its proof is
 not part of this package); all analysis code therefore works with
 extremal sources, and a mixture of them is modelled by the weights of
 `simulator.AdversaryModel`.  Sources are immutable and hold no RNG
-state.  A sign pattern is a state machine over the bits drawn so far,
-so a stream of n bits costs O(n) whatever the pattern reads of the past.
+state.  A source is read at a state of its pattern
+(`ExtremalSource.next_bit_probability`); a reader streams the state
+along with the bits it draws, so n bits cost O(n) whatever the pattern
+reads of the past.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable
 
 History = tuple[int, ...]
 
@@ -40,46 +42,29 @@ class SignPattern:
     and `step` must each take O(1) time, so streaming n bits costs O(n)
     whatever the pattern reads of the past.
 
-    Random access through `__call__` folds only the bits that can matter:
-    - `round_local=True` promises that the sign depends only on the
-      position within the current two-bit round (len(history) mod 2) and
-      the first bit of that round, never on earlier rounds.  The state
-      after any history must then equal the state after the current
-      round's bits alone, and only those bits are folded.  Aggregated
-      protocol runs and round-local materialized runs rely on this.
-    - `window`, if set, promises that the state after any history equals
-      the state after its last `window` bits alone.
-    Otherwise the whole history is folded.
+    `round_local` is derived when the pattern is built: it holds iff
+    every two-bit round ends back in `start`, that is
+    step(step(start, a), b) == start for all bits a and b.  Every round
+    then starts in `start`, so the sign depends only on the position
+    within the round and the round's first bit, and rounds are i.i.d.
+    Aggregated protocol runs rely on this; a pattern whose state drifts
+    is not round-local, even if its sign ignores the drift.
     """
 
     sign: Callable[[Any], int]
     step: Callable[[Any, int], Any]
     start: Any
-    round_local: bool = False
-    window: Optional[int] = None
+    round_local: bool = field(init=False)
 
-    def at(self, state: Any) -> int:
-        """The sign in `state`, checked to be +1 or -1."""
-        s = self.sign(state)
-        if s not in (-1, 1):
-            raise ValueError(f"sign pattern returned {s}, expected +1 or -1")
-        return s
-
-    def __call__(self, history: Sequence[int]) -> int:
-        if self.round_local:
-            # the current round's bits: none, or its first bit
-            state = self.step(self.start, history[-1]) if len(history) % 2 else self.start
-        else:
-            if self.window is not None and len(history) > self.window:
-                history = history[len(history) - self.window:]
-            state = reduce(self.step, history, self.start)
-        return self.at(state)
+    def __post_init__(self) -> None:
+        round_local = all(self.step(self.step(self.start, a), b) == self.start for a in (0, 1) for b in (0, 1))
+        object.__setattr__(self, "round_local", round_local)
 
 
 def constant_sign(sign: int) -> SignPattern:
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    return SignPattern(lambda state: sign, lambda state, bit: 0, 0, round_local=True)
+    return SignPattern(lambda state: sign, lambda state, bit: 0, 0)
 
 
 def parity_sign() -> SignPattern:
@@ -96,7 +81,7 @@ def round_position_sign(first: int, second_given_0: int, second_given_1: int) ->
 
     State 0 is the start of a round, state 1 + b follows a first bit b."""
     signs = (first, second_given_0, second_given_1)
-    return SignPattern(signs.__getitem__, lambda state, bit: 0 if state else 1 + bit, 0, round_local=True)
+    return SignPattern(signs.__getitem__, lambda state, bit: 0 if state else 1 + bit, 0)
 
 
 def table_sign(table: dict[History, int], depth: int, default: int = 1) -> SignPattern:
@@ -106,7 +91,8 @@ def table_sign(table: dict[History, int], depth: int, default: int = 1) -> SignP
     The state is an int: the last min(len(history), depth) bits, oldest
     first, below a leading 1 that marks how many there are, so the start
     is 1.  The signs of all 2^(depth+1) - 1 states are looked up in the
-    table once, when the pattern is built."""
+    table once, when the pattern is built.  At depth 0 the only state is
+    the start, so the pattern is a constant sign and round-local."""
     full = 1 << depth
     # no state is 0; below its marker, bin(state)[3:] spells the bits
     signs = [default] + [table.get(tuple(map(int, bin(state)[3:])), default) for state in range(1, 2 * full)]
@@ -116,7 +102,7 @@ def table_sign(table: dict[History, int], depth: int, default: int = 1) -> SignP
         # past depth bits, drop the oldest and keep the marker at bit `depth`
         return state if state < 2 * full else full | (state & (full - 1))
 
-    return SignPattern(signs.__getitem__, step, 1, window=depth)
+    return SignPattern(signs.__getitem__, step, 1)
 
 
 @dataclass(frozen=True)
@@ -129,15 +115,12 @@ class ExtremalSource:
     def __post_init__(self) -> None:
         check_epsilon(self.epsilon)
 
-    def next_bit_probability(self, history: Sequence[int]) -> float:
-        """Probability that the next bit is 0 given `history`."""
-        return 0.5 + self.sign(history) * self.epsilon
-
-    def probability_at(self, state: Any) -> float:
-        """Probability that the next bit is 0 in sign-pattern state `state`;
-        the same double `next_bit_probability` gives for a history with
-        that state."""
-        return 0.5 + self.sign.at(state) * self.epsilon
+    def next_bit_probability(self, state: Any) -> float:
+        """Probability that the next bit is 0 in sign-pattern state `state`."""
+        sign = self.sign.sign(state)
+        if sign not in (-1, 1):
+            raise ValueError(f"sign pattern returned {sign}, expected +1 or -1")
+        return 0.5 + sign * self.epsilon
 
 
 def canonical_mermin_source(epsilon: float) -> ExtremalSource:

@@ -130,26 +130,31 @@ def test_figure1_small_grid(tmp_path):
     assert float(rows[0.96]["eps_prime"]) > 0.5 - 1e-3
 
 
-def test_figure1_shares_one_relaxation_per_epsilon_row(monkeypatch):
-    """A row's cells share one structure and one face, and each equals a
-    fresh eps_prime call bit for bit."""
+def test_figure1_cells_share_one_structure_and_face_point(monkeypatch):
+    """Each cell builds its own relaxation, yet every cell gets the one
+    cached structure, only the floor-1 cell reads a face, and that face's
+    point is the one shared per source pattern; each cell equals a fresh
+    eps_prime call bit for bit."""
     structures, faces = [], []
     structure_for = npa.structure_for
 
-    def counting_structure_for(game, level):
-        structures.append(level)
-        return structure_for(game, level)
+    def recording_structure_for(game, level):
+        structures.append(structure_for(game, level))
+        return structures[-1]
 
-    class CountingFace(npa.SuccessFaceContext):
+    class RecordingFace(npa.SuccessFaceContext):
         def __init__(self, *args):
-            faces.append(args)
             super().__init__(*args)
+            faces.append(self)
 
-    monkeypatch.setattr(npa, "structure_for", counting_structure_for)
-    monkeypatch.setattr(npa, "SuccessFaceContext", CountingFace)
+    monkeypatch.setattr(npa, "structure_for", recording_structure_for)
+    monkeypatch.setattr(npa, "SuccessFaceContext", RecordingFace)
     rows, _ = cmd_figure1([0.3], [0.97, 0.98, 1.0], 1e-8)
-    assert (len(structures), len(faces)) == (1, 1)
+    assert len(structures) == 3 and all(s is structures[0] for s in structures)
+    assert len(faces) == 1
     monkeypatch.undo()
+    other = npa.Relaxation.canonical(0.1)
+    assert faces[0].point is npa.SuccessFaceContext(other.structure, other.game, other.dist).point
     assert [r["eps_prime"] for r in rows] == [npa.eps_prime(0.3, ps) for ps in (0.97, 0.98, 1.0)]
 
 

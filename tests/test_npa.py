@@ -285,8 +285,7 @@ def test_face_bound_of_marginal_is_half():
 ], ids=["mermin-0", "mermin-0.3", "mermin-0.45", "chsh-Q2"])
 def test_losing_vectors_match_one_vector_per_outcome(game, epsilon, level):
     """The losing vectors, built per input cell, have the bytes of one
-    `outcome_operator_vector` per losing (outputs, inputs); the bytes
-    key the shared face point."""
+    `outcome_operator_vector` per losing (outputs, inputs)."""
     if epsilon is None:
         dist = uniform_distribution(game)
     else:
@@ -297,12 +296,21 @@ def test_losing_vectors_match_one_vector_per_outcome(game, epsilon, level):
         for x in game.admissible_inputs() if dist.prob(x) > 0.0
         for o in game.all_outputs() if not game.win(x, o)
     ])
-    assert npa._losing_vectors(structure, game, dist).tobytes() == reference.tobytes()
+    assert losing_vectors(structure, game, dist).tobytes() == reference.tobytes()
+
+
+def losing_vectors(structure, game, dist):
+    return npa._losing_vectors(structure.basis, game, npa._positive_inputs(game, dist))
+
+
+def face_of(relaxation):
+    """The success-1 face a floor-1 query of `relaxation` reads."""
+    return SuccessFaceContext(relaxation.structure, relaxation.game, relaxation.dist)
 
 
 def scaled_losing_vectors(structure, game, dist):
     """The losing outcome vectors times 2^3, an integer matrix."""
-    scaled = 8 * npa._losing_vectors(structure, game, dist)
+    scaled = 8 * losing_vectors(structure, game, dist)
     assert np.array_equal(scaled, np.rint(scaled))
     return scaled.astype(np.int64)
 
@@ -313,7 +321,7 @@ def test_face_point_is_exact(epsilon):
     vector annihilates its moment matrix in integer arithmetic, and
     every target marginal is exactly 1/2 there."""
     game, dist = canonical_distribution(epsilon)
-    face = Relaxation(game, dist).face
+    face = face_of(Relaxation(game, dist))
     structure, point = face.structure, face.point
     assert set(point.tolist()) <= {-1, 0, 1}
     assert not (scaled_losing_vectors(structure, game, dist) @ point[structure.cell_ids]).any()
@@ -729,26 +737,28 @@ def test_unreduced_solve_on_the_certify_lattice_converges_quickly():
 
 
 def test_critical_success_builds_one_structure(monkeypatch):
-    """Its floor-1 check and its orbit solves share one structure."""
-    calls = []
+    """Its floor-1 check and its orbit solves each build a relaxation, and
+    both relaxations share one cached structure."""
+    built = []
 
-    def counting_structure_for(game, level):
-        calls.append(level)
-        return structure_for(game, level)
+    def recording_structure_for(game, level):
+        built.append((level, structure_for(game, level)))
+        return built[-1][1]
 
-    monkeypatch.setattr(npa, "structure_for", counting_structure_for)
+    monkeypatch.setattr(npa, "structure_for", recording_structure_for)
     critical_success(0.3, 0.29)
-    assert calls == [LEVEL_Q1_ABC]
+    assert [level for level, _ in built] == [LEVEL_Q1_ABC, LEVEL_Q1_ABC]
+    assert built[0][1] is built[1][1]
 
 
 SHARED_SET_UP = (npa.build_basis, npa.build_moment_structure, npa.invariant_moments, npa._face_point,
-                 npa._target_orbits, npa._success_rows, npa._losing_bytes)
+                 npa._target_orbits, npa._success_rows)
 
 
 def test_shared_set_up_never_changes_a_value():
     """The set-up built once per process (structures, invariant moments
-    with their block stacks, face points, and per source pattern the
-    target orbits, success rows and losing vectors) gives the values a cold process
+    with their block stacks, and per source pattern the target orbits,
+    success rows and face points) gives the values a cold process
     gives: eps_prime and critical_success at epsilon 0.3, then at 0, whose
     symmetry group has order 48 and other stabilizers, then at 0.3 again
     equal the values computed after every cache is cleared."""
@@ -770,7 +780,7 @@ def test_shared_set_up_is_read_only():
     no point once Mermin faces are shared."""
     game, dist = canonical_distribution(0.3)
     relaxation = Relaxation(game, dist)
-    structure, face = relaxation.structure, relaxation.face
+    structure, face = relaxation.structure, face_of(relaxation)
     shared = invariant_moments(structure.basis, relaxation.orbits[0][1])
     for array in (structure.cell_ids, structure.indicators, *shared, face.point):
         with pytest.raises(ValueError, match="read-only"):
@@ -781,23 +791,26 @@ def test_shared_set_up_is_read_only():
     assert SuccessFaceContext(structure_for(chsh, LEVEL_Q2), chsh, uniform_distribution(chsh)).point is None
 
 
-def test_a_relaxation_builds_its_face_on_the_first_floor_one_query(monkeypatch):
-    """Floors below 1 build no face; the first floor-1 query builds it and
-    later ones reuse it."""
+def test_one_face_point_per_source_pattern(monkeypatch):
+    """Floors below 1 build no face point; the first floor-1 query of a
+    source pattern builds it and every later one, at any epsilon of the
+    pattern, reuses it.  Epsilon 0 has other orbits, but every input still
+    has positive probability, so it shares the face point too."""
     built = []
+    losing_vectors = npa._losing_vectors
 
-    class CountingFace(SuccessFaceContext):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    def counting_losing_vectors(*key):
+        built.append(key)
+        return losing_vectors(*key)
 
-    monkeypatch.setattr(npa, "SuccessFaceContext", CountingFace)
-    relaxation = Relaxation.canonical(0.3)
-    relaxation.p_max(0.97)
+    monkeypatch.setattr(npa, "_losing_vectors", counting_losing_vectors)
+    npa._face_point.cache_clear()
+    Relaxation.canonical(0.3).p_max(0.97)
     assert built == []
-    relaxation.p_max(1.0)
-    relaxation.p_max(1.0)
+    points = [face_of(Relaxation.canonical(epsilon)).point for epsilon in (0.3, 0.3, 0.1, 0.0)]
+    assert eps_prime(0.2, 1.0) == 0.0
     assert len(built) == 1
+    assert all(point is points[0] for point in points)
 
 
 def test_floor_one_makes_no_solve(monkeypatch):
@@ -969,9 +982,8 @@ def test_cut_orbit_solves_keep_every_value():
     every orbit to the tolerance.  At 0.45 the two party-2 orbits tie."""
     cut, uncut = [], []
     for epsilon, floor in CERTIFY_LATTICE:
-        relaxation = Relaxation.canonical(epsilon)
-        cut.append(eps_prime(epsilon, floor, relaxation=relaxation))
-        uncut.append(min(0.5, max(0.0, uncut_orbit_max(relaxation, floor, TOLERANCE) - 0.5)))
+        cut.append(eps_prime(epsilon, floor))
+        uncut.append(min(0.5, max(0.0, uncut_orbit_max(Relaxation.canonical(epsilon), floor, TOLERANCE) - 0.5)))
     for epsilon in FIGURE2_EPSILONS:
         cut.append(critical_success(epsilon, epsilon))
         uncut.append(uncut_orbit_max(Relaxation.canonical(epsilon), 0.5 + epsilon, TOLERANCE, False))
@@ -1042,7 +1054,7 @@ def test_residual_charge_covers_the_face_point_at_zero(epsilon):
     at 0; the same charge over unit-norm columns of N gives 0.9531 and
     0.9268 there."""
     relaxation = Relaxation.canonical(epsilon)
-    face_value = float(relaxation.success @ relaxation.face.point)
+    face_value = float(relaxation.success @ face_of(relaxation).point)
     assert face_value == 1.0
     bounds = {}
     for target, offset, problem in orbit_problems(relaxation, 0.5, floor_on_success=False):
@@ -1233,8 +1245,8 @@ def test_canonical_relaxation_equals_a_fresh_set_up(epsilon):
     structure = structure_for(game, LEVEL_Q1_ABC)
     assert relaxation.success.tobytes() == loop_success_functional(structure, game, dist).tobytes()
     assert list(relaxation.orbits) == orbit_stabilizers(game, symmetry_group(game, dist))
-    fresh = npa._face_point.__wrapped__(structure.basis, npa._losing_vectors(structure, game, dist).tobytes())
-    assert np.array_equal(relaxation.face.point, fresh)
+    fresh = npa._face_point.__wrapped__(structure.basis, game, npa._positive_inputs(game, dist))
+    assert np.array_equal(face_of(relaxation).point, fresh)
 
 
 def test_relaxations_of_one_source_pattern_share_their_orbits():

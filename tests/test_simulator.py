@@ -22,7 +22,7 @@ from randamp.simulator import (
     run_protocol,
 )
 from randamp.games import mermin_game
-from randamp.sources import constant_sign, parity_sign, round_position_sign, table_sign
+from randamp.sources import SignPattern, constant_sign, parity_sign, round_position_sign, table_sign
 from randamp.strategies import (
     DeterministicStrategy,
     NoiseModel,
@@ -147,29 +147,33 @@ def loop_run_protocol(params, device, seed):
     flat_rows = [{x: np.cumsum(bh.table[x].ravel()) for x in cells} for bh in behaviors]
     out_shape = tuple(game.output_cardinalities)
 
-    def round_input_distribution(history):
+    pattern = source.sign
+
+    def round_input_distribution(state):
         dist = {}
-        pa0 = source.next_bit_probability(history)
+        pa0 = source.next_bit_probability(state)
         for a in (0, 1):
             pa = pa0 if a == 0 else 1.0 - pa0
-            pb0 = source.next_bit_probability(history + [a])
+            pb0 = source.next_bit_probability(pattern.step(state, a))
             for b in (0, 1):
                 pb = pb0 if b == 0 else 1.0 - pb0
                 dist[(a, b, a ^ b)] = pa * pb
         return dist
 
-    history = []
+    # the pattern's state after the bits drawn so far, and their number
+    state, bits_used = pattern.start, 0
 
     def draw():
-        p0 = source.next_bit_probability(history)
-        history.append(0 if rng.random() < p0 else 1)
-        return history[-1]
+        nonlocal state, bits_used
+        bit = 0 if rng.random() < source.next_bit_probability(state) else 1
+        state, bits_used = pattern.step(state, bit), bits_used + 1
+        return bit
 
     inputs, outputs, wins = [], [], []
     p_avg_sum = 0.0
     for j in range(n):
         k = int(round_block[j])
-        dist_j = round_input_distribution(history)
+        dist_j = round_input_distribution(state)
         p_avg_sum += sum(p * win_prob[k][x] for x, p in dist_j.items())
         a = draw()
         b = draw()
@@ -190,7 +194,7 @@ def loop_run_protocol(params, device, seed):
     if p_est <= params.p_threshold:
         return ProtocolRun(
             aborted=True, selected_round=None, output_bit=None,
-            source_bits_used=len(history), selection_draws=0, **transcript,
+            source_bits_used=bits_used, selection_draws=0, **transcript,
         )
     n_bits = (n - 1).bit_length()
     draws = 0
@@ -203,11 +207,20 @@ def loop_run_protocol(params, device, seed):
             break
     return ProtocolRun(
         aborted=False, selected_round=idx, output_bit=outputs[idx][0],
-        source_bits_used=len(history), selection_draws=draws, **transcript,
+        source_bits_used=bits_used, selection_draws=draws, **transcript,
     )
 
 
 LOSE_110 = DeterministicStrategy(((0, 1), (0, 1), (0, 0)))
+
+
+def drifting_sign():
+    """A constant +1 sign over a state that counts the bits drawn: its
+    rounds never end back in the start state, so it is not round-local,
+    though every round sees the same conditionals."""
+    return SignPattern(lambda state: 1, lambda state, bit: state + 1, 0)
+
+
 REFERENCE_DEVICES = {
     "honest": HonestDevice(GHZ),
     "depolarized": HonestDevice(GHZ, NoiseModel(0.999)),
@@ -217,6 +230,12 @@ REFERENCE_DEVICES = {
     )),
     "table-depth-1": AdversarialDevice(AdversaryModel(
         (1.0,), ((ScheduleBlock(1.0, LOSE_110),),), (table_sign({(0,): -1, (1,): 1}, depth=1),)
+    )),
+    "table-depth-0": AdversarialDevice(AdversaryModel(
+        (1.0,), ((ScheduleBlock(0.8, GHZ), ScheduleBlock(0.2, LOSE_110)),), (table_sign({(): -1}, depth=0),)
+    )),
+    "drifting-counter": AdversarialDevice(AdversaryModel(
+        (1.0,), ((ScheduleBlock(1.0, LOSE_110),),), (drifting_sign(),)
     )),
     "dipping-row": AdversarialDevice(AdversaryModel(
         (1.0,), ((ScheduleBlock(1.0, dipping_product_strategy()),),), (constant_sign(+1),)
@@ -293,16 +312,19 @@ def pattern_calls(pattern, n, p_threshold):
 def test_materialized_runs_consult_the_pattern_linearly(n):
     """A history-dependent run reads three signs and takes three steps per
     round, then one of each per selection bit; a round-local run reads its
-    three conditionals once, however many rounds it has."""
+    three conditionals once, however many rounds it has.  Building the
+    counted pattern first derives `round_local`, two steps per two-bit
+    round it tries: parity_sign fails at the second round it tries (4
+    steps), a round-local pattern passes all four (8 steps)."""
     calls, run = pattern_calls(parity_sign(), n, 0.5)
     assert not run.aborted
     selection_bits = run.selection_draws * (n - 1).bit_length()
-    assert calls == {"sign": 3 * n + selection_bits, "step": 3 * n + selection_bits}
+    assert calls == {"sign": 3 * n + selection_bits, "step": 4 + 3 * n + selection_bits}
 
     # an aborted run draws no selection bits, which would be read one by one
     calls, run = pattern_calls(round_position_sign(+1, -1, +1), n, 1.0)
     assert run.aborted
-    assert calls == {"sign": 3, "step": 2}
+    assert calls == {"sign": 3, "step": 8 + 2}
 
 
 @pytest.mark.parametrize("seed", range(1, 40, 2))
@@ -477,6 +499,18 @@ def test_aggregation_requires_round_local_steering(monkeypatch):
         run_protocol(params, AdversarialDevice(adversary), seed=1)
 
 
+def test_a_drifting_state_is_not_round_local(monkeypatch):
+    """Round-locality is read off the state machine, not off the signs: a
+    constant sign over a drifting counter is refused for aggregation with
+    the message every non-round-local pattern gets.  Its materialized
+    runs stream the state and match the round loop
+    (`test_materialized_runs_match_the_round_loop`)."""
+    assert not drifting_sign().round_local
+    monkeypatch.setattr(sim, "MATERIALIZE_LIMIT", 0)
+    with pytest.raises(ValueError, match="not round-local, so the run cannot be aggregated"):
+        run_protocol(make_params(64, 0.9), REFERENCE_DEVICES["drifting-counter"], seed=1)
+
+
 def test_abort_rate_obeys_concentration_bound(monkeypatch):
     """Empirical honest abort rate stays under the planner's deviation
     budget (the bound is loose, the margin is large)."""
@@ -533,6 +567,14 @@ def test_protocol_run_consistency_checks():
         ProtocolRun(**{**base, "output_bit": None})
     with pytest.raises(ValueError):
         ProtocolRun(**{**base, "aborted": True})
+    with pytest.raises(ValueError, match="25 source bits used, expected 24"):
+        ProtocolRun(**{**base, "source_bits_used": 25})
+    with pytest.raises(ValueError, match="0 selection draws"):
+        ProtocolRun(**{**base, "selection_draws": 0, "source_bits_used": 20})
+    aborted = {**base, "aborted": True, "selected_round": None, "output_bit": None}
+    ProtocolRun(**{**aborted, "selection_draws": 0, "source_bits_used": 20})
+    with pytest.raises(ValueError, match="1 selection draws"):
+        ProtocolRun(**aborted)
 
 
 def test_attack_suite_names():
@@ -571,6 +613,25 @@ def test_block_counts_are_nonnegative_and_sum_to_n(weights, n, excess):
     assume(abs(sum(fractions) - 1.0) <= 1e-12)
     counts = sim._block_round_counts(tuple(ScheduleBlock(f, GHZ) for f in fractions), n)
     assert min(counts) >= 0 and sum(counts) == n
+
+
+PLANNER_DEVICES = ("honest", "depolarized", "steered-deterministic", "all-zeros", "round-split",
+                   "threshold-riding", "lambda-mixture", "table-depth-0")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(sim.MATERIALIZE_LIMIT + 1, 2**53) | st.integers(2**53 + 1, 10**17),
+       st.sampled_from(PLANNER_DEVICES), st.floats(0.5, 1.0), st.integers(0, 2**32 - 1))
+def test_aggregated_runs_at_planner_scale(n, name, p_threshold, seed):
+    """Aggregated runs at N up to 1e17, past 2^53 where a float no longer
+    holds every win count, emitted and aborted: 0 <= p_est <= 1, at most
+    N wins, and 2 N + draws * ceil(log2 N) source bits."""
+    run = run_protocol(make_params(n, p_threshold), REFERENCE_DEVICES[name], seed)
+    assert run.aggregated
+    assert 0.0 <= run.p_est <= 1.0
+    assert 0 <= run.total_wins <= n
+    assert run.source_bits_used == 2 * n + run.selection_draws * (n - 1).bit_length()
+    assert run.aborted == (run.selection_draws == 0)
 
 
 def test_protocol_run_rejects_wins_or_a_round_outside_its_rounds():
