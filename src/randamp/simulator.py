@@ -26,20 +26,28 @@ runs accept any pattern.
 A materialized run draws its 3 N round uniforms in one call: round j
 reads uniforms 3j and 3j + 1 for its two input bits and 3j + 2 for its
 outputs, the doubles that 3 N scalar draws would give, in the same
-order.  A round-local pattern gives every round the same three input
-conditionals, read once at the pattern's start and at its two
+order.  Every run reads its source through a table of the pattern
+states its stream reaches (`_StateTable`): a state is read once, when
+first reached, and each (state, bit) is stepped once, the first time
+the stream needs it, so states are dictionary keys and equal states are
+interchangeable.  A round-local pattern gives every round the same
+three input conditionals, those of the pattern's start and its two
 successors, and the run compares all 2 N input uniforms with them in
-bulk.  Any other pattern is streamed: one Python loop carries the
-pattern's state and reads the source at that state and at its two
-successors, O(1) per bit, so every run costs O(N).  Outputs are drawn
-after the inputs, one search per (schedule block, input cell).
+bulk.  Any other pattern is streamed: one Python loop walks the table,
+a few list lookups per round, and a new state adds at most three reads
+and three steps, so every run costs O(N) in time and its table O(states
+reached) in memory.  The rounds' win probabilities are summed in round
+order, one schedule block at a time, and outputs are drawn after the
+inputs, one search per (schedule block, input cell).
 
 Selection bits are drawn from the same source stream after all round
 bits, continuing the pattern's state, most significant bit first,
-redrawing whenever the index falls outside the round range.  A run
-consumes exactly 2 N + (selection draws) * ceil(log2 N) source bits,
-with at least one draw when it emits a bit and none when it aborts;
-`ProtocolRun` rejects any other count.
+redrawing whenever the index falls outside the round range; each index
+reads its bits' uniforms in one call.  A run consumes exactly
+2 N + (selection draws) * ceil(log2 N) source bits, with at least one
+draw when it emits a bit and none when it aborts; `ProtocolRun` rejects
+any other count.  An aggregated run draws its round counts as int64,
+so it refuses N above 2^63 - 1 before drawing anything.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ from .strategies import (
 
 __all__ = [
     "MATERIALIZE_LIMIT",
+    "AGGREGATE_LIMIT",
     "HonestDevice",
     "ScheduleBlock",
     "AdversaryModel",
@@ -80,6 +89,8 @@ __all__ = [
 ]
 
 MATERIALIZE_LIMIT = 1 << 20
+# numpy draws aggregated round counts as int64
+AGGREGATE_LIMIT = (1 << 63) - 1
 
 Strategy = Union[DeterministicStrategy, QuantumStrategy]
 
@@ -185,22 +196,52 @@ def _selection_bit_count(n_rounds: int) -> int:
     return (n_rounds - 1).bit_length()
 
 
-def _select_round(
-    source: ExtremalSource, state: Any, rng: np.random.Generator, n_rounds: int
-) -> tuple[int, int]:
+class _StateTable:
+    """The sign-pattern states a source stream reaches from `start`,
+    numbered in the order reached, `start` first.  `prob[i]` is the
+    source's probability of a 0 bit in state i, read once when the state
+    is first reached; `succ[2 i + bit]` numbers step(state i, bit), or is
+    -1 until the stream first needs it.  Equal states share one number."""
+
+    def __init__(self, source: ExtremalSource, start: Any) -> None:
+        self._read, self._step = source.next_bit_probability, source.sign.step
+        self._numbers: dict[Any, int] = {start: 0}
+        self.states: list[Any] = [start]
+        self.prob: list[float] = [self._read(start)]
+        self.succ: list[int] = [-1, -1]
+
+    def successor(self, i: int, bit: int) -> int:
+        """The number of step(state i, bit), stepping the pattern the first time."""
+        k = 2 * i + bit
+        j = self.succ[k]
+        if j < 0:
+            state = self._step(self.states[i], bit)
+            numbers = self._numbers
+            if state in numbers:
+                j = self.succ[k] = numbers[state]
+            else:
+                j = self.succ[k] = numbers[state] = len(self.states)
+                self.states.append(state)
+                self.prob.append(self._read(state))
+                self.succ += (-1, -1)
+        return j
+
+
+def _select_round(table: _StateTable, state: int, rng: np.random.Generator, n_rounds: int) -> tuple[int, int]:
     """The selected round and the number of index draws: each draw reads
-    `_selection_bit_count` source bits, continuing the stream from sign
-    pattern state `state`, until the index they spell is below n_rounds."""
+    `_selection_bit_count` source bits, continuing the stream from table
+    state `state`, until the index they spell is below n_rounds."""
     n_bits = _selection_bit_count(n_rounds)
-    step = source.sign.step
+    prob = table.prob
     draws = 0
     while True:
         draws += 1
         idx = 0
-        for _ in range(n_bits):
-            bit = 0 if rng.random() < source.next_bit_probability(state) else 1
-            state = step(state, bit)
-            idx = (idx << 1) | bit
+        # one call gives the doubles that n_bits scalar draws would
+        for u in rng.random(n_bits).tolist():
+            bit = u >= prob[state]
+            state = table.successor(state, bit)
+            idx = 2 * idx + bit
         if idx < n_rounds:
             return idx, draws
 
@@ -276,14 +317,16 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
     (3) select a round with further source bits and emit the first
     party's outcome from it.  Aborts are data, not errors.  Step (1) is
     drawn materialized or aggregated; either draw yields the total wins,
-    p_avg, the sign-pattern state that selection continues from, `emit`
-    (the selected round's output bit) and the transcript.
+    p_avg, the state table and table state that selection continues
+    from, `emit` (the selected round's output bit) and the transcript.
     """
+    n = params.n_rounds
+    if n > AGGREGATE_LIMIT:
+        raise ValueError(f"{n} rounds exceed 2^63 - 1, the most an aggregated run can draw")
+    aggregated = n > MATERIALIZE_LIMIT
     game = mermin_game()
     rng = np.random.default_rng(seed)
     blocks, source = _resolve_schedule(params, device, rng, game)
-    n = params.n_rounds
-    aggregated = n > MATERIALIZE_LIMIT
     if aggregated and not source.sign.round_local:
         raise ValueError(
             f"{n} rounds exceed the materialization limit and the steering "
@@ -311,7 +354,7 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
         total_wins = sum(int(wc.sum()) for wc in cell_wins)
         # every round of a round-local pattern ends back in its start state,
         # so selection continues from it after the 2N round bits
-        state = source.sign.start
+        table, state = _StateTable(source, source.sign.start), 0
         transcript = {}
 
         def emit(idx: int) -> int:
@@ -326,7 +369,7 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
     else:
         # round j reads uniforms 3j and 3j + 1 for its input bits, 3j + 2 for its outputs
         uniforms = rng.random(3 * n)
-        cell_index, p_avg_sum, state = _draw_inputs(source, counts, win_prob, uniforms[0::3], uniforms[1::3])
+        cell_index, p_avg_sum, table, state = _draw_inputs(source, counts, win_prob, uniforms[0::3], uniforms[1::3])
         u_out = uniforms[2::3]
         out_cells = game.all_outputs()
         flat = np.empty(n, dtype=np.intp)
@@ -340,8 +383,8 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
         won = win_table[cell_index, flat]
         total_wins = int(won.sum())
         p_avg = p_avg_sum / n
-        outputs = tuple(out_cells[i] for i in flat.tolist())
-        transcript = {"inputs": tuple(cells[c] for c in cell_index.tolist()), "outputs": outputs,
+        outputs = tuple(map(out_cells.__getitem__, flat.tolist()))
+        transcript = {"inputs": tuple(map(cells.__getitem__, cell_index.tolist())), "outputs": outputs,
                       "wins": tuple(won.tolist())}
 
         def emit(idx: int) -> int:
@@ -349,7 +392,7 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
 
     p_est = total_wins / n
     aborted = p_est <= params.p_threshold
-    selected, draws = (None, 0) if aborted else _select_round(source, state, rng, n)
+    selected, draws = (None, 0) if aborted else _select_round(table, state, rng, n)
     return ProtocolRun(
         n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=aborted,
         selected_round=selected, output_bit=None if aborted else emit(selected), p_avg=p_avg,
@@ -366,10 +409,11 @@ def run_batch(params: ProtocolParams, device: DeviceModel, runs: int, seed) -> I
     return (run_protocol(params, device, s) for s in np.random.SeedSequence(seed).spawn(runs))
 
 
-def _round_win_probability(pa: float, pb_0: float, pb_1: float, w: tuple[float, ...]) -> float:
+def _round_win_probability(pa, pb_0, pb_1, w: tuple[float, ...]):
     """A round's win probability from its input-bit conditionals and the
     block's win probabilities at cells 000, 011, 101 and 110, summed in
-    that order."""
+    that order; elementwise, and so the same doubles, for arrays of
+    conditionals."""
     w000, w011, w101, w110 = w
     qa = 1.0 - pa
     return ((pa * pb_0) * w000 + (pa * (1.0 - pb_0)) * w011
@@ -382,49 +426,63 @@ def _draw_inputs(
     win_prob: list[tuple[float, ...]],
     u_first: np.ndarray,
     u_second: np.ndarray,
-) -> tuple[np.ndarray, float, Any]:
+) -> tuple[np.ndarray, float, _StateTable, int]:
     """Every round's input cell 2a + b, the sum of the rounds' win
-    probabilities in round order, and the sign-pattern state after the
-    2N input bits.  Round j's first bit is 1 iff u_first[j] >= pa, its
-    second iff u_second[j] >= pb_a, where pa and pb_a are the source's
-    conditionals before each bit."""
-    pattern = source.sign
-    p_avg_sum = 0.0
-    step = pattern.step
-    state = pattern.start
-    if pattern.round_local:
-        # every round starts in `state` and sees the same three conditionals
-        pa = source.next_bit_probability(state)
-        pb_0 = source.next_bit_probability(step(state, 0))
-        pb_1 = source.next_bit_probability(step(state, 1))
-        for count, w in zip(counts, win_prob):
-            term = _round_win_probability(pa, pb_0, pb_1, w)
-            for _ in range(count):
-                p_avg_sum += term
+    probabilities in round order, and the state table and table state
+    that the stream reaches after the 2N input bits.  Round j's first bit
+    is 1 iff u_first[j] >= pa, its second iff u_second[j] >= pb_a, where
+    pa and pb_a are the source's conditionals before each bit."""
+    table = _StateTable(source, source.sign.start)
+    prob, succ, successor = table.prob, table.succ, table.successor
+    if source.sign.round_local:
+        # every round starts in state 0 and sees the same three conditionals
+        pa, pb_0, pb_1 = prob[0], prob[successor(0, 0)], prob[successor(0, 1)]
         first = u_first >= pa
         second = u_second >= np.where(first, pb_1, pb_0)
-        return 2 * first.astype(np.intp) + second, p_avg_sum, state
+        p_avg_sum = 0.0
+        for count, w in zip(counts, win_prob):
+            p_avg_sum = _sum_in_order(np.full(count, _round_win_probability(pa, pb_0, pb_1, w)), p_avg_sum)
+        return 2 * first.astype(np.intp) + second, p_avg_sum, table, 0
 
-    cell_index = []
-    u_first, u_second = u_first.tolist(), u_second.tolist()
-    stop = 0
-    for count, w in zip(counts, win_prob):
+    # each round appends 4 i + 2 a + b, i its start state and 2a + b its cell
+    codes = []
+    append = codes.append
+    i = 0
+    for ua, ub in zip(u_first.tolist(), u_second.tolist()):
+        a = ua >= prob[i]
+        k = 2 * i + a
+        m = succ[k]
+        if m < 0:
+            m = successor(i, a)
+        b = ub >= prob[m]
+        e = succ[2 * m + b]
+        if e < 0:
+            e = successor(m, b)
+        append(2 * k + b)
+        i = e
+    starts = np.array(codes, dtype=np.intp)
+    del codes, append
+    cells = starts & 3
+    starts >>= 2
+    # a round's win probability reads both first-bit successors of its start
+    firsts = np.flatnonzero(np.bincount(starts)).tolist()
+    pa = np.array([prob[f] for f in firsts])
+    pb_0 = np.array([prob[successor(f, 0)] for f in firsts])
+    pb_1 = np.array([prob[successor(f, 1)] for f in firsts])
+    # term_of[block, state]: the win probability of a round from that state in that block
+    term_of = np.empty((len(win_prob), len(prob)))
+    term_of[:, firsts] = [_round_win_probability(pa, pb_0, pb_1, w) for w in win_prob]
+    p_avg_sum, stop = 0.0, 0
+    for terms, count in zip(term_of, counts):
         start, stop = stop, stop + count
-        for j in range(start, stop):
-            after_0, after_1 = step(state, 0), step(state, 1)
-            pa = source.next_bit_probability(state)
-            pb_0 = source.next_bit_probability(after_0)
-            pb_1 = source.next_bit_probability(after_1)
-            p_avg_sum += _round_win_probability(pa, pb_0, pb_1, w)
-            if u_first[j] < pa:
-                b = 0 if u_second[j] < pb_0 else 1
-                state = step(after_0, b)
-                cell_index.append(b)
-            else:
-                b = 0 if u_second[j] < pb_1 else 1
-                state = step(after_1, b)
-                cell_index.append(2 + b)
-    return np.array(cell_index, dtype=np.intp), p_avg_sum, state
+        p_avg_sum = _sum_in_order(terms[starts[start:stop]], p_avg_sum)
+    return cells, p_avg_sum, table, i
+
+
+def _sum_in_order(terms: np.ndarray, total: float) -> float:
+    """total + terms[0] + terms[1] + ..., added one by one from the left
+    as a scalar loop adds them: `np.add.accumulate` is sequential."""
+    return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,10 @@ extremal sources, and a mixture of them is modelled by the weights of
 state.  A source is read at a state of its pattern
 (`ExtremalSource.next_bit_probability`); a reader streams the state
 along with the bits it draws, so n bits cost O(n) whatever the pattern
-reads of the past.
+reads of the past.  States are dictionary keys: a protocol run numbers
+the states its stream reaches, reads the source once per state and
+steps each (state, bit) once, so a pattern over few states costs a few
+list lookups per bit.
 """
 
 from __future__ import annotations
@@ -40,7 +43,10 @@ class SignPattern:
     The state after a history is `step(state, bit)` folded over its bits
     from `start`, and `sign(state)` is the sign of the next bit.  `sign`
     and `step` must each take O(1) time, so streaming n bits costs O(n)
-    whatever the pattern reads of the past.
+    whatever the pattern reads of the past.  States must be hashable,
+    and equal states interchangeable: `sign` and `step` give equal
+    results at equal states, because a reader keys what it has read by
+    state and asks each state and each (state, bit) step once.
 
     `round_local` is derived when the pattern is built: it holds iff
     every two-bit round ends back in `start`, that is

@@ -328,6 +328,20 @@ def test_simulate_unknown_device_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "unknown device" in capsys.readouterr().err
 
 
+def test_simulate_beyond_int64_rounds_is_a_numerical_failure(tmp_path, capsys):
+    """A plan whose N exceeds 2^63 - 1 (about 5.2e26 here) cannot be
+    drawn in aggregated form: one line on stderr, exit 2, no output."""
+    code, text = run_cli(
+        ["simulate", "--epsilon", "0.3", "--eps-prime", "0.29", "--delta", "0.999",
+         "--runs", "2", "--seed", "1"],
+        tmp_path,
+    )
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numerical failure: ") and "exceed 2^63 - 1" in err
+
+
 @pytest.mark.parametrize("visibility", ["1.5", "-0.1", "nan"])
 def test_simulate_visibility_outside_unit_interval_is_usage_error(
     visibility, tmp_path, capsys, monkeypatch

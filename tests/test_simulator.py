@@ -234,6 +234,16 @@ REFERENCE_DEVICES = {
     "table-depth-0": AdversarialDevice(AdversaryModel(
         (1.0,), ((ScheduleBlock(0.8, GHZ), ScheduleBlock(0.2, LOSE_110)),), (table_sign({(): -1}, depth=0),)
     )),
+    # 15 states: every history of up to three bits
+    "table-depth-3": AdversarialDevice(AdversaryModel(
+        (1.0,), ((ScheduleBlock(1.0, LOSE_110),),),
+        (table_sign({(0, 1, 1): -1, (1, 0, 0): -1, (0, 1): -1, (1,): -1}, depth=3),)
+    )),
+    # parity-split with the losing block first: each state's round term
+    # changes at the block boundary the other way round
+    "parity-lose-first": AdversarialDevice(AdversaryModel(
+        (1.0,), ((ScheduleBlock(0.3, LOSE_110), ScheduleBlock(0.7, GHZ)),), (parity_sign(),)
+    )),
     "drifting-counter": AdversarialDevice(AdversaryModel(
         (1.0,), ((ScheduleBlock(1.0, LOSE_110),),), (drifting_sign(),)
     )),
@@ -310,21 +320,44 @@ def pattern_calls(pattern, n, p_threshold):
 
 @pytest.mark.parametrize("n", [500, 4000])
 def test_materialized_runs_consult_the_pattern_linearly(n):
-    """A history-dependent run reads three signs and takes three steps per
-    round, then one of each per selection bit; a round-local run reads its
-    three conditionals once, however many rounds it has.  Building the
-    counted pattern first derives `round_local`, two steps per two-bit
-    round it tries: parity_sign fails at the second round it tries (4
-    steps), a round-local pattern passes all four (8 steps)."""
+    """A run reads each state it reaches once and takes each (state, bit)
+    step once, selection bits included, so parity_sign's two states cost
+    two reads and four steps however many rounds the run has.  A pattern
+    that never revisits a state costs at most three reads and three steps
+    per round and one of each per selection bit.  A round-local run reads
+    its three conditionals once.  Building the counted pattern first
+    derives `round_local`, two steps per two-bit round it tries:
+    parity_sign and the drifting counter fail at the second and first
+    round they try (4 and 2 steps), a round-local pattern passes all four
+    (8 steps)."""
     calls, run = pattern_calls(parity_sign(), n, 0.5)
     assert not run.aborted
-    selection_bits = run.selection_draws * (n - 1).bit_length()
-    assert calls == {"sign": 3 * n + selection_bits, "step": 4 + 3 * n + selection_bits}
+    assert calls == {"sign": 2, "step": 4 + 4}
 
-    # an aborted run draws no selection bits, which would be read one by one
+    calls, run = pattern_calls(drifting_sign(), n, 0.5)
+    assert not run.aborted
+    selection_bits = run.selection_draws * (n - 1).bit_length()
+    assert calls["sign"] <= 3 * n + selection_bits
+    assert calls["step"] <= 2 + 3 * n + selection_bits
+
+    # an aborted run draws no selection bits
     calls, run = pattern_calls(round_position_sign(+1, -1, +1), n, 1.0)
     assert run.aborted
     assert calls == {"sign": 3, "step": 8 + 2}
+
+
+def test_runs_beyond_int64_rounds_fail_before_any_draw(monkeypatch):
+    """Aggregated round counts are drawn as int64: N = 2^63 - 1 runs, and
+    one round more is refused before the run's first draw."""
+    run = run_protocol(make_params(sim.AGGREGATE_LIMIT, 0.9), HonestDevice(GHZ), seed=0)
+    assert run.aggregated and run.total_wins == run.n_rounds
+
+    def no_draw(*args):
+        raise AssertionError("drew the schedule")
+
+    monkeypatch.setattr(sim, "_resolve_schedule", no_draw)
+    with pytest.raises(ValueError, match=r"9223372036854775808 rounds exceed 2\^63 - 1"):
+        run_protocol(make_params(sim.AGGREGATE_LIMIT + 1, 0.9), HonestDevice(GHZ), seed=0)
 
 
 @pytest.mark.parametrize("seed", range(1, 40, 2))
