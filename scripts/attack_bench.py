@@ -6,6 +6,10 @@ suite, printing abort rates and the empirical bias of the emitted bit.
 A sound protocol either aborts a cheating device or keeps its bias under
 the certified target; the script exits 1 if any device does neither
 (a LEAK verdict).
+
+CI compares the output of `--runs 50`, its plan timing stripped, with
+`scripts/attack_bench_runs50.txt`; record that file anew when a change
+is meant to move these numbers.
 """
 
 import argparse

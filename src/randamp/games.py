@@ -9,10 +9,16 @@ the win probability under the given input distribution.
 Magic-square outputs are 4-symbol alphabets encoding each party's two
 free bits; the constrained third bit is reconstructed by accessors so
 the parity constraints are structurally unviolable.
+
+Each game constructor returns one cached, immutable `GameSpec`, so the
+caches keyed on a game (the behaviors memoized on a strategy, npa's
+moment structures and per-pattern set-up, the simulator's win table)
+find it on every call and stay bounded.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -90,7 +96,8 @@ class Behavior:
     cardinalities (row shape = output_cardinalities).  Entries in
     [-BEHAVIOR_TOL, 0), which the Born rule leaves by rounding, are set
     to 0, so every row is nonnegative and its cumulative sum
-    non-decreasing.
+    non-decreasing.  Each row is a read-only copy, so a behavior memoized
+    on its strategy cannot change under the runs that share it.
     """
 
     game: GameSpec
@@ -102,7 +109,7 @@ class Behavior:
         for x in self.game.admissible_inputs():
             if x not in self.table:
                 raise ValueError(f"behavior missing admissible input {x}")
-            row = np.asarray(self.table[x], dtype=float)
+            row = np.array(self.table[x], dtype=float)
             if row.shape != shape:
                 raise ValueError(f"row {x} has shape {row.shape}, expected {shape}")
             low = row.min()
@@ -112,6 +119,7 @@ class Behavior:
                 row = np.where(row < 0.0, 0.0, row)
             if abs(row.sum() - 1.0) > BEHAVIOR_TOL:
                 raise ValueError(f"row {x} sums to {row.sum()}, expected 1")
+            row.flags.writeable = False
             rows[x] = row
         object.__setattr__(self, "table", rows)
 
@@ -119,8 +127,13 @@ class Behavior:
         return float(self.table[inputs][outputs])
 
 
+@functools.cache
 def chsh_game() -> GameSpec:
-    """Two parties, binary everything, win iff A xor B = a*b."""
+    """Two parties, binary everything, win iff A xor B = a*b.
+
+    Cached: every call returns the same immutable instance, the stable
+    key of the caches kept per game.
+    """
     return GameSpec(
         name="chsh",
         n_parties=2,
@@ -131,6 +144,7 @@ def chsh_game() -> GameSpec:
     )
 
 
+@functools.cache
 def mermin_game() -> GameSpec:
     """Three parties, binary in/out, promise a^b^c = 0.
 
@@ -138,6 +152,9 @@ def mermin_game() -> GameSpec:
     outputs must have even parity, on the other three admissible inputs
     odd parity.  Classically at most 3 of the 4 cells can be won; a GHZ
     state wins all 4.
+
+    Cached: every call returns the same immutable instance, the stable
+    key of the caches kept per game.
     """
     return GameSpec(
         name="mermin",
@@ -166,12 +183,16 @@ def magic_square_bob_bits(symbol: int) -> tuple[int, int, int]:
     return (b0, b1, b0 ^ b1 ^ 1)
 
 
+@functools.cache
 def magic_square_game() -> GameSpec:
     """Two parties, ternary inputs, 4-symbol outputs.
 
     Each output symbol carries two free bits; the third bit is fixed by
     the parity constraint (even for Alice, odd for Bob).  Win iff
     Alice's b-th bit equals Bob's a-th bit.
+
+    Cached: every call returns the same immutable instance, the stable
+    key of the caches kept per game.
     """
 
     def win(x: InputTuple, o: OutputTuple) -> bool:

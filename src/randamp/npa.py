@@ -747,13 +747,6 @@ def _upper_value(
     raise SolverFailureError(f"solver returned {solution.status} for {what}")
 
 
-@functools.cache
-def _mermin() -> GameSpec:
-    """The Mermin game of every `Relaxation.canonical`: one object, since
-    the set-up shared per source pattern is keyed on the game."""
-    return mermin_game()
-
-
 class Relaxation:
     """The relaxation of (game, dist), for any 3-party game with binary
     outputs, at level Q1+ABC: the moment structure (shared per scenario),
@@ -787,7 +780,7 @@ class Relaxation:
         canonical source of bias `epsilon`.  It stands for all eight
         round-local extremal sources `round_position_sign(s1, s2|0, s2|1)`:
         at epsilon 0.1 and 0.3 they give the same bounds within 1e-9."""
-        game = _mermin()
+        game = mermin_game()
         return cls(game, input_distribution_from_source(game, canonical_mermin_source(epsilon)))
 
     def p_max(self, success_floor: float, tol: float = TOLERANCE) -> float:

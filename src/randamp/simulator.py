@@ -23,6 +23,14 @@ whose every two-bit round ends back in its start state
 runs accept any pattern.
 `run_batch` runs a batch, run i on the i-th child of SeedSequence(seed).
 
+Every run asks `strategies` for its blocks' behaviors, and for an honest
+device's depolarized strategy, through `behavior_of_quantum`,
+`behavior_of_deterministic` and `apply_depolarizing`.  Those memoize
+on the strategy, keyed by the shared `mermin_game()` instance and the
+visibility, so the runs of a batch against one device build each once
+and later runs read the same read-only tables.  The win table is built
+once per game.  No result depends on which runs came before.
+
 A materialized run draws its 3 N round uniforms in one call: round j
 reads uniforms 3j and 3j + 1 for its two input bits and 3j + 2 for its
 outputs, the doubles that 3 N scalar draws would give, in the same
@@ -52,6 +60,7 @@ so it refuses N above 2^63 - 1 before drawing anything.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Any, Iterator, Optional, Sequence, Union
@@ -282,9 +291,17 @@ def _block_round_counts(blocks: tuple[ScheduleBlock, ...], n_rounds: int) -> lis
     return counts
 
 
-def _win_table(game: GameSpec, cells: Sequence[InputTuple]) -> np.ndarray:
-    """wins[c, i]: whether the i-th output of `game.all_outputs()` wins at cells[c]."""
-    return np.array([[bool(game.win(x, o)) for o in game.all_outputs()] for x in cells])
+# input cells indexed by 2a + b, where a and b are the round's source bits
+_CELLS: tuple[InputTuple, ...] = tuple((a, b, a ^ b) for a in (0, 1) for b in (0, 1))
+
+
+@functools.cache
+def _win_table(game: GameSpec) -> np.ndarray:
+    """wins[c, i]: whether the i-th output of `game.all_outputs()` wins at
+    _CELLS[c]; built once per game and read-only."""
+    wins = np.array([[bool(game.win(x, o)) for o in game.all_outputs()] for x in _CELLS])
+    wins.flags.writeable = False
+    return wins
 
 
 def _win_probability(row: np.ndarray, wins: np.ndarray) -> float:
@@ -334,19 +351,17 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
         )
     counts = _block_round_counts(blocks, n)
     behaviors = [_block_behavior(b.strategy, game) for b in blocks]
-    # input cells indexed by 2a + b, where a and b are the round's source bits
-    cells = [(a, b, a ^ b) for a in (0, 1) for b in (0, 1)]
-    win_table = _win_table(game, cells)
-    win_prob = [tuple(_win_probability(bh.table[x], w) for x, w in zip(cells, win_table)) for bh in behaviors]
+    win_table = _win_table(game)
+    win_prob = [tuple(_win_probability(bh.table[x], w) for x, w in zip(_CELLS, win_table)) for bh in behaviors]
 
     if aggregated:
         dist = input_distribution_from_source(game, source)
-        p_vec = np.array([dist.prob(x) for x in cells])
+        p_vec = np.array([dist.prob(x) for x in _CELLS])
         p_vec = p_vec / p_vec.sum()
         cell_counts, cell_wins = [], []
         p_avg = 0.0
         for nb, w in zip(counts, win_prob):
-            nc = rng.multinomial(nb, p_vec) if nb else np.zeros(len(cells), dtype=np.int64)
+            nc = rng.multinomial(nb, p_vec) if nb else np.zeros(len(_CELLS), dtype=np.int64)
             wp = np.clip(w, 0.0, 1.0)
             cell_counts.append(nc)
             cell_wins.append(rng.binomial(nc, wp))
@@ -362,9 +377,9 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
             the block's realized counts, then the first party's bit."""
             k = int(np.searchsorted(np.cumsum(counts), idx, side="right"))
             nc, wc = cell_counts[k], cell_wins[k]
-            c = int(rng.choice(len(cells), p=nc / nc.sum()))
+            c = int(rng.choice(len(_CELLS), p=nc / nc.sum()))
             won = rng.random() < (wc[c] / nc[c])
-            p_zero = _alice_zero_given_status(behaviors[k].table[cells[c]], win_table[c], bool(won))
+            p_zero = _alice_zero_given_status(behaviors[k].table[_CELLS[c]], win_table[c], bool(won))
             return 0 if rng.random() < p_zero else 1
     else:
         # round j reads uniforms 3j and 3j + 1 for its input bits, 3j + 2 for its outputs
@@ -375,7 +390,7 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
         flat = np.empty(n, dtype=np.intp)
         start = 0
         for count, bh in zip(counts, behaviors):
-            for c, x in enumerate(cells):
+            for c, x in enumerate(_CELLS):
                 rounds = start + np.flatnonzero(cell_index[start:start + count] == c)
                 flat[rounds] = np.searchsorted(np.cumsum(bh.table[x].ravel()), u_out[rounds], side="right")
             start += count
@@ -384,7 +399,7 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
         total_wins = int(won.sum())
         p_avg = p_avg_sum / n
         outputs = tuple(map(out_cells.__getitem__, flat.tolist()))
-        transcript = {"inputs": tuple(map(cells.__getitem__, cell_index.tolist())), "outputs": outputs,
+        transcript = {"inputs": tuple(map(_CELLS.__getitem__, cell_index.tolist())), "outputs": outputs,
                       "wins": tuple(won.tolist())}
 
         def emit(idx: int) -> int:

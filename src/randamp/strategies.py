@@ -6,13 +6,23 @@ suffice).  Quantum behaviors come from the Born rule on explicit
 states and measurements; the two reference constructions are the
 three-qubit GHZ strategy for the tripartite game and the two-pair
 Pauli-grid strategy for the magic square.
+
+A strategy's behavior in a game, and a quantum strategy's depolarized
+copy at a visibility, are built once and memoized on the strategy
+object, so a batch of protocol runs against one device builds them once.
+The memos are instance attributes set with `object.__setattr__`, not
+fields: equality, hashing and repr ignore them, and a pickled or copied
+strategy is rebuilt from its fields without them.  They are
+sound because nothing they depend on can change: strategies are frozen,
+a quantum strategy holds read-only copies of its arrays, behavior rows
+are read-only, and the games are immutable.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from typing import Iterator, Sequence
 
@@ -33,12 +43,40 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+def _memoized(strategy: object, name: str, key, build):
+    """`build(strategy, key)`, built on the first call for `key` and kept
+    in the dict attribute `name` of `strategy`, made on first use."""
+    memo = strategy.__dict__.get(name)
+    if memo is None:
+        memo = {}
+        object.__setattr__(strategy, name, memo)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(strategy, key)
+    return value
+
+
+def _reduce_to_fields(strategy: object) -> tuple:
+    """Pickle and copy a strategy as its constructor called on its fields,
+    so the copy is checked and made read-only anew and starts without
+    memos, which hold games and so their lambdas."""
+    return type(strategy), tuple(getattr(strategy, f.name) for f in fields(strategy))
+
+
+def _read_only_copy(a) -> np.ndarray:
+    """A complex copy of `a` that cannot be written to."""
+    copy = np.array(a, dtype=complex)
+    copy.flags.writeable = False
+    return copy
+
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
     """Per-party lookup tables: assignments[party][input] = output."""
 
     assignments: tuple[tuple[int, ...], ...]
+
+    __reduce__ = _reduce_to_fields
 
     def output(self, party: int, x: int) -> int:
         return self.assignments[party][x]
@@ -64,13 +102,23 @@ class QuantumStrategy:
 
     measurements[party][input] is a tuple of PSD operators, one per
     output symbol, summing to the identity on that party's local space.
+    The strategy holds read-only complex copies of the state and the
+    operators it is given, so the caller's arrays stay its own and the
+    memos kept on the strategy stay valid.
     """
 
     local_dims: tuple[int, ...]
     state: np.ndarray
     measurements: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
 
+    __reduce__ = _reduce_to_fields
+
     def __post_init__(self) -> None:
+        object.__setattr__(self, "state", _read_only_copy(self.state))
+        object.__setattr__(self, "measurements", tuple(
+            tuple(tuple(_read_only_copy(E) for E in povm) for povm in per_input)
+            for per_input in self.measurements
+        ))
         self._check_state()
         if len(self.measurements) != len(self.local_dims):
             raise ValueError("one measurement family per party required")
@@ -79,7 +127,6 @@ class QuantumStrategy:
             for x, povm in enumerate(per_input):
                 total = np.zeros((d, d), dtype=complex)
                 for E in povm:
-                    E = np.asarray(E, dtype=complex)
                     if E.shape != (d, d):
                         raise ValueError(f"party {p} input {x}: operator shape {E.shape}")
                     if np.max(np.abs(E - E.conj().T)) > QUANTUM_TOL:
@@ -92,7 +139,7 @@ class QuantumStrategy:
 
     def _check_state(self) -> None:
         dim = int(np.prod(self.local_dims))
-        rho = np.asarray(self.state, dtype=complex)
+        rho = self.state
         if rho.shape != (dim, dim):
             raise ValueError(f"state must be {dim}x{dim}, got {rho.shape}")
         if np.max(np.abs(rho - rho.conj().T)) > QUANTUM_TOL:
@@ -103,12 +150,12 @@ class QuantumStrategy:
             raise ValueError("state is not positive semidefinite")
 
     def _with_state(self, state: np.ndarray) -> QuantumStrategy:
-        """This strategy with `state` as its shared state.  Only the new
-        state is checked: the measurements were checked when this strategy
-        was built."""
+        """This strategy with a read-only copy of `state` as its shared
+        state.  Only the new state is checked: the measurements were
+        checked when this strategy was built."""
         copy = object.__new__(type(self))
         object.__setattr__(copy, "local_dims", self.local_dims)
-        object.__setattr__(copy, "state", state)
+        object.__setattr__(copy, "state", _read_only_copy(state))
         object.__setattr__(copy, "measurements", self.measurements)
         copy._check_state()
         return copy
@@ -129,7 +176,16 @@ def projective_pair(observable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def behavior_of_deterministic(strategy: DeterministicStrategy, game: GameSpec) -> Behavior:
-    """Point-mass conditional table of a deterministic strategy."""
+    """Point-mass conditional table of a deterministic strategy.
+
+    Built once per (strategy, game) and memoized on the strategy, keyed
+    by the game: every later call with an equal game returns the same
+    read-only `Behavior`.
+    """
+    return _memoized(strategy, "_behaviors", game, _deterministic_behavior)
+
+
+def _deterministic_behavior(strategy: DeterministicStrategy, game: GameSpec) -> Behavior:
     for p in range(game.n_parties):
         if len(strategy.assignments[p]) != game.input_cardinalities[p]:
             raise ValueError(f"party {p}: strategy not total on the input alphabet")
@@ -194,6 +250,16 @@ def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def behavior_of_quantum(strategy: QuantumStrategy, game: GameSpec) -> Behavior:
     """Born-rule conditional table of a quantum strategy.
+
+    Built once per (strategy, game) by `_quantum_behavior` and memoized on
+    the strategy, keyed by the game: every later call with an equal game
+    returns the same read-only `Behavior`.
+    """
+    return _memoized(strategy, "_behaviors", game, _quantum_behavior)
+
+
+def _quantum_behavior(strategy: QuantumStrategy, game: GameSpec) -> Behavior:
+    """The Born rule, all cells at once.
 
     Every (input cell, output) operator is built at once: party by party,
     one broadcast outer product extends a (cells, outputs, D, D) stack by
@@ -288,8 +354,17 @@ def magic_square_quantum_strategy() -> QuantumStrategy:
 
 
 def apply_depolarizing(strategy: QuantumStrategy, noise: NoiseModel) -> QuantumStrategy:
-    """Mix the shared state with white noise; measurements unchanged."""
-    v = noise.visibility
+    """Mix the shared state with white noise; measurements unchanged.
+
+    Built once per (strategy, visibility) and memoized on the strategy,
+    keyed by `noise.visibility`: every later call at that visibility
+    returns the same `QuantumStrategy`, whose own behavior memo then
+    serves every run that plays it.
+    """
+    return _memoized(strategy, "_depolarized", noise.visibility, _depolarized)
+
+
+def _depolarized(strategy: QuantumStrategy, v: float) -> QuantumStrategy:
     dim = int(np.prod(strategy.local_dims))
     state = v * strategy.state + (1.0 - v) * np.eye(dim, dtype=complex) / dim
     return strategy._with_state(state)

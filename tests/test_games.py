@@ -193,3 +193,10 @@ def test_no_signalling_residual_detects_signalling():
     table[(0, 1)] = np.array([[0.5, 0.0], [0.25, 0.25]])
     behavior = Behavior(game, table)
     assert no_signalling_residual(behavior, game) > 0.2
+
+
+@pytest.mark.parametrize("make", GAMES)
+def test_game_constructors_return_one_instance(make):
+    """Each constructor returns one cached instance, the stable key of the
+    caches kept per game."""
+    assert make() is make()

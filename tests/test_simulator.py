@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 from functools import reduce
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import randamp.simulator as sim
+import randamp.strategies as strategies
 from randamp.protocol import ProtocolParams, deviation_confidence
 from randamp.simulator import (
     AdversarialDevice,
@@ -26,6 +28,7 @@ from randamp.sources import SignPattern, constant_sign, parity_sign, round_posit
 from randamp.strategies import (
     DeterministicStrategy,
     NoiseModel,
+    QuantumStrategy,
     behavior_of_deterministic,
     behavior_of_quantum,
     ghz_mermin_strategy,
@@ -360,6 +363,94 @@ def test_runs_beyond_int64_rounds_fail_before_any_draw(monkeypatch):
         run_protocol(make_params(sim.AGGREGATE_LIMIT + 1, 0.9), HonestDevice(GHZ), seed=0)
 
 
+def fresh_devices():
+    """The honest device, noiseless and depolarized, and the attack suite,
+    built from new strategy objects, so no behavior is memoized on them."""
+    ghz = ghz_mermin_strategy()
+    return {
+        "honest": HonestDevice(ghz),
+        "depolarized": HonestDevice(ghz, NoiseModel(0.99999)),
+        **{name: AdversarialDevice(adversary) for name, adversary in attack_suite().items()},
+    }
+
+
+# a materialized and a planner-scale round count
+BATCH_ROUNDS = (700, 65746814205468)
+
+
+@pytest.mark.parametrize("name", sorted(fresh_devices()))
+def test_a_batch_builds_each_behavior_once(name, monkeypatch):
+    """Over the runs of batches at a materialized and at a planner-scale N,
+    each (strategy, game) behavior and each (strategy, visibility)
+    depolarized copy is built once, while every run still calls the public
+    `behavior_of_quantum` per quantum block and `apply_depolarizing` per
+    depolarized run, the calls the benchmark's coverage guard counts."""
+    built = []
+    for builder in ("_quantum_behavior", "_deterministic_behavior", "_depolarized"):
+        def build(strategy, key, builder=builder, original=getattr(strategies, builder)):
+            built.append((builder, id(strategy), key))
+            return original(strategy, key)
+
+        monkeypatch.setattr(strategies, builder, build)
+    public = collections.Counter()
+    for function in ("behavior_of_quantum", "apply_depolarizing"):
+        def call(*args, function=function, original=getattr(sim, function)):
+            public[function] += 1
+            return original(*args)
+
+        monkeypatch.setattr(sim, function, call)
+
+    device = fresh_devices()[name]
+    if isinstance(device, HonestDevice):
+        played = [(device.strategy,)]
+    else:
+        played = [tuple(b.strategy for b in blocks) for blocks in device.adversary.device_blocks]
+    runs = 0
+    # every device here steers round-locally, so it can be aggregated
+    for n in BATCH_ROUNDS:
+        for run in run_batch(make_params(n, 0.9), device, 20, seed=3):
+            assert run.aggregated == (n > sim.MATERIALIZE_LIMIT)
+            runs += 1
+
+    assert len(built) == len(set(built))
+    if name == "depolarized":
+        assert sorted(b for b, _, _ in built) == ["_depolarized", "_quantum_behavior"]
+        assert public == {"apply_depolarizing": runs, "behavior_of_quantum": runs}
+        return
+    distinct = {id(s): s for blocks in played for s in blocks}
+    assert sorted(i for _, i, _ in built) == sorted(distinct)
+    for builder, i, key in built:
+        quantum = isinstance(distinct[i], QuantumStrategy)
+        assert builder == ("_quantum_behavior" if quantum else "_deterministic_behavior")
+        assert key is mermin_game()
+    # every hidden value of the suite plays the same number of quantum blocks
+    (quantum_blocks,) = {sum(isinstance(s, QuantumStrategy) for s in blocks) for blocks in played}
+    assert public["behavior_of_quantum"] == runs * quantum_blocks
+    assert public["apply_depolarizing"] == 0
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["materialized", "aggregated"])
+def test_runs_do_not_depend_on_what_ran_before(forced, monkeypatch):
+    """A (device, seed) gives the same run, every field and p_avg to the
+    bit, as the first run on new strategy objects, after the other
+    devices' runs on shared ones, and again once every memo is built."""
+    if forced:
+        monkeypatch.setattr(sim, "MATERIALIZE_LIMIT", 0)
+    params = make_params(900, 0.9)
+    seeds = (0, 1, 2)
+    names = sorted(fresh_devices())
+    first = {(name, seed): run_protocol(params, fresh_devices()[name], seed) for name in names for seed in seeds}
+    shared = fresh_devices()
+    for _ in range(2):
+        for seed in seeds:
+            for name in reversed(names):
+                run = run_protocol(params, shared[name], seed)
+                assert run.aggregated == forced
+                expected = first[name, seed]
+                assert run == expected
+                assert run.p_avg.hex() == expected.p_avg.hex()
+
+
 @pytest.mark.parametrize("seed", range(1, 40, 2))
 def test_win_table_sums_match_the_per_output_loop(seed):
     """Win probabilities and P(first output 0 | win status), read off the
@@ -368,8 +459,7 @@ def test_win_table_sums_match_the_per_output_loop(seed):
     which the transcripts' p_avg is too coarse to show."""
     strategy, game = random_qubit_strategy(seed)
     behavior = behavior_of_quantum(strategy, game)
-    cells = game.admissible_inputs()
-    for x, wins in zip(cells, sim._win_table(game, cells)):
+    for x, wins in zip(sim._CELLS, sim._win_table(game)):
         row = behavior.table[x]
         expected = float(sum(row[o] for o in game.all_outputs() if game.win(x, o)))
         assert sim._win_probability(row, wins) == expected

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from randamp.games import (
 from randamp.sources import canonical_mermin_source
 from randamp.strategies import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     DeterministicStrategy,
     NoiseModel,
@@ -266,3 +269,53 @@ def test_noise_model_validation():
         NoiseModel(1.5)
     with pytest.raises(ValueError):
         NoiseModel(-0.1)
+
+
+def test_strategy_and_behavior_arrays_are_read_only():
+    """A quantum strategy holds read-only copies of its state and
+    operators, and behavior rows are read-only, so the memoized behaviors
+    cannot go stale; the caller's own arrays stay writable."""
+    state = pure_state_density(np.array([1, 0, 0, 0, 0, 0, 0, 1]))
+    x_pair, y_pair = projective_pair(PAULI_X), projective_pair(PAULI_Y)
+    strategy = QuantumStrategy((2, 2, 2), state, ((x_pair, y_pair),) * 3)
+    noisy = apply_depolarizing(strategy, NoiseModel(0.5))
+    game = mermin_game()
+    rows = [
+        behavior_of_quantum(strategy, game).table[(0, 0, 0)],
+        behavior_of_quantum(noisy, game).table[(0, 1, 1)],
+        behavior_of_deterministic(DeterministicStrategy(((0, 1), (0, 1), (0, 0))), game).table[(1, 1, 0)],
+    ]
+    for array in (strategy.state, strategy.measurements[2][1][0], noisy.state, *rows):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0.25
+    held = strategy.state.copy(), strategy.measurements[0][0][0].copy()
+    state[0, 0] = x_pair[0][0, 0] = 0.25
+    assert np.array_equal(strategy.state, held[0])
+    assert np.array_equal(strategy.measurements[0][0][0], held[1])
+
+    row = np.full((2, 2, 2), 0.125)
+    behavior = Behavior(game, {x: row for x in game.admissible_inputs()})
+    row[0, 0, 0] = 0.25
+    assert behavior.table[(0, 0, 0)][0, 0, 0] == 0.125
+
+
+DUPLICATES = {"pickle": lambda s: pickle.loads(pickle.dumps(s)), "deepcopy": copy.deepcopy, "copy": copy.copy}
+
+
+@pytest.mark.parametrize("duplicate", DUPLICATES)
+def test_copies_are_rebuilt_without_memos(duplicate):
+    """A pickled or copied strategy is built anew from its fields: checked,
+    read-only, equal in its behavior, and without its original's memos."""
+    game = mermin_game()
+    noisy = apply_depolarizing(ghz_mermin_strategy(), NoiseModel(0.9))
+    lose_110 = DeterministicStrategy(((0, 1), (0, 1), (0, 0)))
+    for strategy, behavior_of in ((noisy, behavior_of_quantum), (lose_110, behavior_of_deterministic)):
+        original = behavior_of(strategy, game)
+        twin = DUPLICATES[duplicate](strategy)
+        assert type(twin) is type(strategy)
+        assert not {"_behaviors", "_depolarized"} & set(vars(twin))
+        rebuilt = behavior_of(twin, game)
+        assert rebuilt is not original
+        for x in game.admissible_inputs():
+            assert np.array_equal(rebuilt.table[x], original.table[x])
+    assert not DUPLICATES[duplicate](noisy).state.flags.writeable
