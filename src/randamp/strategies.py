@@ -12,10 +12,10 @@ copy at a visibility, are built once and memoized on the strategy
 object, so a batch of protocol runs against one device builds them once.
 The memos are instance attributes set with `object.__setattr__`, not
 fields: equality, hashing and repr ignore them, and a pickled or copied
-strategy is rebuilt from its fields without them.  They are
-sound because nothing they depend on can change: strategies are frozen,
-a quantum strategy holds read-only copies of its arrays, behavior rows
-are read-only, and the games are immutable.
+strategy is rebuilt from its fields without them.  They are sound
+because nothing they depend on can change: strategies are frozen, a
+quantum strategy holds read-only copies of its arrays, behavior rows are
+read-only, and the games are immutable.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
 
 def _memoized(strategy: object, name: str, key, build):
     """`build(strategy, key)`, built on the first call for `key` and kept
