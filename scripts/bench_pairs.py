@@ -9,7 +9,10 @@ Both arguments are source checkouts holding `perfbench/run.py`.  For each
 workload, pair i runs `perfbench/run.py --workload <w> --seed i --seconds
 <s> --trace 0` once in each checkout; odd pairs run the parent first,
 even pairs the change.  Then one `--trace 1` run per side and workload
-(seed 1) records the per-layer metrics and deterministic counts.
+(seed 1) records the per-layer metrics and deterministic counts, and
+its computed values (`details.computed`) are compared between the two
+sides: `computed_equal` holds the verdict per workload, and a warning
+goes to stderr when they differ.
 
 The output file holds every run's result line and, per workload and
 end-to-end metric of the change's BENCHMARK.json, both sides' median and
@@ -113,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {},
         "claim": dict(zip(("workload", "metric"), args.claim.split(":"))) if args.claim else None,
         "summary_trace0": {},
+        "computed_equal": {},
         "runs": [],
         "trace1": [],
     }
@@ -134,12 +138,20 @@ def main(argv: list[str] | None = None) -> int:
                       f"{result['metrics']['ops_per_s']['value']:.1f} ({time.time() - started:.0f} s)",
                       file=sys.stderr)
     for workload, _ in plan:
+        computed = {}
         for side in ("parent", "change"):
             lines = bench(sides[side], workload, 1, args.seconds, trace=1)
             report["trace1"].append({"side": side, "workload": workload, "trace": 1, "seed": 1, "lines": lines})
             report["machine"] = lines[0]["details"]["machine"]
+            computed[side] = lines[0]["details"]["computed"]
             record()
             print(f"{workload} trace 1 {side}: done", file=sys.stderr)
+        equal = computed["parent"] == computed["change"]
+        report["computed_equal"][workload] = equal
+        record()
+        if not equal:
+            print(f"warning: {workload}: the trace 1 runs computed different values on the two sides",
+                  file=sys.stderr)
     return 0
 
 

@@ -50,14 +50,19 @@ class GameSpec:
             self.output_cardinalities
         ):
             raise ValueError("cardinality tuples must have one entry per party")
-        if not self.admissible_inputs():
+        admissible = tuple(x for x in self.all_inputs() if self.promise(x))
+        if not admissible:
             raise ValueError("promise admits no input tuple")
+        # not a field: equality, hashing and repr ignore it
+        object.__setattr__(self, "_admissible", admissible)
 
     def all_inputs(self) -> list[InputTuple]:
         return list(itertools.product(*(range(c) for c in self.input_cardinalities)))
 
     def admissible_inputs(self) -> list[InputTuple]:
-        return [x for x in self.all_inputs() if self.promise(x)]
+        """The input tuples the promise admits, in `all_inputs` order: a new
+        list of the tuple filtered once, when the game was built."""
+        return list(self._admissible)
 
     def all_outputs(self) -> list[OutputTuple]:
         return list(itertools.product(*(range(c) for c in self.output_cardinalities)))
@@ -71,7 +76,7 @@ class InputDistribution:
     probabilities: Mapping[InputTuple, float]
 
     def __post_init__(self) -> None:
-        admissible = set(self.game.admissible_inputs())
+        admissible = self.game._admissible
         table = dict(self.probabilities)
         for x, p in table.items():
             if x not in admissible:
@@ -97,7 +102,8 @@ class Behavior:
     [-BEHAVIOR_TOL, 0), which the Born rule leaves by rounding, are set
     to 0, so every row is nonnegative and its cumulative sum
     non-decreasing.  Each row is a read-only copy, so a behavior memoized
-    on its strategy cannot change under the runs that share it.
+    on its strategy, and the simulator's tables kept on the behavior,
+    cannot change under the runs that share it.
     """
 
     game: GameSpec

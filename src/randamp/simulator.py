@@ -28,7 +28,11 @@ device's depolarized strategy, through `behavior_of_quantum`,
 `behavior_of_deterministic` and `apply_depolarizing`.  Those memoize
 on the strategy, keyed by the shared `mermin_game()` instance and the
 visibility, so the runs of a batch against one device build each once
-and later runs read the same read-only tables.  The win table is built
+and later runs read the same read-only tables.  What the draws read of
+a behavior (per input cell: the win probability, its clipped copy, the
+cumulative output row, and P(first output 0 | win status) once that
+status is drawn) is computed on its first run and kept on the
+`Behavior` (`_tables`).  The win table and the output tuples are built
 once per game.  No result depends on which runs came before.
 
 A materialized run draws its 3 N round uniforms in one call: round j
@@ -46,7 +50,10 @@ a few list lookups per round, and a new state adds at most three reads
 and three steps, so every run costs O(N) in time and its table O(states
 reached) in memory.  The rounds' win probabilities are summed in round
 order, one schedule block at a time, and outputs are drawn after the
-inputs, one search per (schedule block, input cell).
+inputs, one search per (schedule block, input cell).  The transcript's
+inputs and outputs are gathered from object arrays of the input cells
+and of the game's output tuples, one `take` each, so every round holds
+one of those tuples of Python ints.
 
 Selection bits are drawn from the same source stream after all round
 bits, continuing the pattern's state, most significant bit first,
@@ -295,6 +302,19 @@ def _block_round_counts(blocks: tuple[ScheduleBlock, ...], n_rounds: int) -> lis
 _CELLS: tuple[InputTuple, ...] = tuple((a, b, a ^ b) for a in (0, 1) for b in (0, 1))
 
 
+def _object_array(items: Sequence[Any]) -> np.ndarray:
+    """A read-only 1-d object array of the objects in `items` themselves,
+    so that `take(idx).tolist()` gathers those objects in one C pass."""
+    array = np.empty(len(items), dtype=object)
+    for i, item in enumerate(items):
+        array[i] = item
+    array.flags.writeable = False
+    return array
+
+
+_CELL_ARRAY = _object_array(_CELLS)
+
+
 @functools.cache
 def _win_table(game: GameSpec) -> np.ndarray:
     """wins[c, i]: whether the i-th output of `game.all_outputs()` wins at
@@ -302,6 +322,12 @@ def _win_table(game: GameSpec) -> np.ndarray:
     wins = np.array([[bool(game.win(x, o)) for o in game.all_outputs()] for x in _CELLS])
     wins.flags.writeable = False
     return wins
+
+
+@functools.cache
+def _output_array(game: GameSpec) -> np.ndarray:
+    """`game.all_outputs()` as a read-only object array, built once per game."""
+    return _object_array(game.all_outputs())
 
 
 def _win_probability(row: np.ndarray, wins: np.ndarray) -> float:
@@ -324,6 +350,45 @@ def _alice_zero_given_status(row: np.ndarray, wins: np.ndarray, won: bool) -> fl
     if den <= 0.0:
         raise ValueError("conditioning on a zero-probability win status")
     return num / den
+
+
+class _BehaviorTables:
+    """What the draws read of one behavior, per cell of `_CELLS`: its win
+    probability (`_win_probability`), that clipped into [0, 1] for the
+    aggregated draws, its flat row summed cumulatively for the output
+    search, and P(first party outputs 0 | cell, win status), filled as
+    each (cell, status) is first drawn.  Built once per `Behavior` by
+    `_tables`."""
+
+    def __init__(self, behavior: Behavior) -> None:
+        self._rows = [behavior.table[x] for x in _CELLS]
+        self._wins = _win_table(behavior.game)
+        self.win_prob = tuple(_win_probability(row, w) for row, w in zip(self._rows, self._wins))
+        self.clipped = np.clip(self.win_prob, 0.0, 1.0)
+        self.cumulative = [np.cumsum(row.ravel()) for row in self._rows]
+        for array in (self.clipped, *self.cumulative):
+            array.flags.writeable = False
+        self._p_zero: dict[tuple[int, bool], float] = {}
+
+    def p_zero(self, c: int, won: bool) -> float:
+        """P(first party outputs 0 | cell c, win status `won`); raises
+        ValueError, and keeps nothing, for a zero-probability status."""
+        p = self._p_zero.get((c, won))
+        if p is None:
+            p = self._p_zero[c, won] = _alice_zero_given_status(self._rows[c], self._wins[c], won)
+        return p
+
+
+def _tables(behavior: Behavior) -> _BehaviorTables:
+    """The behavior's `_BehaviorTables`, built on first use and kept on it
+    as the attribute `_tables` (not a field, so equality and repr ignore
+    it).  Its rows are read-only and its game immutable, so the tables
+    cannot go stale."""
+    tables = behavior.__dict__.get("_tables")
+    if tables is None:
+        tables = _BehaviorTables(behavior)
+        object.__setattr__(behavior, "_tables", tables)
+    return tables
 
 
 def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolRun:
@@ -350,9 +415,7 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
             "pattern is not round-local, so the run cannot be aggregated"
         )
     counts = _block_round_counts(blocks, n)
-    behaviors = [_block_behavior(b.strategy, game) for b in blocks]
-    win_table = _win_table(game)
-    win_prob = [tuple(_win_probability(bh.table[x], w) for x, w in zip(_CELLS, win_table)) for bh in behaviors]
+    tables = [_tables(_block_behavior(b.strategy, game)) for b in blocks]
 
     if aggregated:
         dist = input_distribution_from_source(game, source)
@@ -360,12 +423,11 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
         p_vec = p_vec / p_vec.sum()
         cell_counts, cell_wins = [], []
         p_avg = 0.0
-        for nb, w in zip(counts, win_prob):
+        for nb, t in zip(counts, tables):
             nc = rng.multinomial(nb, p_vec) if nb else np.zeros(len(_CELLS), dtype=np.int64)
-            wp = np.clip(w, 0.0, 1.0)
             cell_counts.append(nc)
-            cell_wins.append(rng.binomial(nc, wp))
-            p_avg += (nb / n) * float(p_vec @ wp)
+            cell_wins.append(rng.binomial(nc, t.clipped))
+            p_avg += (nb / n) * float(p_vec @ t.clipped)
         total_wins = sum(int(wc.sum()) for wc in cell_wins)
         # every round of a round-local pattern ends back in its start state,
         # so selection continues from it after the 2N round bits
@@ -379,27 +441,29 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
             nc, wc = cell_counts[k], cell_wins[k]
             c = int(rng.choice(len(_CELLS), p=nc / nc.sum()))
             won = rng.random() < (wc[c] / nc[c])
-            p_zero = _alice_zero_given_status(behaviors[k].table[_CELLS[c]], win_table[c], bool(won))
-            return 0 if rng.random() < p_zero else 1
+            return 0 if rng.random() < tables[k].p_zero(c, bool(won)) else 1
     else:
         # round j reads uniforms 3j and 3j + 1 for its input bits, 3j + 2 for its outputs
         uniforms = rng.random(3 * n)
-        cell_index, p_avg_sum, table, state = _draw_inputs(source, counts, win_prob, uniforms[0::3], uniforms[1::3])
+        cell_index, p_avg_sum, table, state = _draw_inputs(
+            source, counts, [t.win_prob for t in tables], uniforms[0::3], uniforms[1::3])
         u_out = uniforms[2::3]
-        out_cells = game.all_outputs()
+        out_array = _output_array(game)
         flat = np.empty(n, dtype=np.intp)
         start = 0
-        for count, bh in zip(counts, behaviors):
-            for c, x in enumerate(_CELLS):
-                rounds = start + np.flatnonzero(cell_index[start:start + count] == c)
-                flat[rounds] = np.searchsorted(np.cumsum(bh.table[x].ravel()), u_out[rounds], side="right")
+        for count, t in zip(counts, tables):
+            block_cells = cell_index[start:start + count]
+            for c, cumulative in enumerate(t.cumulative):
+                rounds = start + np.flatnonzero(block_cells == c)
+                flat[rounds] = np.searchsorted(cumulative, u_out[rounds], side="right")
             start += count
-        np.minimum(flat, len(out_cells) - 1, out=flat)
-        won = win_table[cell_index, flat]
+        np.minimum(flat, len(out_array) - 1, out=flat)
+        won = _win_table(game)[cell_index, flat]
         total_wins = int(won.sum())
         p_avg = p_avg_sum / n
-        outputs = tuple(map(out_cells.__getitem__, flat.tolist()))
-        transcript = {"inputs": tuple(map(_CELLS.__getitem__, cell_index.tolist())), "outputs": outputs,
+        # object-array gathers: the same tuple objects, one C pass each
+        outputs = tuple(out_array.take(flat).tolist())
+        transcript = {"inputs": tuple(_CELL_ARRAY.take(cell_index).tolist()), "outputs": outputs,
                       "wins": tuple(won.tolist())}
 
         def emit(idx: int) -> int:

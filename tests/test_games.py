@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -200,3 +201,29 @@ def test_game_constructors_return_one_instance(make):
     """Each constructor returns one cached instance, the stable key of the
     caches kept per game."""
     assert make() is make()
+
+
+def test_admissible_inputs_are_filtered_once_and_returned_as_a_new_list():
+    """The promise is applied when the game is built; each call returns a
+    new list, so a caller that mutates it leaves the next call unchanged,
+    and an input distribution checks its support without the promise."""
+    game = mermin_game()
+    cells = game.admissible_inputs()
+    cells.append((1, 1, 1))
+    cells[0] = (0, 0, 1)
+    assert game.admissible_inputs() == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    assert game.admissible_inputs() is not game.admissible_inputs()
+
+    calls = []
+
+    def promise(x):
+        calls.append(x)
+        return x[0] ^ x[1] ^ x[2] == 0
+
+    counted = dataclasses.replace(mermin_game(), promise=promise)
+    assert len(calls) == 8
+    assert counted.admissible_inputs() == mermin_game().admissible_inputs()
+    InputDistribution(counted, {x: 0.25 for x in counted.admissible_inputs()})
+    with pytest.raises(ValueError, match="outside the promise"):
+        InputDistribution(counted, {(1, 1, 1): 1.0})
+    assert len(calls) == 8

@@ -263,13 +263,29 @@ def test_materialized_runs_match_the_round_loop(name, epsilon):
     """Same transcript, p_avg and selection as the per-round loop, bit for
     bit, for emitted and aborted runs alike.  At epsilon 0.07 the
     depth-1 table adversary's p_avg changes if a round's four cell terms
-    are summed in another order."""
+    are summed in another order.  N = 2048, with one seed, lies in the
+    benchmark's range of round counts."""
     device = REFERENCE_DEVICES[name]
-    for n in (1, 2, 3, 50, 777):
+    for n, seeds in ((1, 3), (2, 3), (3, 3), (50, 3), (777, 3), (2048, 1)):
         for p_threshold in (0.5, 0.99):
             params = make_params(n, p_threshold, epsilon=epsilon, p_crit=0.999)
-            for seed in range(3):
+            for seed in range(seeds):
                 assert run_protocol(params, device, seed) == loop_run_protocol(params, device, seed)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DEVICES))
+def test_materialized_transcripts_hold_python_ints_and_bools(name):
+    """Run equality cannot see numpy scalars in a transcript (np.True_ ==
+    True), so the types are pinned: tuples of tuples of int, and a tuple
+    of bool."""
+    for p_threshold in (0.5, 0.99):
+        run = run_protocol(make_params(300, p_threshold), REFERENCE_DEVICES[name], seed=4)
+        for rows in (run.inputs, run.outputs):
+            assert type(rows) is tuple and len(rows) == run.n_rounds
+            assert {type(row) for row in rows} == {tuple}
+            assert {type(v) for row in rows for v in row} == {int}
+        assert type(run.wins) is tuple and len(run.wins) == run.n_rounds
+        assert {type(w) for w in run.wins} == {bool}
 
 
 # Aggregated runs at N = 5000, threshold 0.9 and seed 0: total_wins,
@@ -374,6 +390,23 @@ def fresh_devices():
     }
 
 
+def block_behaviors(device):
+    """Every behavior a run against `device` reads: the memoized behaviors
+    of its (depolarized) strategies, read through the strategies module."""
+    game = mermin_game()
+    if isinstance(device, HonestDevice):
+        played = [device.strategy]
+        if device.noise.visibility < 1.0:
+            played = [strategies.apply_depolarizing(device.strategy, device.noise)]
+    else:
+        played = [b.strategy for blocks in device.adversary.device_blocks for b in blocks]
+    return [
+        strategies.behavior_of_deterministic(s, game) if isinstance(s, DeterministicStrategy)
+        else strategies.behavior_of_quantum(s, game)
+        for s in played
+    ]
+
+
 # a materialized and a planner-scale round count
 BATCH_ROUNDS = (700, 65746814205468)
 
@@ -381,10 +414,11 @@ BATCH_ROUNDS = (700, 65746814205468)
 @pytest.mark.parametrize("name", sorted(fresh_devices()))
 def test_a_batch_builds_each_behavior_once(name, monkeypatch):
     """Over the runs of batches at a materialized and at a planner-scale N,
-    each (strategy, game) behavior and each (strategy, visibility)
-    depolarized copy is built once, while every run still calls the public
-    `behavior_of_quantum` per quantum block and `apply_depolarizing` per
-    depolarized run, the calls the benchmark's coverage guard counts."""
+    each (strategy, game) behavior, each (strategy, visibility)
+    depolarized copy and each behavior's tables are built once, while
+    every run still calls the public `behavior_of_quantum` per quantum
+    block and `apply_depolarizing` per depolarized run, the calls the
+    benchmark's coverage guard counts."""
     built = []
     for builder in ("_quantum_behavior", "_deterministic_behavior", "_depolarized"):
         def build(strategy, key, builder=builder, original=getattr(strategies, builder)):
@@ -392,6 +426,13 @@ def test_a_batch_builds_each_behavior_once(name, monkeypatch):
             return original(strategy, key)
 
         monkeypatch.setattr(strategies, builder, build)
+    tabled = []
+
+    def tables(behavior, original=sim._BehaviorTables):
+        tabled.append(id(behavior))
+        return original(behavior)
+
+    monkeypatch.setattr(sim, "_BehaviorTables", tables)
     public = collections.Counter()
     for function in ("behavior_of_quantum", "apply_depolarizing"):
         def call(*args, function=function, original=getattr(sim, function)):
@@ -413,6 +454,7 @@ def test_a_batch_builds_each_behavior_once(name, monkeypatch):
             runs += 1
 
     assert len(built) == len(set(built))
+    assert sorted(tabled) == sorted({id(b): b for b in block_behaviors(device)})
     if name == "depolarized":
         assert sorted(b for b, _, _ in built) == ["_depolarized", "_quantum_behavior"]
         assert public == {"apply_depolarizing": runs, "behavior_of_quantum": runs}
@@ -433,7 +475,8 @@ def test_a_batch_builds_each_behavior_once(name, monkeypatch):
 def test_runs_do_not_depend_on_what_ran_before(forced, monkeypatch):
     """A (device, seed) gives the same run, every field and p_avg to the
     bit, as the first run on new strategy objects, after the other
-    devices' runs on shared ones, and again once every memo is built."""
+    devices' runs on shared ones, and again once every memo (behaviors,
+    depolarized copies, behavior tables) is built."""
     if forced:
         monkeypatch.setattr(sim, "MATERIALIZE_LIMIT", 0)
     params = make_params(900, 0.9)
@@ -475,6 +518,38 @@ def test_win_table_sums_match_the_per_output_loop(seed):
                     sim._alice_zero_given_status(row, wins, won)
             else:
                 assert sim._alice_zero_given_status(row, wins, won) == num / den
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DEVICES))
+def test_behavior_tables_equal_fresh_sums(name):
+    """Each behavior's tables, built once and kept on it, hold the win
+    probabilities `_win_probability` sums afresh, to the bit, their
+    clipped copies, the cumulative rows and P(first output 0 | win
+    status), which raises for a zero-probability status each time it is
+    asked for.  Repr ignores the tables."""
+    for behavior in block_behaviors(REFERENCE_DEVICES[name]):
+        text = repr(behavior)
+        tables = sim._tables(behavior)
+        assert sim._tables(behavior) is tables
+        assert repr(behavior) == text and "_tables" not in text
+        for c, (x, wins) in enumerate(zip(sim._CELLS, sim._win_table(mermin_game()))):
+            row = behavior.table[x]
+            fresh = sim._win_probability(row, wins)
+            assert tables.win_prob[c].hex() == fresh.hex()
+            assert tables.clipped[c].hex() == min(max(fresh, 0.0), 1.0).hex()
+            assert np.array_equal(tables.cumulative[c], np.cumsum(row.ravel()))
+            for won in (False, True):
+                try:
+                    expected = sim._alice_zero_given_status(row, wins, won)
+                except ValueError:
+                    for _ in range(2):
+                        with pytest.raises(ValueError, match="zero-probability"):
+                            tables.p_zero(c, won)
+                else:
+                    assert tables.p_zero(c, won).hex() == expected.hex()
+        for array in (tables.clipped, *tables.cumulative):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
 
 
 def test_behavior_rows_are_nonnegative_with_monotone_cumulative_sums():
