@@ -8,8 +8,11 @@ the certified target; the script exits 1 if any device does neither
 (a LEAK verdict).
 
 CI compares the output of `--runs 50`, its plan timing stripped, with
-`scripts/attack_bench_runs50.txt`; record that file anew when a change
-is meant to move these numbers.
+`scripts/attack_bench_runs50.txt`, and that of `--runs 50 --delta 0.001`
+with `scripts/attack_bench_runs50_delta0.001.txt`.  The first plan has
+N ~ 6.6e13 and draws its runs aggregated; the second has N = 17577 and
+materializes every round.  Record a file anew when a change is meant to
+move its numbers.
 """
 
 import argparse

@@ -242,20 +242,20 @@ def input_distribution_from_source(game: GameSpec, source: ExtremalSource) -> In
     """Distribution induced by drawing the round's input bits from `source`.
 
     Two bits are consumed per round, Alice's first, then Bob's, read at
-    the sign pattern's start and at its state after Alice's bit: the
-    distribution of a round that starts in the start state, which every
-    round does under a round-local pattern.  For the tripartite game the
-    third input is set to a xor b, which lands the support exactly on
-    the promise.  Only binary-input games are supported.
+    state 0, the sign pattern's start, and at `succ[a]`, its state after
+    Alice's bit a: the distribution of a round that starts in state 0,
+    which every round does under a round-local pattern.  For the
+    tripartite game the third input is set to a xor b, which lands the
+    support exactly on the promise.  Only binary-input games are
+    supported.
     """
     if any(c != 2 for c in game.input_cardinalities[:2]):
         raise ValueError(f"game {game.name} does not take two source bits as inputs")
-    pattern = source.sign
-    first = source.next_bit_probability(pattern.start)
+    first = source.next_bit_probability(0)
     table: dict[InputTuple, float] = {}
     for a in (0, 1):
         pa = first if a == 0 else 1.0 - first
-        second = source.next_bit_probability(pattern.step(pattern.start, a))
+        second = source.next_bit_probability(source.sign.succ[a])
         for b in (0, 1):
             pb = second if b == 0 else 1.0 - second
             if game.n_parties == 2:

@@ -162,21 +162,18 @@ def _selection_exponent(epsilon: float, delta: float) -> float:
 
 
 def threshold_gap(p_crit: float, epsilon: float, delta: float, x: float) -> float:
-    """Distance 1 - P = (1 - P_crit) 2^{-L} - x of the threshold below 1.
+    """Distance 1 - P = (1 - P_crit) 2^{-L} - x of the threshold below 1,
+    that is `max_feasible_slack` less x.
 
     The gap underflows double precision long before it reaches zero
     (strong bias and high confidence push it to 1e-30 and below), so the
     strictly-below-1 property of the threshold must be read off here
     rather than from 1 - threshold_success(...).
     """
-    if p_crit >= 1.0:
-        raise ValueError(f"critical success must be below 1, got {p_crit}")
-    _check_epsilon(epsilon)
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"confidence delta must lie in [0, 1), got {delta}")
+    slack = max_feasible_slack(p_crit, epsilon, delta)
     if not x >= 0:
         raise ValueError(f"slack x must be nonnegative, got {x}")
-    return (1.0 - p_crit) * 2.0 ** (-_selection_exponent(epsilon, delta)) - x
+    return slack - x
 
 
 def threshold_success(p_crit: float, epsilon: float, delta: float, x: float) -> float:
@@ -187,6 +184,11 @@ def threshold_success(p_crit: float, epsilon: float, delta: float, x: float) -> 
 
 def max_feasible_slack(p_crit: float, epsilon: float, delta: float) -> float:
     """Largest x keeping threshold_success strictly below 1."""
+    if p_crit >= 1.0:
+        raise ValueError(f"critical success must be below 1, got {p_crit}")
+    _check_epsilon(epsilon)
+    if not 0.0 <= delta < 1.0:
+        raise ValueError(f"confidence delta must lie in [0, 1), got {delta}")
     return (1.0 - p_crit) * 2.0 ** (-_selection_exponent(epsilon, delta))
 
 

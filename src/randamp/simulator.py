@@ -18,7 +18,7 @@ per-block empirical counts; by exchangeability of rounds within a block
 this matches the materialized distribution exactly, including the
 correlation between survival of the abort test and the selected round's
 win status.  Aggregation requires a round-local steering pattern, one
-whose every two-bit round ends back in its start state
+whose every two-bit round ends back in its start state 0
 (`SignPattern.round_local`), which keeps rounds i.i.d.; materialized
 runs accept any pattern.
 `run_batch` runs a batch, run i on the i-th child of SeedSequence(seed).
@@ -38,19 +38,17 @@ once per game.  No result depends on which runs came before.
 A materialized run draws its 3 N round uniforms in one call: round j
 reads uniforms 3j and 3j + 1 for its two input bits and 3j + 2 for its
 outputs, the doubles that 3 N scalar draws would give, in the same
-order.  Every run reads its source through a table of the pattern
-states its stream reaches (`_StateTable`): a state is read once, when
-first reached, and each (state, bit) is stepped once, the first time
-the stream needs it, so states are dictionary keys and equal states are
-interchangeable.  A round-local pattern gives every round the same
-three input conditionals, those of the pattern's start and its two
-successors, and the run compares all 2 N input uniforms with them in
-bulk.  Any other pattern is streamed: one Python loop walks the table,
-a few list lookups per round, and a new state adds at most three reads
-and three steps, so every run costs O(N) in time and its table O(states
-reached) in memory.  The rounds' win probabilities are summed in round
-order, one schedule block at a time, and outputs are drawn after the
-inputs, one search per (schedule block, input cell).  The transcript's
+order.  A run reads its source once per state of the steering pattern,
+a finite automaton of S states (`SignPattern`), into a list of each
+state's probability of a 0 bit, and walks the pattern's successor
+table `succ`.  A round-local pattern gives every round the same three
+input conditionals, those of state 0 and its two successors, and the
+run compares all 2 N input uniforms with them in bulk.  Any other
+pattern is streamed: one Python loop walks `succ`, a few list lookups
+per round, so every run costs O(N + S) in time and memory.  The
+rounds' win probabilities are summed in round order, one schedule block
+at a time, and outputs are drawn after the inputs, one search per
+(schedule block, input cell).  The transcript's
 inputs and outputs are gathered from object arrays of the input cells
 and of the game's output tuples, one `take` each, so every round holds
 one of those tuples of Python ints.
@@ -212,43 +210,14 @@ def _selection_bit_count(n_rounds: int) -> int:
     return (n_rounds - 1).bit_length()
 
 
-class _StateTable:
-    """The sign-pattern states a source stream reaches from `start`,
-    numbered in the order reached, `start` first.  `prob[i]` is the
-    source's probability of a 0 bit in state i, read once when the state
-    is first reached; `succ[2 i + bit]` numbers step(state i, bit), or is
-    -1 until the stream first needs it.  Equal states share one number."""
-
-    def __init__(self, source: ExtremalSource, start: Any) -> None:
-        self._read, self._step = source.next_bit_probability, source.sign.step
-        self._numbers: dict[Any, int] = {start: 0}
-        self.states: list[Any] = [start]
-        self.prob: list[float] = [self._read(start)]
-        self.succ: list[int] = [-1, -1]
-
-    def successor(self, i: int, bit: int) -> int:
-        """The number of step(state i, bit), stepping the pattern the first time."""
-        k = 2 * i + bit
-        j = self.succ[k]
-        if j < 0:
-            state = self._step(self.states[i], bit)
-            numbers = self._numbers
-            if state in numbers:
-                j = self.succ[k] = numbers[state]
-            else:
-                j = self.succ[k] = numbers[state] = len(self.states)
-                self.states.append(state)
-                self.prob.append(self._read(state))
-                self.succ += (-1, -1)
-        return j
-
-
-def _select_round(table: _StateTable, state: int, rng: np.random.Generator, n_rounds: int) -> tuple[int, int]:
+def _select_round(
+    prob: list[float], succ: tuple[int, ...], state: int, rng: np.random.Generator, n_rounds: int
+) -> tuple[int, int]:
     """The selected round and the number of index draws: each draw reads
-    `_selection_bit_count` source bits, continuing the stream from table
-    state `state`, until the index they spell is below n_rounds."""
+    `_selection_bit_count` source bits, continuing the stream from
+    pattern state `state`, until the index they spell is below n_rounds.
+    prob[s] is the source's probability of a 0 bit in state s."""
     n_bits = _selection_bit_count(n_rounds)
-    prob = table.prob
     draws = 0
     while True:
         draws += 1
@@ -256,7 +225,7 @@ def _select_round(table: _StateTable, state: int, rng: np.random.Generator, n_ro
         # one call gives the doubles that n_bits scalar draws would
         for u in rng.random(n_bits).tolist():
             bit = u >= prob[state]
-            state = table.successor(state, bit)
+            state = succ[2 * state + bit]
             idx = 2 * idx + bit
         if idx < n_rounds:
             return idx, draws
@@ -399,8 +368,8 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
     (3) select a round with further source bits and emit the first
     party's outcome from it.  Aborts are data, not errors.  Step (1) is
     drawn materialized or aggregated; either draw yields the total wins,
-    p_avg, the state table and table state that selection continues
-    from, `emit` (the selected round's output bit) and the transcript.
+    p_avg, the pattern state that selection continues from, `emit` (the
+    selected round's output bit) and the transcript.
     """
     n = params.n_rounds
     if n > AGGREGATE_LIMIT:
@@ -409,13 +378,15 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
     game = mermin_game()
     rng = np.random.default_rng(seed)
     blocks, source = _resolve_schedule(params, device, rng, game)
-    if aggregated and not source.sign.round_local:
+    pattern = source.sign
+    if aggregated and not pattern.round_local:
         raise ValueError(
             f"{n} rounds exceed the materialization limit and the steering "
             "pattern is not round-local, so the run cannot be aggregated"
         )
     counts = _block_round_counts(blocks, n)
     tables = [_tables(_block_behavior(b.strategy, game)) for b in blocks]
+    prob = [source.next_bit_probability(state) for state in range(len(pattern.signs))]
 
     if aggregated:
         dist = input_distribution_from_source(game, source)
@@ -429,9 +400,9 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
             cell_wins.append(rng.binomial(nc, t.clipped))
             p_avg += (nb / n) * float(p_vec @ t.clipped)
         total_wins = sum(int(wc.sum()) for wc in cell_wins)
-        # every round of a round-local pattern ends back in its start state,
-        # so selection continues from it after the 2N round bits
-        table, state = _StateTable(source, source.sign.start), 0
+        # every round of a round-local pattern ends back in state 0, so
+        # selection continues from it after the 2N round bits
+        state = 0
         transcript = {}
 
         def emit(idx: int) -> int:
@@ -445,8 +416,8 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
     else:
         # round j reads uniforms 3j and 3j + 1 for its input bits, 3j + 2 for its outputs
         uniforms = rng.random(3 * n)
-        cell_index, p_avg_sum, table, state = _draw_inputs(
-            source, counts, [t.win_prob for t in tables], uniforms[0::3], uniforms[1::3])
+        cell_index, p_avg_sum, state = _draw_inputs(
+            prob, pattern, counts, [t.win_prob for t in tables], uniforms[0::3], uniforms[1::3])
         u_out = uniforms[2::3]
         out_array = _output_array(game)
         flat = np.empty(n, dtype=np.intp)
@@ -471,7 +442,7 @@ def run_protocol(params: ProtocolParams, device: DeviceModel, seed) -> ProtocolR
 
     p_est = total_wins / n
     aborted = p_est <= params.p_threshold
-    selected, draws = (None, 0) if aborted else _select_round(table, state, rng, n)
+    selected, draws = (None, 0) if aborted else _select_round(prob, pattern.succ, state, rng, n)
     return ProtocolRun(
         n_rounds=n, total_wins=total_wins, p_est=p_est, aborted=aborted,
         selected_round=selected, output_bit=None if aborted else emit(selected), p_avg=p_avg,
@@ -500,28 +471,29 @@ def _round_win_probability(pa, pb_0, pb_1, w: tuple[float, ...]):
 
 
 def _draw_inputs(
-    source: ExtremalSource,
+    prob: list[float],
+    pattern: SignPattern,
     counts: list[int],
     win_prob: list[tuple[float, ...]],
     u_first: np.ndarray,
     u_second: np.ndarray,
-) -> tuple[np.ndarray, float, _StateTable, int]:
+) -> tuple[np.ndarray, float, int]:
     """Every round's input cell 2a + b, the sum of the rounds' win
-    probabilities in round order, and the state table and table state
-    that the stream reaches after the 2N input bits.  Round j's first bit
-    is 1 iff u_first[j] >= pa, its second iff u_second[j] >= pb_a, where
-    pa and pb_a are the source's conditionals before each bit."""
-    table = _StateTable(source, source.sign.start)
-    prob, succ, successor = table.prob, table.succ, table.successor
-    if source.sign.round_local:
+    probabilities in round order, and the pattern state that the stream
+    reaches after the 2N input bits.  prob[s] is the source's
+    probability of a 0 bit in state s.  Round j's first bit is 1 iff
+    u_first[j] >= pa, its second iff u_second[j] >= pb_a, where pa and
+    pb_a are the source's conditionals before each bit."""
+    succ = pattern.succ
+    if pattern.round_local:
         # every round starts in state 0 and sees the same three conditionals
-        pa, pb_0, pb_1 = prob[0], prob[successor(0, 0)], prob[successor(0, 1)]
+        pa, pb_0, pb_1 = prob[0], prob[succ[0]], prob[succ[1]]
         first = u_first >= pa
         second = u_second >= np.where(first, pb_1, pb_0)
         p_avg_sum = 0.0
         for count, w in zip(counts, win_prob):
             p_avg_sum = _sum_in_order(np.full(count, _round_win_probability(pa, pb_0, pb_1, w)), p_avg_sum)
-        return 2 * first.astype(np.intp) + second, p_avg_sum, table, 0
+        return 2 * first.astype(np.intp) + second, p_avg_sum, 0
 
     # each round appends 4 i + 2 a + b, i its start state and 2a + b its cell
     codes = []
@@ -531,31 +503,22 @@ def _draw_inputs(
         a = ua >= prob[i]
         k = 2 * i + a
         m = succ[k]
-        if m < 0:
-            m = successor(i, a)
         b = ub >= prob[m]
-        e = succ[2 * m + b]
-        if e < 0:
-            e = successor(m, b)
         append(2 * k + b)
-        i = e
+        i = succ[2 * m + b]
     starts = np.array(codes, dtype=np.intp)
     del codes, append
     cells = starts & 3
     starts >>= 2
-    # a round's win probability reads both first-bit successors of its start
-    firsts = np.flatnonzero(np.bincount(starts)).tolist()
-    pa = np.array([prob[f] for f in firsts])
-    pb_0 = np.array([prob[successor(f, 0)] for f in firsts])
-    pb_1 = np.array([prob[successor(f, 1)] for f in firsts])
-    # term_of[block, state]: the win probability of a round from that state in that block
-    term_of = np.empty((len(win_prob), len(prob)))
-    term_of[:, firsts] = [_round_win_probability(pa, pb_0, pb_1, w) for w in win_prob]
+    # a round's win probability in each block, from each state, elementwise
+    pa = np.array(prob)
+    pb_0, pb_1 = pa[list(succ[0::2])], pa[list(succ[1::2])]
     p_avg_sum, stop = 0.0, 0
-    for terms, count in zip(term_of, counts):
+    for w, count in zip(win_prob, counts):
         start, stop = stop, stop + count
+        terms = _round_win_probability(pa, pb_0, pb_1, w)
         p_avg_sum = _sum_in_order(terms[starts[start:stop]], p_avg_sum)
-    return cells, p_avg_sum, table, i
+    return cells, p_avg_sum, i
 
 
 def _sum_in_order(terms: np.ndarray, total: float) -> float:

@@ -234,6 +234,16 @@ def test_nan_slack_is_rejected():
         plan_protocol(0.3, 0.29, 0.5, x=nan, tol=5e-3)
 
 
+@pytest.mark.parametrize("delta", [1.0, 1.5, -0.1])
+def test_plan_rejects_a_confidence_outside_the_unit_interval(delta):
+    """delta = 1 and above fail the slack's own check, not a logarithm
+    of 1 - delta deep inside it."""
+    with pytest.raises(ValueError, match=r"confidence delta must lie in \[0, 1\)"):
+        plan_protocol(0.3, 0.29, delta, tol=5e-3)
+    with pytest.raises(ValueError, match=r"confidence delta must lie in \[0, 1\)"):
+        max_feasible_slack(0.98, 0.3, delta)
+
+
 def walked_rounds_needed(x, budget, epsilon):
     """The smallest N by unit steps from the float estimate: the
     reference for `rounds_needed` where the walk is short."""

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import math
 from functools import reduce
 
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import randamp.simulator as sim
+import randamp.sources as sources
 import randamp.strategies as strategies
 from randamp.protocol import ProtocolParams, deviation_confidence
 from randamp.simulator import (
@@ -150,26 +150,26 @@ def loop_run_protocol(params, device, seed):
     flat_rows = [{x: np.cumsum(bh.table[x].ravel()) for x in cells} for bh in behaviors]
     out_shape = tuple(game.output_cardinalities)
 
-    pattern = source.sign
+    succ = source.sign.succ
 
     def round_input_distribution(state):
         dist = {}
         pa0 = source.next_bit_probability(state)
         for a in (0, 1):
             pa = pa0 if a == 0 else 1.0 - pa0
-            pb0 = source.next_bit_probability(pattern.step(state, a))
+            pb0 = source.next_bit_probability(succ[2 * state + a])
             for b in (0, 1):
                 pb = pb0 if b == 0 else 1.0 - pb0
                 dist[(a, b, a ^ b)] = pa * pb
         return dist
 
     # the pattern's state after the bits drawn so far, and their number
-    state, bits_used = pattern.start, 0
+    state, bits_used = 0, 0
 
     def draw():
         nonlocal state, bits_used
         bit = 0 if rng.random() < source.next_bit_probability(state) else 1
-        state, bits_used = pattern.step(state, bit), bits_used + 1
+        state, bits_used = succ[2 * state + bit], bits_used + 1
         return bit
 
     inputs, outputs, wins = [], [], []
@@ -217,13 +217,6 @@ def loop_run_protocol(params, device, seed):
 LOSE_110 = DeterministicStrategy(((0, 1), (0, 1), (0, 0)))
 
 
-def drifting_sign():
-    """A constant +1 sign over a state that counts the bits drawn: its
-    rounds never end back in the start state, so it is not round-local,
-    though every round sees the same conditionals."""
-    return SignPattern(lambda state: 1, lambda state, bit: state + 1, 0)
-
-
 REFERENCE_DEVICES = {
     "honest": HonestDevice(GHZ),
     "depolarized": HonestDevice(GHZ, NoiseModel(0.999)),
@@ -247,8 +240,11 @@ REFERENCE_DEVICES = {
     "parity-lose-first": AdversarialDevice(AdversaryModel(
         (1.0,), ((ScheduleBlock(0.3, LOSE_110), ScheduleBlock(0.7, GHZ)),), (parity_sign(),)
     )),
+    # a constant +1 sign over the bits drawn counted mod 3: a round ends
+    # back in the start state only every third round, so the pattern is
+    # not round-local, though every round sees the same conditionals
     "drifting-counter": AdversarialDevice(AdversaryModel(
-        (1.0,), ((ScheduleBlock(1.0, LOSE_110),),), (drifting_sign(),)
+        (1.0,), ((ScheduleBlock(1.0, LOSE_110),),), (SignPattern((1, 1, 1), (1, 1, 2, 2, 0, 0)),)
     )),
     "dipping-row": AdversarialDevice(AdversaryModel(
         (1.0,), ((ScheduleBlock(1.0, dipping_product_strategy()),),), (constant_sign(+1),)
@@ -314,55 +310,56 @@ def test_aggregated_runs_keep_their_draws(name, monkeypatch):
     assert got == AGGREGATED_DRAWS[name]
 
 
-def counted(pattern, calls):
-    """`pattern` with its `sign` and `step` counting their calls in `calls`."""
+# Materialized runs steered on the history at N = 2048, threshold 0.5,
+# p_crit 0.999 and seed 0: total_wins, p_avg.hex(), selected_round,
+# output_bit and selection_draws, keyed by device and epsilon.
+HISTORY_DRAWS = {
+    ("parity-split", 0.3): (2021, "0x1.f7ccccccccc84p-1", 1560, 0, 1),
+    ("parity-lose-first", 0.3): (1956, "0x1.e770a3d70a3bap-1", 1560, 0, 1),
+    ("table-depth-1", 0.3): (1862, "0x1.cc59999999979p-1", 1330, 0, 1),
+    ("table-depth-3", 0.3): (1859, "0x1.cd5eb851eb835p-1", 1042, 0, 1),
+    ("parity-split", 0.07): (2002, "0x1.f37049ba5e301p-1", 1562, 0, 1),
+    ("parity-lose-first", 0.07): (1905, "0x1.da608ce703b11p-1", 1562, 0, 1),
+    ("table-depth-1", 0.07): (1639, "0x1.91d841893749fp-1", 1562, 1, 1),
+    ("table-depth-3", 0.07): (1631, "0x1.923c6dc5d6362p-1", 1818, 1, 1),
+}
 
-    def sign(state):
-        calls["sign"] += 1
-        return pattern.sign(state)
 
-    def step(state, bit):
-        calls["step"] += 1
-        return pattern.step(state, bit)
-
-    return dataclasses.replace(pattern, sign=sign, step=step)
-
-
-def pattern_calls(pattern, n, p_threshold):
-    calls = {"sign": 0, "step": 0}
-    device = AdversarialDevice(AdversaryModel(
-        (1.0,), ((ScheduleBlock(1.0, LOSE_110),),), (counted(pattern, calls),)
-    ))
-    run = run_protocol(make_params(n, p_threshold), device, seed=5)
-    return calls, run
+@pytest.mark.parametrize("name, epsilon", sorted(HISTORY_DRAWS))
+def test_history_steered_runs_keep_their_draws(name, epsilon):
+    """Pins the history-steered runs independently of `loop_run_protocol`,
+    which shares the source reads with the run it checks: the input
+    stream, p_avg summed in round order, and the selection continuing the
+    pattern's state after the 2N round bits."""
+    run = run_protocol(make_params(2048, 0.5, epsilon=epsilon, p_crit=0.999), REFERENCE_DEVICES[name], seed=0)
+    assert not run.aggregated
+    got = (run.total_wins, run.p_avg.hex(), run.selected_round, run.output_bit, run.selection_draws)
+    assert got == HISTORY_DRAWS[name, epsilon]
 
 
 @pytest.mark.parametrize("n", [500, 4000])
-def test_materialized_runs_consult_the_pattern_linearly(n):
-    """A run reads each state it reaches once and takes each (state, bit)
-    step once, selection bits included, so parity_sign's two states cost
-    two reads and four steps however many rounds the run has.  A pattern
-    that never revisits a state costs at most three reads and three steps
-    per round and one of each per selection bit.  A round-local run reads
-    its three conditionals once.  Building the counted pattern first
-    derives `round_local`, two steps per two-bit round it tries:
-    parity_sign and the drifting counter fail at the second and first
-    round they try (4 and 2 steps), a round-local pattern passes all four
-    (8 steps)."""
-    calls, run = pattern_calls(parity_sign(), n, 0.5)
-    assert not run.aborted
-    assert calls == {"sign": 2, "step": 4 + 4}
+def test_a_run_reads_the_source_once_per_pattern_state(n, monkeypatch):
+    """A materialized run reads `next_bit_probability` once per state of
+    its pattern, however many rounds and selection bits it draws: one
+    read for a constant sign, two for parity, three for a round-local
+    pattern over three states, whose run aborts and draws no selection
+    bits, and fifteen for a depth-3 table."""
+    calls = collections.Counter()
+    read = sources.ExtremalSource.next_bit_probability
 
-    calls, run = pattern_calls(drifting_sign(), n, 0.5)
-    assert not run.aborted
-    selection_bits = run.selection_draws * (n - 1).bit_length()
-    assert calls["sign"] <= 3 * n + selection_bits
-    assert calls["step"] <= 2 + 3 * n + selection_bits
+    def counted(source, state):
+        calls[state] += 1
+        return read(source, state)
 
-    # an aborted run draws no selection bits
-    calls, run = pattern_calls(round_position_sign(+1, -1, +1), n, 1.0)
-    assert run.aborted
-    assert calls == {"sign": 3, "step": 8 + 2}
+    monkeypatch.setattr(sources.ExtremalSource, "next_bit_probability", counted)
+    for pattern, p_threshold in ((constant_sign(+1), 0.5), (parity_sign(), 0.5),
+                                 (round_position_sign(+1, -1, +1), 1.0),
+                                 (table_sign({(0, 1, 1): -1, (1,): -1}, depth=3), 0.5)):
+        calls.clear()
+        device = AdversarialDevice(AdversaryModel((1.0,), ((ScheduleBlock(1.0, LOSE_110),),), (pattern,)))
+        run = run_protocol(make_params(n, p_threshold), device, seed=5)
+        assert run.aborted == (p_threshold == 1.0)
+        assert calls == collections.Counter(range(len(pattern.signs)))
 
 
 def test_runs_beyond_int64_rounds_fail_before_any_draw(monkeypatch):
@@ -695,18 +692,6 @@ def test_aggregation_requires_round_local_steering(monkeypatch):
     params = make_params(64, 0.9)
     with pytest.raises(ValueError, match="aggregated"):
         run_protocol(params, AdversarialDevice(adversary), seed=1)
-
-
-def test_a_drifting_state_is_not_round_local(monkeypatch):
-    """Round-locality is read off the state machine, not off the signs: a
-    constant sign over a drifting counter is refused for aggregation with
-    the message every non-round-local pattern gets.  Its materialized
-    runs stream the state and match the round loop
-    (`test_materialized_runs_match_the_round_loop`)."""
-    assert not drifting_sign().round_local
-    monkeypatch.setattr(sim, "MATERIALIZE_LIMIT", 0)
-    with pytest.raises(ValueError, match="not round-local, so the run cannot be aggregated"):
-        run_protocol(make_params(64, 0.9), REFERENCE_DEVICES["drifting-counter"], seed=1)
 
 
 def test_abort_rate_obeys_concentration_bound(monkeypatch):

@@ -37,9 +37,9 @@ def test_check_epsilon_rejects_out_of_range():
 
 
 def streamed_state(pattern, history):
-    state = pattern.start
+    state = 0
     for bit in history:
-        state = pattern.step(state, bit)
+        state = pattern.succ[2 * state + bit]
     return state
 
 
@@ -48,25 +48,48 @@ def test_sign_patterns_output_unit_signs():
         pattern = build()
         for n in range(5):
             for h in itertools.product((0, 1), repeat=n):
-                assert pattern.sign(streamed_state(pattern, h)) in (-1, 1)
+                assert pattern.signs[streamed_state(pattern, h)] in (-1, 1)
 
 
 def test_sign_pattern_rejects_non_sign():
-    bad = SignPattern(lambda state: 0, lambda state, bit: state, 0)
-    with pytest.raises(ValueError, match="returned 0"):
-        ExtremalSource(0.1, bad).next_bit_probability(bad.start)
+    """A sign other than +1 or -1 is refused when the pattern is built,
+    whether it reaches the table directly or through a builder."""
+    for signs in ((0,), (1, 2), (1, -1.5)):
+        with pytest.raises(ValueError, match="signs must be"):
+            SignPattern(signs, (0,) * 2 * len(signs))
+    with pytest.raises(ValueError, match="signs must be"):
+        constant_sign(0)
+    with pytest.raises(ValueError, match="signs must be"):
+        table_sign({(1,): 2}, depth=1)
+    with pytest.raises(ValueError, match="signs must be"):
+        round_position_sign(1, 1, 0)
+
+
+@pytest.mark.parametrize("signs, succ, match", [
+    ((), (), "at least one state"),
+    ((1,), (0,), "need 2 successors"),
+    ((1, -1), (0, 1, 1), "need 4 successors"),
+    ((1, -1), (0, 1, 1, 0, 0), "need 4 successors"),
+    ((1, -1), (0, 1, 2, 0), "successors must be states"),
+    ((1,), (0, -1), "successors must be states"),
+])
+def test_sign_pattern_rejects_a_malformed_table(signs, succ, match):
+    """Empty signs, a successor table not two per state, or a successor
+    that names no state are refused when the pattern is built."""
+    with pytest.raises(ValueError, match=match):
+        SignPattern(signs, succ)
 
 
 @pytest.mark.parametrize("build", SIGN_BUILDERS)
 def test_random_access_matches_the_streamed_state(build):
-    """A round-local run reads every round at random access, at `start`
-    and at `step(start, a)` whatever came before.  On every history of
+    """A round-local run reads every round at random access, at state 0
+    and at `succ[a]` whatever came before.  On every history of
     up to 8 bits that read gives the streamed sign exactly when the
     pattern derives `round_local`: each pattern here that is not
     round-local has a history where the two differ."""
     pattern = build()
     agree = all(
-        pattern.sign(streamed_state(pattern, h)) == pattern.sign(streamed_state(pattern, h[n - n % 2:]))
+        pattern.signs[streamed_state(pattern, h)] == pattern.signs[streamed_state(pattern, h[n - n % 2:])]
         for n in range(9) for h in itertools.product((0, 1), repeat=n)
     )
     assert agree == pattern.round_local
@@ -81,6 +104,8 @@ ROUND_LOCAL = {
 }
 NOT_ROUND_LOCAL = {
     "parity": parity_sign,
+    # a constant sign over the bits counted mod 3: the state drifts
+    "counter-mod-3": lambda: SignPattern((1, 1, 1), (1, 1, 2, 2, 0, 0)),
     **{f"table-depth-{d}": lambda d=d: table_sign({(0,) * d: -1}, depth=d) for d in (1, 2, 3)},
 }
 
@@ -88,7 +113,7 @@ NOT_ROUND_LOCAL = {
 @pytest.mark.parametrize("name", sorted(ROUND_LOCAL) + sorted(NOT_ROUND_LOCAL))
 def test_round_locality_is_derived_from_the_state_machine(name):
     """`round_local` holds exactly for the patterns whose every two-bit
-    round ends back in `start`, and then, on every history of up to 8
+    round ends back in state 0, whatever their signs, and then, on every history of up to 8
     bits, the streamed state is the state after the current round's bits
     alone: the sign depends only on the position within the round and
     the round's first bit."""
@@ -102,7 +127,7 @@ def test_round_locality_is_derived_from_the_state_machine(name):
 
 def test_round_locality_is_not_an_init_argument():
     with pytest.raises(TypeError):
-        SignPattern(lambda state: 1, lambda state, bit: 0, 0, round_local=False)
+        SignPattern((1,), (0, 0), round_local=False)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
@@ -118,7 +143,16 @@ def test_table_sign_reads_the_table_at_the_last_depth_bits(depth):
         for n in range(9):
             for h in itertools.product((0, 1), repeat=n):
                 expected = table.get(h[-depth:] if depth else (), default)
-                assert pattern.sign(streamed_state(pattern, h)) == expected, h
+                assert pattern.signs[streamed_state(pattern, h)] == expected, h
+
+
+@pytest.mark.parametrize("key", [(0, 0), (1, 0, 1), (2,), (0, -1), 0, "0", None])
+def test_table_sign_rejects_keys_it_cannot_read(key):
+    """Every key must be a tuple of 0/1 bits no longer than `depth`: any
+    other key names no history the pattern looks up, so it is refused
+    rather than dropped."""
+    with pytest.raises(ValueError, match="key"):
+        table_sign({(1,): -1, key: -1}, depth=1)
 
 
 @given(epsilons, sign_patterns, histories)
@@ -135,12 +169,12 @@ def sample_bits(source, n, seed):
     probability given the bits before it, read at the pattern's state
     streamed along with the bits."""
     rng = np.random.default_rng(seed)
-    pattern = source.sign
-    state = pattern.start
+    succ = source.sign.succ
+    state = 0
     bits = np.empty(n, dtype=np.uint8)
     for i in range(n):
         bits[i] = bit = 0 if rng.random() < source.next_bit_probability(state) else 1
-        state = pattern.step(state, bit)
+        state = succ[2 * state + bit]
     return bits
 
 
@@ -152,7 +186,7 @@ def test_empirical_frequency_matches_conditional_probability():
     n = 100_000
     for seed, eps in enumerate((0.0, 0.2, 0.45)):
         src = ExtremalSource(eps, constant_sign(+1))
-        p0 = src.next_bit_probability(src.sign.start)
+        p0 = src.next_bit_probability(0)
         bits = sample_bits(src, n, seed)
         freq = float(np.mean(bits == 0))
         sigma = np.sqrt(max(p0 * (1 - p0), 0.04) / n)
@@ -168,8 +202,8 @@ def test_sampling_is_deterministic_given_seed():
 
 def test_canonical_source_biases_both_round_bits_toward_zero():
     src = canonical_mermin_source(0.3)
-    start, step = src.sign.start, src.sign.step
-    assert src.next_bit_probability(start) == 0.8
-    assert src.next_bit_probability(step(start, 0)) == 0.8
-    assert src.next_bit_probability(step(start, 1)) == 0.8
+    succ = src.sign.succ
+    assert src.next_bit_probability(0) == 0.8
+    assert src.next_bit_probability(succ[0]) == 0.8
+    assert src.next_bit_probability(succ[1]) == 0.8
     assert src.sign.round_local
