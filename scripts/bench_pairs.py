@@ -4,6 +4,8 @@
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --pairs certify=10 --pairs plan=5 --seconds 15 \\
         --claim certify:ops_per_s --what "..." --out BENCH_23.json
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --pairs plan=0 --setup-probes 10 --out BENCH_37.json
 
 Both arguments are source checkouts holding `perfbench/run.py`.  For each
 workload, pair i runs `perfbench/run.py --workload <w> --seed i --seconds
@@ -13,6 +15,13 @@ even pairs the change.  Then one `--trace 1` run per side and workload
 its computed values (`details.computed`) are compared between the two
 sides: `computed_equal` holds the verdict per workload, and a warning
 goes to stderr when they differ.
+
+With `--setup-probes N`, each workload also gets N alternating pairs of
+fresh `perfbench/run.py --setup-probe` processes, which import the
+program, build the workload and run its warm-up op, then print `setup_s`
+and exit.  A single run's `setup_s` is the median of a handful of such
+processes and reads bimodal across runs, so the probes give each side's
+own median and quartiles over many fresh processes.
 
 The output file holds every run's result line and, per workload and
 end-to-end metric of the change's BENCHMARK.json, both sides' median and
@@ -49,6 +58,18 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
         raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} exited {done.returncode}:\n{done.stderr[-2000:]}")
     keep = 1 if trace == 0 else 2
     return [json.loads(line) for line in lines[-keep:]]
+
+
+def setup_probe(checkout: Path, workload: str, seed: int) -> float:
+    """`setup_s` of one fresh `perfbench/run.py --setup-probe` process."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    argv = [sys.executable, RUN, "--workload", workload, "--seed", str(seed), "--setup-probe"]
+    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    lines = done.stdout.strip().splitlines()
+    probe = json.loads(lines[-1]) if lines else {}
+    if done.returncode != 0 or not probe.get("ok"):
+        raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} exited {done.returncode}:\n{done.stderr[-2000:]}")
+    return probe["setup_s"]
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -98,6 +119,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                         help="run N alternating --trace 0 pairs of WORKLOAD (repeatable)")
     parser.add_argument("--seconds", type=float, default=15.0, help="timed seconds per --trace 0 run")
+    parser.add_argument("--setup-probes", type=int, default=0, metavar="N",
+                        help="run N alternating pairs of fresh --setup-probe processes per workload")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the metric the change claims to improve")
     parser.add_argument("--what", default="", help="one paragraph on what the change is")
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_*.json file to write")
@@ -116,6 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {},
         "claim": dict(zip(("workload", "metric"), args.claim.split(":"))) if args.claim else None,
         "summary_trace0": {},
+        "setup_probes": {},
         "computed_equal": {},
         "runs": [],
         "trace1": [],
@@ -137,6 +161,23 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} pair {seed} {side}: ops_per_s "
                       f"{result['metrics']['ops_per_s']['value']:.1f} ({time.time() - started:.0f} s)",
                       file=sys.stderr)
+    for workload, _ in plan:
+        probes: dict = {"parent": [], "change": []}
+        for seed in range(1, args.setup_probes + 1):
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            for side in order:
+                probes[side].append(setup_probe(sides[side], workload, seed))
+            report["setup_probes"][workload] = {
+                **{side: {"median": statistics.median(values), "quartiles": quartiles(values),
+                          "samples": values} for side, values in probes.items()},
+                "change_better_pairs": sum(c < p for p, c in zip(probes["parent"], probes["change"])),
+                "pairs": seed,
+            }
+            record()
+        if probes["parent"]:
+            medians = {side: report["setup_probes"][workload][side]["median"] for side in probes}
+            print(f"{workload} setup probes: parent {medians['parent']:.3f} s, "
+                  f"change {medians['change']:.3f} s", file=sys.stderr)
     for workload, _ in plan:
         computed = {}
         for side in ("parent", "change"):

@@ -600,21 +600,13 @@ def symmetry_group(game: GameSpec, dist: InputDistribution) -> tuple[Symmetry, .
 def _symmetry_group(game: GameSpec, equal: tuple[tuple[bool, ...], ...]) -> tuple[Symmetry, ...]:
     """`symmetry_group` of a distribution whose equality pattern over the
     admissible inputs is `equal` (`_equal_inputs`), the only way it
-    depends on the distribution."""
+    depends on the distribution.  Each admissible party permutation tries
+    every flip pattern, one (x, o) at a time; the search runs once per
+    (game, pattern) behind `_target_orbits`' cache."""
     n = game.n_parties
     admissible = game.admissible_inputs()
     row_of = {x: i for i, x in enumerate(admissible)}
-    outputs = game.all_outputs()
-    out_shape = tuple(game.output_cardinalities)
-    # win table over (admissible input, raveled output), and its entries as arrays
-    table = np.array([[game.win(x, o) for o in outputs] for x in admissible], dtype=bool)
-    entry_x = np.array(admissible).repeat(len(outputs), axis=0)
-    entry_o = np.tile(np.array(outputs), (len(admissible), 1))
-    # every flip pattern at once, one row per pattern, one column per
-    # (party, input) slot; slot (p, x) is column slot_offset[p] + x
-    slot_offset = np.cumsum([0, *game.input_cardinalities[:-1]])
-    n_slots = sum(game.input_cardinalities)
-    flips = (np.arange(2 ** n_slots)[:, None] >> np.arange(n_slots)) & 1
+    wins = {(x, o): game.win(x, o) for x in admissible for o in game.all_outputs()}
     shape = [(game.input_cardinalities[p], game.output_cardinalities[p]) for p in range(n)]
     group = []
     for perm in itertools.permutations(range(n)):
@@ -626,15 +618,10 @@ def _symmetry_group(game: GameSpec, equal: tuple[tuple[bool, ...], ...]) -> tupl
             continue
         if not all(equal[row_of[moved[x]]][row_of[x]] for x in admissible):
             continue
-        moved_rows = np.array([row_of[moved[x]] for x in admissible]).repeat(len(outputs))
-        # image outputs, (pattern, entry, role): o[p] ^ flip[p, x[p]] with p = source[q]
-        image = entry_o[:, source] ^ flips[:, slot_offset[source] + entry_x[:, source]]
-        kept = (table[moved_rows, np.ravel_multi_index(np.moveaxis(image, -1, 0), out_shape)]
-                == table.ravel()).all(axis=1)
-        for bits in flips[kept].tolist():
-            group.append(Symmetry(perm, tuple(
-                tuple(bits[slot_offset[p]:slot_offset[p] + game.input_cardinalities[p]])
-                for p in range(n))))
+        for flips in itertools.product(*(itertools.product((0, 1), repeat=c) for c in game.input_cardinalities)):
+            if all(wins[moved[x], tuple(o[p] ^ flips[p][x[p]] for p in source)] == won
+                   for (x, o), won in wins.items()):
+                group.append(Symmetry(perm, flips))
     return tuple(sorted(group))
 
 

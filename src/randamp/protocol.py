@@ -233,8 +233,9 @@ def plan_protocol(
     solve per target after an exact check at floor 1 on the success-1
     face, raising BracketingError when tol cannot separate it from 1.
     The threshold and round count follow from the closed forms above.
-    When x is omitted, half the maximal feasible slack is used.  The
-    estimate's deviation budget is 1 - delta, so both the estimate and
+    When x is omitted, half the maximal feasible slack is used, and a
+    threshold that rounds to 1 raises ValueError.  The estimate's
+    deviation budget is 1 - delta, so both the estimate and
     the selection hold with probability delta each, giving the delta^2
     overall confidence.
     """
@@ -247,6 +248,9 @@ def plan_protocol(
     if x >= x_max:
         raise InfeasibleSlackError(x, x_max)
     p_threshold = threshold_success(p_crit, epsilon, delta, x)
+    if p_threshold >= 1.0:
+        raise ValueError(f"at delta={delta} the success threshold lies {x_max - x:.3g} below 1 "
+                         "and rounds to 1, where every run aborts")
     if delta > 0.0:
         n = rounds_needed(x, 1.0 - delta, epsilon)
     else:

@@ -9,13 +9,13 @@ Pauli-grid strategy for the magic square.
 
 A strategy's behavior in a game, and a quantum strategy's depolarized
 copy at a visibility, are built once and memoized on the strategy
-object, so a batch of protocol runs against one device builds them once.
-The memos are instance attributes set with `object.__setattr__`, not
-fields: equality, hashing and repr ignore them, and a pickled or copied
-strategy is rebuilt from its fields without them.  They are sound
-because nothing they depend on can change: strategies are frozen, a
-quantum strategy holds read-only copies of its arrays, behavior rows are
-read-only, and the games are immutable.
+object, so a batch of protocol runs against one device builds them once
+and neither build needs a fast path.  The memos are instance attributes
+set with `object.__setattr__`, not fields: equality, hashing and repr
+ignore them, and a pickled or copied strategy is rebuilt from its fields
+without them.  They are sound because nothing they depend on can
+change: strategies are frozen, a quantum strategy holds read-only copies
+of its arrays, behavior rows are read-only, and the games are immutable.
 """
 
 from __future__ import annotations
@@ -120,25 +120,6 @@ class QuantumStrategy:
             tuple(tuple(_read_only_copy(E) for E in povm) for povm in per_input)
             for per_input in self.measurements
         ))
-        self._check_state()
-        if len(self.measurements) != len(self.local_dims):
-            raise ValueError("one measurement family per party required")
-        for p, per_input in enumerate(self.measurements):
-            d = self.local_dims[p]
-            for x, povm in enumerate(per_input):
-                total = np.zeros((d, d), dtype=complex)
-                for E in povm:
-                    if E.shape != (d, d):
-                        raise ValueError(f"party {p} input {x}: operator shape {E.shape}")
-                    if np.max(np.abs(E - E.conj().T)) > QUANTUM_TOL:
-                        raise ValueError(f"party {p} input {x}: non-Hermitian element")
-                    if np.linalg.eigvalsh(E).min() < -QUANTUM_TOL:
-                        raise ValueError(f"party {p} input {x}: element not PSD")
-                    total += E
-                if np.max(np.abs(total - np.eye(d))) > QUANTUM_TOL:
-                    raise ValueError(f"party {p} input {x}: POVM does not sum to identity")
-
-    def _check_state(self) -> None:
         dim = int(np.prod(self.local_dims))
         rho = self.state
         if rho.shape != (dim, dim):
@@ -149,17 +130,20 @@ class QuantumStrategy:
             raise ValueError(f"state trace is {np.trace(rho).real}, expected 1")
         if np.linalg.eigvalsh(rho).min() < -QUANTUM_TOL:
             raise ValueError("state is not positive semidefinite")
-
-    def _with_state(self, state: np.ndarray) -> QuantumStrategy:
-        """This strategy with a read-only copy of `state` as its shared
-        state.  Only the new state is checked: the measurements were
-        checked when this strategy was built."""
-        copy = object.__new__(type(self))
-        object.__setattr__(copy, "local_dims", self.local_dims)
-        object.__setattr__(copy, "state", _read_only_copy(state))
-        object.__setattr__(copy, "measurements", self.measurements)
-        copy._check_state()
-        return copy
+        if len(self.measurements) != len(self.local_dims):
+            raise ValueError("one measurement family per party required")
+        for p, per_input in enumerate(self.measurements):
+            d = self.local_dims[p]
+            for x, povm in enumerate(per_input):
+                for E in povm:
+                    if E.shape != (d, d):
+                        raise ValueError(f"party {p} input {x}: operator shape {E.shape}")
+                    if np.max(np.abs(E - E.conj().T)) > QUANTUM_TOL:
+                        raise ValueError(f"party {p} input {x}: non-Hermitian element")
+                    if np.linalg.eigvalsh(E).min() < -QUANTUM_TOL:
+                        raise ValueError(f"party {p} input {x}: element not PSD")
+                if np.max(np.abs(sum(povm) - np.eye(d))) > QUANTUM_TOL:
+                    raise ValueError(f"party {p} input {x}: POVM does not sum to identity")
 
 
 def pure_state_density(vec: Sequence[complex]) -> np.ndarray:
@@ -240,15 +224,6 @@ def biased_mermin_classical_value(epsilon: float) -> float:
     return 1.0 - r * r
 
 
-def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cell-wise Kronecker products of two (cells, outputs, d, d) operator
-    stacks, each a-entry times each b-entry, outputs in row-major order."""
-    c, o, d, _ = a.shape
-    k, e = b.shape[1], b.shape[2]
-    outer = a[:, :, None, :, None, :, None] * b[:, None, :, None, :, None, :]
-    return outer.reshape(c, o * k, d * e, d * e)
-
-
 def behavior_of_quantum(strategy: QuantumStrategy, game: GameSpec) -> Behavior:
     """Born-rule conditional table of a quantum strategy.
 
@@ -260,17 +235,8 @@ def behavior_of_quantum(strategy: QuantumStrategy, game: GameSpec) -> Behavior:
 
 
 def _quantum_behavior(strategy: QuantumStrategy, game: GameSpec) -> Behavior:
-    """The Born rule, all cells at once.
-
-    Every (input cell, output) operator is built at once: party by party,
-    one broadcast outer product extends a (cells, outputs, D, D) stack by
-    the next party's POVM elements, so each entry is the product a*b*c
-    in party order, the same numbers `reduce(np.kron, ...)` gives.  One
-    batched matmul with the state and one trace over the last two axes
-    then give every probability; the matmul runs the same gemm on each
-    (D, D) slice as `state @ op` does, so the table is bit-identical to
-    the per-cell loop.
-    """
+    """The Born rule: one Kronecker product of the parties' POVM elements
+    and one trace against the state per (input cell, output)."""
     if len(strategy.local_dims) != game.n_parties:
         raise ValueError("strategy and game disagree on the number of parties")
     for p in range(game.n_parties):
@@ -279,13 +245,15 @@ def _quantum_behavior(strategy: QuantumStrategy, game: GameSpec) -> Behavior:
         for povm in strategy.measurements[p]:
             if len(povm) != game.output_cardinalities[p]:
                 raise ValueError(f"party {p}: one POVM element per output required")
-    cells = game.admissible_inputs()
-    stacks = [np.asarray([strategy.measurements[p][x[p]] for x in cells]) for p in range(game.n_parties)]
-    ops = reduce(_stacked_kron, stacks)
-    # contiguous, so each row is a plain C-ordered array as the loop's rows were
-    probs = np.ascontiguousarray(np.trace(np.matmul(strategy.state, ops), axis1=-2, axis2=-1).real)
-    shape = tuple(game.output_cardinalities)
-    return Behavior(game, {x: probs[i].reshape(shape) for i, x in enumerate(cells)})
+    table = {}
+    for x in game.admissible_inputs():
+        row = np.zeros(game.output_cardinalities)
+        for o in game.all_outputs():
+            # kron accumulates in party order, matching the state's factor order
+            op = reduce(np.kron, [strategy.measurements[p][x[p]][o[p]] for p in range(game.n_parties)])
+            row[o] = np.trace(strategy.state @ op).real
+        table[x] = row
+    return Behavior(game, table)
 
 
 def ghz_mermin_strategy() -> QuantumStrategy:
@@ -368,7 +336,7 @@ def apply_depolarizing(strategy: QuantumStrategy, noise: NoiseModel) -> QuantumS
 def _depolarized(strategy: QuantumStrategy, v: float) -> QuantumStrategy:
     dim = int(np.prod(strategy.local_dims))
     state = v * strategy.state + (1.0 - v) * np.eye(dim, dtype=complex) / dim
-    return strategy._with_state(state)
+    return QuantumStrategy(strategy.local_dims, state, strategy.measurements)
 
 
 def quantum_success(strategy: QuantumStrategy, game: GameSpec, dist: InputDistribution) -> float:

@@ -244,6 +244,20 @@ def test_plan_infeasible_slack_exits_2(tmp_path, capsys):
     assert "maximal feasible x" in err
 
 
+def test_plan_whose_threshold_rounds_to_one_exits_2(tmp_path, capsys):
+    """A threshold 1e-18 below 1 prints as 1.0, at which every run aborts,
+    so the plan fails as a numerical failure and prints nothing."""
+    code, text = run_cli(
+        ["plan", "--epsilon", "0.3", "--eps-prime", "0.29", "--delta", "0.99999",
+         "--tolerance", "5e-3"],
+        tmp_path,
+    )
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: at delta=0.99999 ") and "rounds to 1" in err
+
+
 def test_simulate_honest_end_to_end(tmp_path):
     code, text = run_cli(
         ["simulate", "--epsilon", "0.3", "--eps-prime", "0.29", "--delta", "0.5",

@@ -8,6 +8,8 @@ import pytest
 from randamp import npa
 from randamp.games import (
     DIST_TOL,
+    GameSpec,
+    InputDistribution,
     chsh_game,
     input_distribution_from_source,
     magic_square_game,
@@ -524,13 +526,47 @@ def loop_target_orbits(game, dist):
     return sorted({tuple(sorted(orbit)) for orbit in orbit_of.values()})
 
 
+def random_parity_game(rng):
+    """Three parties with binary inputs and outputs who win iff
+    o0 ^ o1 ^ o2 == f(x) for a random f, under a random choice of
+    promise: every input, or a ^ b ^ c = 0."""
+    f = dict(zip(itertools.product((0, 1), repeat=3), rng.integers(0, 2, size=8).tolist()))
+    promised = bool(rng.integers(2))
+    return GameSpec("parity", 3, (2, 2, 2), (2, 2, 2),
+                    lambda x: not promised or (x[0] ^ x[1] ^ x[2]) == 0,
+                    lambda x, o: (o[0] ^ o[1] ^ o[2]) == f[x])
+
+
+def random_distributions(game, rng):
+    """The uniform distribution, one whose random weight depends only on
+    an input's Hamming weight (so party permutations can keep it) and
+    one with a random weight per input."""
+    admissible = game.admissible_inputs()
+    by_weight = rng.random(4) + 0.1
+    per_input = rng.random(len(admissible)) + 0.1
+    weighted = []
+    for weights in ([by_weight[sum(x)] for x in admissible], per_input):
+        total = float(sum(weights))
+        weighted.append(InputDistribution(game, {x: float(w) / total for x, w in zip(admissible, weights)}))
+    return [uniform_distribution(game), *weighted]
+
+
 def test_target_orbits_match_the_loop_search():
+    """The three named games, and seeded random three-party parity games
+    whose groups reach orders 8, 24 and 48."""
     mermin, chsh, square = mermin_game(), chsh_game(), magic_square_game()
     cases = [(mermin, input_distribution_from_source(mermin, canonical_mermin_source(e)))
              for e in (0.0, 0.05, 0.3, 0.45)]
     cases += [(game, uniform_distribution(game)) for game in (mermin, chsh, square)]
+    rng = np.random.default_rng(2013)
+    for _ in range(12):
+        game = random_parity_game(rng)
+        cases += [(game, dist) for dist in random_distributions(game, rng)]
+    orders = set()
     for game, dist in cases:
         assert target_orbits(game, dist) == loop_target_orbits(game, dist)
+        orders.add(len(symmetry_group(game, dist)))
+    assert {8, 24, 48} <= orders
 
 
 def canonical_distribution(epsilon):

@@ -221,6 +221,20 @@ def test_plan_protocol_rejects_infeasible_slack():
         plan_protocol(0.3, 0.29, 0.5, x=-0.1, tol=5e-3)
 
 
+def test_plan_rejects_a_threshold_that_rounds_to_one():
+    """At delta 0.99999 the threshold lies ~1e-18 below 1, a gap that
+    rounds it to 1 in double precision, where every run aborts; the plan
+    raises with delta and the gap instead of returning it.  One decade of
+    confidence less keeps the threshold below 1."""
+    p_crit = plan_protocol(0.3, 0.29, 0.9999, tol=5e-3).p_crit
+    gap = max_feasible_slack(p_crit, 0.3, 0.99999) / 2.0
+    assert 0.0 < gap and 1.0 - gap == 1.0
+    with pytest.raises(ValueError, match=rf"delta=0\.99999 .* lies {gap:.3g} below 1") as exc_info:
+        plan_protocol(0.3, 0.29, 0.99999, tol=5e-3)
+    assert not isinstance(exc_info.value, InfeasibleSlackError)
+    assert plan_protocol(0.3, 0.29, 0.9999, tol=5e-3).p_threshold < 1.0
+
+
 def test_nan_slack_is_rejected():
     """nan passes x < 0 and x <= 0; each slack check rejects it."""
     nan = float("nan")

@@ -235,8 +235,7 @@ def test_depolarized_copy_equals_the_validated_construction(seed, visibility):
 
 
 def test_invalid_strategies_still_raise():
-    """Building a strategy checks its POVMs, and a copy with a new state
-    still checks that state."""
+    """Building a strategy checks its POVMs and its state."""
     ghz = ghz_mermin_strategy()
     (x0, x1), y_pair = ghz.measurements[0]
     short = ((x0, x1 / 2.0), y_pair)
@@ -246,7 +245,7 @@ def test_invalid_strategies_still_raise():
     with pytest.raises(ValueError, match="not PSD"):
         QuantumStrategy(ghz.local_dims, ghz.state, (negative, *ghz.measurements[1:]))
     with pytest.raises(ValueError, match="trace"):
-        ghz._with_state(2.0 * ghz.state)
+        QuantumStrategy(ghz.local_dims, 2.0 * ghz.state, ghz.measurements)
 
 
 def test_maximally_mixed_mermin_success_is_half():
