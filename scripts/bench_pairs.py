@@ -174,10 +174,9 @@ def main(argv: list[str] | None = None) -> int:
                 "pairs": seed,
             }
             record()
-        if probes["parent"]:
-            medians = {side: report["setup_probes"][workload][side]["median"] for side in probes}
-            print(f"{workload} setup probes: parent {medians['parent']:.3f} s, "
-                  f"change {medians['change']:.3f} s", file=sys.stderr)
+        if args.setup_probes:
+            print(f"{workload} setup probes: parent {statistics.median(probes['parent']):.3f} s, "
+                  f"change {statistics.median(probes['change']):.3f} s", file=sys.stderr)
     for workload, _ in plan:
         computed = {}
         for side in ("parent", "change"):
